@@ -9,9 +9,13 @@ for error-taxonomy testing.
 from __future__ import annotations
 
 import base64
+import email.utils
 import json
+import random
+import threading
 import time
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
@@ -116,19 +120,48 @@ class RemoteConfig:
     backoff_s: float = 0.5
 
 
+def _retry_after_s(value: str | None) -> float | None:
+    """Seconds a ``Retry-After`` header asks to wait: delta-seconds or an
+    HTTP-date (RFC 9110 §10.2.3); None when absent or unparseable."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isdecimal():
+        return float(value)
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
+
+
 class RemoteBackend:
     """POSTs document bytes plus the schema to an extraction endpoint.
 
     Wire contract: request {doc_kind, schema: [{name, type, variants?}],
     content_b64}; response {fields: {tag: str}, cost_eur, elapsed_ms}
     with absent tags carrying the literal "None".
+
+    Each document gets ``retries`` attempts, and at least one. HTTP 429,
+    5xx and connection errors are retried: after a 429 the wait is its
+    ``Retry-After`` capped at ``timeout_s``, otherwise a full-jitter
+    exponential backoff. Every thread calling ``fetch`` gets its own
+    ``requests.Session``.
     """
 
     backend_id = "remote"
 
-    def __init__(self, config: RemoteConfig, session: requests.Session | None = None):
+    def __init__(self, config: RemoteConfig):
         self.config = config
-        self._session = session or requests.Session()
+        self._local = threading.local()
+
+    def _session(self) -> requests.Session:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def fetch(self, doc: DocumentRef, schema: ExtractionSchema) -> BackendResponse:
         payload = {
@@ -146,14 +179,25 @@ class RemoteBackend:
 
         last_error: Exception | None = None
         url = self.config.endpoint.rstrip("/") + "/extract"
-        for attempt in range(self.config.retries):
+        attempts = max(1, self.config.retries)
+        wait_s = 0.0
+        for attempt in range(attempts):
             if attempt:
-                time.sleep(self.config.backoff_s * (2 ** (attempt - 1)))
+                time.sleep(wait_s)
+            # full jitter: uniform below an exponentially growing ceiling
+            wait_s = random.uniform(0.0, min(self.config.timeout_s,
+                                             self.config.backoff_s * 2 ** attempt))
             try:
-                resp = self._session.post(url, json=payload, headers=headers,
-                                          timeout=self.config.timeout_s)
+                resp = self._session().post(url, json=payload, headers=headers,
+                                            timeout=self.config.timeout_s)
             except requests.RequestException as exc:
                 last_error = exc
+                continue
+            if resp.status_code == 429:
+                last_error = RuntimeError("throttled (429)")
+                asked = _retry_after_s(resp.headers.get("Retry-After"))
+                if asked is not None:
+                    wait_s = min(asked, self.config.timeout_s)
                 continue
             if resp.status_code >= 500:
                 last_error = RuntimeError(f"server error {resp.status_code}")
@@ -170,4 +214,4 @@ class RemoteBackend:
                 )
             except (ValueError, KeyError, TypeError) as exc:
                 raise BackendError(f"malformed extraction response: {exc}") from exc
-        raise BackendError(f"extraction failed after {self.config.retries} attempts: {last_error}")
+        raise BackendError(f"extraction failed after {attempts} attempts: {last_error}")

@@ -55,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--backend", choices=("mock", "remote"), default="mock")
     verify.add_argument("--endpoint", type=str, default=None)
     verify.add_argument("--api-key-env", type=str, default="CLAIMCHECK_API_KEY")
-    verify.add_argument("--parallelism", type=int, default=4)
-    verify.add_argument("--extract-parallelism", type=int, default=8)
+    verify.add_argument("--parallelism", type=int, default=16,
+                        help="extraction calls in flight (the mock backend runs inline)")
     verify.add_argument("--catalog", type=Path, default=None)
     verify.add_argument("--fuzzy-threshold", type=float, default=0.85)
     verify.add_argument("--amount-tolerance-cents", type=int, default=0)
@@ -64,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--allow-ext", type=str, default=None,
                         help="extra extensions, e.g. 'webp=png,tif=jpg'")
     verify.add_argument("--timeout", type=float, default=30.0)
-    verify.add_argument("--retries", type=int, default=3)
+    verify.add_argument("--retries", type=int, default=3,
+                        help="attempts per document; every document is tried at least once")
     verify.set_defaults(func=cmd_verify)
 
     metrics = sub.add_parser("metrics", help="aggregate metrics from verify outputs")
@@ -139,7 +140,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         api_key_env=args.api_key_env,
         catalog_path=args.catalog,
         parallelism=args.parallelism,
-        extract_parallelism=args.extract_parallelism,
         fuzzy_threshold=args.fuzzy_threshold,
         amount_tolerance_cents=args.amount_tolerance_cents,
         max_file_mb=args.max_file_mb,

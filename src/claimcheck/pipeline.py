@@ -1,8 +1,8 @@
 """End-to-end batch run: ingest -> extract -> rules -> reports.
 
-Applications are processed in parallel but every output is written from
-exactly one worker, and aggregation happens in app-id order, so a run is
-byte-reproducible regardless of thread scheduling.
+Extraction runs on a thread pool that keeps a bounded window of documents
+ahead of the application being finished; rules, rendering and every write
+run on the calling thread in app-id order, so a run is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from urllib.parse import urlparse
@@ -50,8 +50,7 @@ class RunConfig:
     endpoint: str | None = None
     api_key_env: str = "CLAIMCHECK_API_KEY"
     catalog_path: Path | None = None
-    parallelism: int = 4
-    extract_parallelism: int = 8
+    parallelism: int = 16  # extraction calls in flight
     fuzzy_threshold: float = 0.85
     amount_tolerance_cents: int = 0
     max_file_mb: float = 25.0
@@ -69,8 +68,10 @@ class RunConfig:
             parsed = urlparse(self.endpoint)
             if parsed.scheme not in ("http", "https") or not parsed.netloc:
                 raise ConfigError(f"malformed endpoint URL: {self.endpoint!r}")
-        if self.parallelism < 1 or self.extract_parallelism < 1:
+        if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+        if self.retries < 0:
+            raise ConfigError("retries must be >= 0")
         if not (0.0 <= self.fuzzy_threshold <= 1.0):
             raise ConfigError("fuzzy threshold must be in [0, 1]")
 
@@ -82,30 +83,39 @@ class RunConfig:
         return data
 
 
-class _ThrottledBackend:
-    """Caps in-flight extraction calls across all app workers."""
-
-    def __init__(self, inner, limit: int):
-        self._inner = inner
-        self._semaphore = threading.Semaphore(limit)
-        self.backend_id = inner.backend_id
-
-    def fetch(self, doc, schema):
-        with self._semaphore:
-            return self._inner.fetch(doc, schema)
-
-
 def make_backend(config: RunConfig):
     if config.backend == "mock":
-        inner = MockBackend()
-    else:
-        inner = RemoteBackend(RemoteConfig(
-            endpoint=config.endpoint,
-            api_key=os.environ.get(config.api_key_env),
-            timeout_s=config.timeout_s,
-            retries=config.retries,
-        ))
-    return _ThrottledBackend(inner, config.extract_parallelism)
+        return MockBackend()
+    return RemoteBackend(RemoteConfig(
+        endpoint=config.endpoint,
+        api_key=os.environ.get(config.api_key_env),
+        timeout_s=config.timeout_s,
+        retries=config.retries,
+    ))
+
+
+class _InlineExecutor(Executor):
+    """Runs each call when it is submitted, on the submitting thread."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 (raised again by result())
+            future.set_exception(exc)
+        return future
+
+
+def _extract_ahead(bundles, backend, pool: Executor, window: int):
+    """Yield each bundle in order with the futures of its extracted documents,
+    once ``window`` documents of later bundles are submitted or none are left."""
+    ahead: deque[tuple[ApplicationBundle, list[Future]]] = deque()
+    for bundle in bundles:
+        ahead.append((bundle, [pool.submit(extract, ref, schema_for(ref.slot, bundle.typology),
+                                           backend) for ref in bundle.documents]))
+        while sum(len(futures) for _, futures in ahead) - len(ahead[0][1]) >= window:
+            yield ahead.popleft()
+    yield from ahead
 
 
 @dataclass
@@ -116,13 +126,8 @@ class VerifyResult:
     manifest: dict
 
 
-def _process_application(bundle: ApplicationBundle, catalog: Catalog, backend,
-                         settings: EngineSettings, out_dir: Path) -> AppRecord:
-    extracted: list[ExtractedDocument] = []
-    for ref in bundle.documents:
-        schema = schema_for(ref.slot, bundle.typology)
-        extracted.append(extract(ref, schema, backend))
-
+def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDocument],
+                         catalog: Catalog, settings: EngineSettings, out_dir: Path) -> AppRecord:
     outcomes_by_kind = evaluate_application(bundle, extracted, catalog.checks, settings)
 
     app_out = out_dir / bundle.app_id
@@ -228,28 +233,21 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
     for failure in scan.failures:
         log_event("app_load_failed", app_id=failure.app_id, reason=failure.reason)
 
-    bundles = []
-    for bundle in scan.bundles:
-        bundle = expand_archives(bundle, work_dir, config.max_file_mb)
-        bundles.append(map_documents(bundle))
-
-    def worker(bundle: ApplicationBundle) -> AppRecord | LoadFailure:
-        # one crashing application must never abort the batch
-        try:
-            return _process_application(bundle, catalog, backend, settings, out_dir)
-        except Exception as exc:  # noqa: BLE001
-            log_event("app_processing_failed", app_id=bundle.app_id, error=str(exc))
-            return LoadFailure(app_id=bundle.app_id, path=str(bundle.root or ""),
-                               reason=f"processing failed: {exc}")
-
-    if config.parallelism > 1 and len(bundles) > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(worker, bundles))
-    else:
-        results = [worker(b) for b in bundles]
-    records = sorted((r for r in results if isinstance(r, AppRecord)),
-                     key=lambda r: r.app_id)
-    scan.failures.extend(r for r in results if isinstance(r, LoadFailure))
+    bundles = (map_documents(expand_archives(b, work_dir, config.max_file_mb))
+               for b in scan.bundles)
+    records: list[AppRecord] = []
+    # The mock backend only reads a local sidecar, so its calls run inline.
+    inflight = 1 if config.backend == "mock" else config.parallelism
+    with _InlineExecutor() if inflight == 1 else ThreadPoolExecutor(inflight) as pool:
+        for bundle, futures in _extract_ahead(bundles, backend, pool, 2 * inflight):
+            # one crashing application must never abort the batch
+            try:
+                records.append(_process_application(
+                    bundle, [f.result() for f in futures], catalog, settings, out_dir))
+            except Exception as exc:  # noqa: BLE001
+                log_event("app_processing_failed", app_id=bundle.app_id, error=str(exc))
+                scan.failures.append(LoadFailure(app_id=bundle.app_id, path=str(bundle.root or ""),
+                                                 reason=f"processing failed: {exc}"))
 
     summary = aggregate_metrics(records)
     (out_dir / "metrics.json").write_bytes(canonical_json_bytes(summary))

@@ -57,6 +57,16 @@ class TestVerifyCommand:
         assert code == 1
         assert not (out / "manifest.json").exists()
 
+    def test_negative_retries_exits_1_before_processing(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        run(["gen-corpus", "--out", str(corpus), "--n", "1", "--seed", "1"])
+        out = tmp_path / "out"
+        code = run(["verify", "--corpus", str(corpus), "--out", str(out),
+                    "--backend", "remote", "--endpoint", "http://127.0.0.1:9",
+                    "--retries", "-1"])
+        assert code == 1
+        assert not (out / "manifest.json").exists()
+
     def test_manifest_file_accounting(self, verified_run):
         corpus, out = verified_run
         manifest = json.loads((out / "manifest.json").read_text())

@@ -1,5 +1,9 @@
 import json
 import threading
+import time
+from contextlib import contextmanager
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -177,6 +181,48 @@ class _FailingHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _ThrottlingHandler(BaseHTTPRequestHandler):
+    """Answers the first request with 429 (and ``retry_after``, if set),
+    every later one with an invoice total."""
+
+    calls = 0
+    retry_after: str | None = None
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        type(self).calls += 1
+        if type(self).calls == 1:
+            self.send_response(429)
+            if self.retry_after is not None:
+                self.send_header("Retry-After", self.retry_after)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        body = json.dumps({"fields": {"total_value": "1,00"}, "cost_eur": 0.01,
+                           "elapsed_ms": 5}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def serving(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
 class TestRemoteBackend:
     def test_stub_equivalent_to_mock(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -212,6 +258,55 @@ class TestRemoteBackend:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_zero_retries_still_attempts_once(self, tmp_path):
+        (tmp_path / "app_x").mkdir()
+        ref = invoice_ref(tmp_path / "app_x", {"total_value": "150,00"})
+        with FixtureStubServer(tmp_path) as server:
+            remote = RemoteBackend(RemoteConfig(endpoint=server.url, retries=0))
+            result = extract(ref, schema_for(DocumentSlot.INVOICE, T1), remote)
+        assert result.fields["total_value"].state is ValueState.PRESENT
+        assert result.fields["total_value"].value == Money(15000)
+
+    @pytest.mark.parametrize("retry_after, timeout_s, min_wait_s, max_wait_s", [
+        ("0", 5.0, 0.0, 2.0),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 5.0, 0.0, 2.0),
+        ("in 2 s", 5.0, 0.5, 4.0),
+        ("3600", 0.5, 0.4, 3.0),
+        (None, 5.0, 0.0, 2.0),
+    ], ids=["delta-seconds", "past-http-date", "future-http-date", "capped-at-timeout",
+            "no-header-jittered-backoff"])
+    def test_429_is_retried_after_its_wait(self, tmp_path, retry_after, timeout_s,
+                                           min_wait_s, max_wait_s):
+        _ThrottlingHandler.calls = 0
+        if retry_after == "in 2 s":
+            retry_after = format_datetime(datetime.now(timezone.utc) + timedelta(seconds=2),
+                                          usegmt=True)
+        _ThrottlingHandler.retry_after = retry_after
+        ref = invoice_ref(tmp_path)
+        with serving(_ThrottlingHandler) as url:
+            remote = RemoteBackend(RemoteConfig(endpoint=url, retries=3, backoff_s=0.01,
+                                                timeout_s=timeout_s))
+            started = time.monotonic()
+            response = remote.fetch(ref, schema_for(DocumentSlot.INVOICE, T1))
+            waited = time.monotonic() - started
+        assert response.fields == {"total_value": "1,00"}
+        assert _ThrottlingHandler.calls == 2
+        assert min_wait_s <= waited < max_wait_s
+
+    def test_one_session_per_thread(self):
+        remote = RemoteBackend(RemoteConfig(endpoint="http://127.0.0.1:9"))
+        sessions = []
+        threads = [threading.Thread(target=lambda: sessions.append(remote._session()))
+                   for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len({id(session) for session in sessions}) == 4
+        assert remote._session() is remote._session()
+        assert all(remote._session() is not session for session in sessions)
 
     def test_missing_tag_in_response_is_absent(self):
         schema = schema_for(DocumentSlot.RECEIPT, T1)

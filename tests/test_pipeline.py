@@ -1,10 +1,16 @@
 import io
 import json
+import threading
+import time
 import zipfile
 from pathlib import Path
 
+import pytest
+
+from claimcheck.backends import MockBackend, RemoteBackend
 from claimcheck.cli import main
 from claimcheck.pipeline import RunConfig, verify_corpus
+from claimcheck.stubserver import FixtureStubServer
 
 
 def zip_app_photos(app_dir: Path) -> None:
@@ -120,3 +126,66 @@ def test_oversize_flag_routes_through_cli(corpus_copy, tmp_path):
     assert manifest["counts"]["unsupported_notices"] == 1
     rel = str(big.relative_to(corpus_copy))
     assert rel in manifest["files"]["unsupported"]
+
+
+class _CountingStub(FixtureStubServer):
+    """Fixture stub that answers each request after 20 ms and records the
+    peak number of requests in flight."""
+
+    def __init__(self, corpus_root: Path):
+        super().__init__(corpus_root)
+        self._lock = threading.Lock()
+        self._inflight = 0
+        self.peak = 0
+
+    def _answer(self, request: dict) -> dict:
+        with self._lock:
+            self._inflight += 1
+            self.peak = max(self.peak, self._inflight)
+        try:
+            time.sleep(0.02)
+            return super()._answer(request)
+        finally:
+            with self._lock:
+                self._inflight -= 1
+
+
+def output_tree(out: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_parallelism_bounds_extraction_calls_in_flight(small_corpus, tmp_path, parallelism):
+    verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=tmp_path / "mock"))
+    with _CountingStub(small_corpus) as stub:
+        result = verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=tmp_path / "remote",
+                                         backend="remote", endpoint=stub.url,
+                                         parallelism=parallelism))
+    assert result.exit_code == 0
+    assert stub.peak == parallelism
+    assert output_tree(tmp_path / "remote") == output_tree(tmp_path / "mock")
+
+
+@pytest.mark.parametrize("backend", [MockBackend, RemoteBackend])
+def test_crashing_fetch_fails_only_its_app(small_corpus, tmp_path, monkeypatch, backend):
+    app_ids = sorted(p.name for p in small_corpus.iterdir() if p.is_dir())
+    victim = app_ids[3]
+    real_fetch = backend.fetch
+
+    def fetch(self, doc, schema):
+        if doc.path.parent.name == victim and doc.path.name == "fatura.pdf":
+            raise RuntimeError("extraction worker crashed")
+        return real_fetch(self, doc, schema)
+
+    monkeypatch.setattr(backend, "fetch", fetch)
+    out = tmp_path / "out"
+    with _CountingStub(small_corpus) as stub:
+        result = verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=out,
+                                         backend=backend.backend_id, endpoint=stub.url,
+                                         parallelism=4))
+    assert result.exit_code == 2
+    assert [f.app_id for f in result.scan.failures] == [victim]
+    assert "processing failed" in result.scan.failures[0].reason
+    assert [r.app_id for r in result.records] == [a for a in app_ids if a != victim]
+    assert all((out / a / "eligibility.json").is_file() for a in app_ids if a != victim)
