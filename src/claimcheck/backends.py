@@ -22,9 +22,8 @@ from typing import Callable
 import requests
 
 from .extract import ExtractionSchema, NONE_SENTINEL
-from .ingest import DocumentRef
+from .ingest import SIDECAR_SUFFIX, DocumentRef
 
-SIDECAR_SUFFIX = ".fields.json"
 # Generated document files start with this marker followed by their
 # corpus-relative path, so a stub server can resolve the right sidecar
 # from posted bytes alone.

@@ -21,10 +21,11 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .backends import DOC_MARKER, SIDECAR_SUFFIX, MockBackend
+from .backends import DOC_MARKER, MockBackend
 from .catalog import Catalog, load_catalog_file
 from .extract import ExtractedDocument, extract, schema_for
 from .ingest import (
+    SIDECAR_SUFFIX,
     ApplicationBundle,
     DocumentRef,
     FileKind,

@@ -3,6 +3,7 @@ expand archives, parse declared form data and map files to document slots."""
 
 from __future__ import annotations
 
+import os
 import xml.etree.ElementTree as ET
 import zipfile
 from dataclasses import dataclass, field, replace
@@ -137,13 +138,11 @@ class DocumentRef:
     kind: FileKind
     slot: DocumentSlot = DocumentSlot.OTHER
     origin: str = "direct_upload"
-    archive_parent: str | None = None
+    archive_source: str | None = None  # "<archive>!<member name>" for an archive member
 
     @property
     def display_path(self) -> str:
-        if self.archive_parent:
-            return f"{self.archive_parent}!{self.path.name}"
-        return str(self.path)
+        return self.archive_source or str(self.path)
 
 
 @dataclass
@@ -154,6 +153,7 @@ class ApplicationBundle:
     documents: list[DocumentRef] = field(default_factory=list)
     unsupported: list[UnsupportedNotice] = field(default_factory=list)
     root: Path | None = None
+    files: list[Path] = field(default_factory=list)  # every regular file under root
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,9 @@ class LoadFailure:
 class ScanResult:
     bundles: list[ApplicationBundle]
     failures: list[LoadFailure]
+    # corpus files in no bundle: loose files at the root and every file
+    # under an application directory whose form failed to load
+    unbundled_files: list[Path] = field(default_factory=list)
 
 
 class FormParseError(ValueError):
@@ -216,13 +219,17 @@ def classify_file(path: Path | str) -> FileKind | UnsupportedNotice:
     p = Path(path)
     kind = SUPPORTED_EXTENSIONS.get(p.suffix.lower())
     if kind is None:
-        return UnsupportedNotice(
-            path=str(p),
-            reason="unsupported_extension",
-            message=f"unsupported file type {p.suffix!r}: {p.name} requires manual review",
-            slot=infer_slot(p),
-        )
+        return _unsupported_extension_notice(p, infer_slot(p))
     return FileKind(kind)
+
+
+def _unsupported_extension_notice(path: Path, slot: DocumentSlot) -> UnsupportedNotice:
+    return UnsupportedNotice(
+        path=str(path),
+        reason="unsupported_extension",
+        message=f"unsupported file type {path.suffix!r}: {path.name} requires manual review",
+        slot=slot,
+    )
 
 
 def infer_slot(path: Path, app_root: Path | None = None) -> DocumentSlot:
@@ -289,9 +296,27 @@ def _oversize_notice(path: Path, size: int, cap_bytes: int, slot: DocumentSlot) 
     )
 
 
+def _walk_files(directory: Path):
+    """Yield (path, DirEntry) for every regular file under ``directory``,
+    in ``sorted(Path)`` order. Like ``Path.rglob``, it does not descend into
+    symlinked directories and skips directories it may not read."""
+    try:
+        with os.scandir(directory) as it:
+            entries = sorted(it, key=lambda e: e.name)
+    except PermissionError:
+        return
+    for entry in entries:
+        path = directory / entry.name
+        if entry.is_dir(follow_symlinks=False):
+            yield from _walk_files(path)
+        elif entry.is_file():
+            yield path, entry
+
+
 def scan_application(app_dir: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
                      extra_extensions: dict[str, str] | None = None) -> ApplicationBundle:
-    """Build one bundle from an application directory. Raises FormParseError."""
+    """Build one bundle from an application directory, recording every
+    file visited on it. Raises FormParseError."""
     form_path = app_dir / FORM_FILENAME
     if not form_path.is_file():
         raise FormParseError(f"{FORM_FILENAME} not found")
@@ -302,27 +327,25 @@ def scan_application(app_dir: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
     if extra_extensions:
         extensions.update(extra_extensions)
 
+    files: list[Path] = []
     documents: list[DocumentRef] = []
     unsupported: list[UnsupportedNotice] = []
-    for path in sorted(p for p in app_dir.rglob("*") if p.is_file()):
+    for path, entry in _walk_files(app_dir):
+        files.append(path)
         if path == form_path or path.name.endswith(SIDECAR_SUFFIX):
             continue
         slot = infer_slot(path, app_dir)
         kind_name = extensions.get(path.suffix.lower())
         if kind_name is None:
-            unsupported.append(UnsupportedNotice(
-                path=str(path),
-                reason="unsupported_extension",
-                message=f"unsupported file type {path.suffix!r}: {path.name} requires manual review",
-                slot=slot,
-            ))
+            unsupported.append(_unsupported_extension_notice(path, slot))
             continue
-        if path.stat().st_size > cap_bytes:
-            unsupported.append(_oversize_notice(path, path.stat().st_size, cap_bytes, slot))
+        size = entry.stat().st_size
+        if size > cap_bytes:
+            unsupported.append(_oversize_notice(path, size, cap_bytes, slot))
             continue
         documents.append(DocumentRef(path=path, kind=FileKind(kind_name), slot=slot))
-    return ApplicationBundle(app_id=app_id, typology=typology, form=form,
-                             documents=documents, unsupported=unsupported, root=app_dir)
+    return ApplicationBundle(app_id=app_id, typology=typology, form=form, documents=documents,
+                             unsupported=unsupported, root=app_dir, files=files)
 
 
 def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
@@ -330,28 +353,40 @@ def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
     """One bundle per application subdirectory, ordered by app id.
 
     A broken application is recorded as a LoadFailure and the scan moves
-    on; only an unreadable corpus root is an error.
+    on; only an unreadable corpus root is an error. Every regular file of
+    the corpus is recorded on its bundle or in ``unbundled_files``, so no
+    later stage walks the corpus again.
     """
     root = Path(root)
     if not root.is_dir():
         raise NotADirectoryError(f"corpus root not found: {root}")
-    bundles: list[ApplicationBundle] = []
-    failures: list[LoadFailure] = []
-    for app_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        try:
-            bundles.append(scan_application(app_dir, max_file_mb, extra_extensions))
-        except FormParseError as exc:
-            failures.append(LoadFailure(app_id=app_dir.name, path=str(app_dir), reason=str(exc)))
-    bundles.sort(key=lambda b: b.app_id)
-    return ScanResult(bundles=bundles, failures=failures)
+    result = ScanResult(bundles=[], failures=[])
+    with os.scandir(root) as it:
+        entries = sorted(it, key=lambda e: e.name)
+    for entry in entries:
+        path = root / entry.name
+        if entry.is_dir():
+            try:
+                result.bundles.append(scan_application(path, max_file_mb, extra_extensions))
+            except FormParseError as exc:
+                result.failures.append(LoadFailure(app_id=entry.name, path=str(path),
+                                                   reason=str(exc)))
+                result.unbundled_files.extend(p for p, _ in _walk_files(path))
+        elif entry.is_file():
+            result.unbundled_files.append(path)
+    result.bundles.sort(key=lambda b: b.app_id)
+    return result
 
 
 def expand_archives(bundle: ApplicationBundle, work_dir: Path,
                     max_file_mb: float = DEFAULT_MAX_FILE_MB) -> ApplicationBundle:
     """Replace ZIP refs with their members, extracted under work_dir.
 
-    Nesting is limited to one level: a ZIP inside a ZIP becomes an
-    archive_depth_exceeded notice. Idempotent on archive-free bundles.
+    Each member goes to ``<app_id>/<archive no>/<member no>/<base name>``,
+    with its sidecar beside it, so no two members share a path and no
+    in-archive directory name reaches the file system. Nesting is limited
+    to one level: a ZIP inside a ZIP becomes an archive_depth_exceeded
+    notice. Idempotent on archive-free bundles.
     """
     if not any(d.kind is FileKind.ZIP for d in bundle.documents):
         return bundle
@@ -359,16 +394,15 @@ def expand_archives(bundle: ApplicationBundle, work_dir: Path,
     cap_bytes = int(max_file_mb * 1_000_000)
     documents: list[DocumentRef] = []
     unsupported = list(bundle.unsupported)
-    for doc in bundle.documents:
+    for archive_no, doc in enumerate(bundle.documents):
         if doc.kind is not FileKind.ZIP:
             documents.append(doc)
             continue
-        target = Path(work_dir) / bundle.app_id / doc.path.stem
+        target = Path(work_dir) / bundle.app_id / str(archive_no)
         try:
             with zipfile.ZipFile(doc.path) as archive:
                 members = [m for m in archive.infolist() if not m.is_dir()]
-                target.mkdir(parents=True, exist_ok=True)
-                for member in members:
+                for member_no, member in enumerate(members):
                     member_name = Path(member.filename).name
                     display = f"{doc.path}!{member.filename}"
                     if not member_name or member_name.startswith("."):
@@ -382,8 +416,7 @@ def expand_archives(bundle: ApplicationBundle, work_dir: Path,
                             slot=slot))
                         continue
                     if member_name.endswith(SIDECAR_SUFFIX):
-                        (target / member_name).write_bytes(archive.read(member))
-                        continue
+                        continue  # written beside its document below
                     kind_name = SUPPORTED_EXTENSIONS.get(suffix)
                     if kind_name is None:
                         unsupported.append(UnsupportedNotice(
@@ -396,11 +429,18 @@ def expand_archives(bundle: ApplicationBundle, work_dir: Path,
                             path=display, reason="oversize",
                             message=f"{member.filename} exceeds the size cap", slot=slot))
                         continue
-                    out_path = target / member_name
+                    out_path = target / str(member_no) / member_name
+                    out_path.parent.mkdir(parents=True, exist_ok=True)
                     out_path.write_bytes(archive.read(member))
+                    try:
+                        sidecar = archive.getinfo(member.filename + SIDECAR_SUFFIX)
+                    except KeyError:
+                        pass
+                    else:
+                        Path(str(out_path) + SIDECAR_SUFFIX).write_bytes(archive.read(sidecar))
                     documents.append(DocumentRef(
                         path=out_path, kind=FileKind(kind_name), slot=slot,
-                        origin="archive_member", archive_parent=str(doc.path)))
+                        origin="archive_member", archive_source=display))
         except zipfile.BadZipFile:
             unsupported.append(UnsupportedNotice(
                 path=str(doc.path), reason="corrupt_archive",

@@ -28,7 +28,7 @@ from .ingest import (
     scan_corpus,
 )
 from .metrics import AppRecord, aggregate_metrics, cost_time_summary
-from .report import ReportDocument, canonical_json_bytes, render_html, render_json, report_dict
+from .report import ReportDocument, canonical_json_bytes, render_html, report_dict
 from .rules import EngineSettings, ReportKind, evaluate_application
 
 logger = logging.getLogger("claimcheck")
@@ -141,9 +141,10 @@ def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDoc
             unsupported_notices=bundle.unsupported,
             catalog_version=catalog.version,
         )
-        (app_out / f"{kind.value}.json").write_bytes(render_json(report))
+        data = report_dict(report)
+        (app_out / f"{kind.value}.json").write_bytes(canonical_json_bytes(data))
         (app_out / f"{kind.value}.html").write_bytes(render_html(report))
-        all_outcome_dicts.extend(report_dict(report)["outcomes"])
+        all_outcome_dicts.extend(data["outcomes"])
 
     metas = [
         {"path": doc.doc.display_path, "slot": doc.doc.slot.value,
@@ -165,36 +166,38 @@ def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDoc
     return record
 
 
-def _relpath(path: str, root: Path) -> str:
-    try:
-        return str(Path(path).resolve().relative_to(root.resolve()))
-    except ValueError:
-        return path
-
-
 def build_manifest(config: RunConfig, catalog: Catalog, scan: ScanResult,
                    records: list[AppRecord]) -> dict:
     """Run manifest: config, catalog version, counts, and every corpus
-    file in exactly one of processed/unsupported/failed."""
+    file the scan visited in exactly one of processed/unsupported/failed.
+
+    It reads nothing from the file system: paths are placed relative to
+    the corpus root by path arithmetic alone, and listed in the order of
+    ``sorted(Path)``, which compares path parts, not strings.
+    """
     root = Path(config.corpus_root)
-    failed_dirs = {Path(f.path).resolve() for f in scan.failures if f.path}
-    unsupported_paths = set()
+    failed_apps = {Path(f.path).relative_to(root).parts[0] for f in scan.failures if f.path}
+    unsupported_paths = {n.path for bundle in scan.bundles for n in bundle.unsupported}
+    visited = list(scan.unbundled_files)
     for bundle in scan.bundles:
-        for notice in bundle.unsupported:
-            unsupported_paths.add(notice.path)
+        visited.extend(bundle.files)
 
     files = {"processed": [], "unsupported": [], "failed": []}
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        rel = _relpath(str(path), root)
-        if any(parent in failed_dirs for parent in path.resolve().parents):
-            files["failed"].append(rel)
-        elif str(path) in unsupported_paths:
-            files["unsupported"].append(rel)
+    prefix = len(str(root / "_")) - 1  # every visited path is root / rel
+    for path in sorted(visited):
+        name = str(path)
+        rel = name[prefix:]
+        app, nested, _ = rel.partition("/")
+        if nested and app in failed_apps:
+            bucket = "failed"
+        elif name in unsupported_paths:
+            bucket = "unsupported"
         else:
-            files["processed"].append(rel)
+            bucket = "processed"
+        files[bucket].append(rel)
     # archive members only exist virtually; account for their notices too
-    member_notices = sorted(p for p in unsupported_paths if "!" in p)
-    files["unsupported"].extend(_relpath(p, root) for p in member_notices)
+    member_notices = sorted(unsupported_paths.difference(map(str, visited)))
+    files["unsupported"].extend(str(Path(p).relative_to(root)) for p in member_notices)
 
     status_counts: dict[str, int] = {}
     for record in records:
@@ -212,7 +215,8 @@ def build_manifest(config: RunConfig, catalog: Catalog, scan: ScanResult,
             "checks_by_status": dict(sorted(status_counts.items())),
         },
         "failures": [
-            {"app_id": f.app_id, "path": _relpath(f.path, root), "reason": f.reason}
+            {"app_id": f.app_id, "path": str(Path(f.path).relative_to(root)) if f.path else "",
+             "reason": f.reason}
             for f in scan.failures
         ],
         "files": files,

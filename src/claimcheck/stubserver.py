@@ -14,9 +14,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .backends import DOC_MARKER, SIDECAR_SUFFIX, BackendError, interpret_sidecar
+from .backends import DOC_MARKER, BackendError, interpret_sidecar
 from .extract import ExtractionSchema, TagSpec, ValueType
-from .ingest import DocumentSlot
+from .ingest import SIDECAR_SUFFIX, DocumentSlot
 
 
 def embedded_relpath(content: bytes) -> str | None:

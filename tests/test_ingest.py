@@ -117,6 +117,43 @@ class TestScanCorpus:
         assert bundle.documents == []
         assert bundle.unsupported[0].reason == "oversize"
 
+    def test_scan_records_every_file_it_visits(self, tmp_path):
+        root = tmp_path / "corpus"
+        app_dir = write_app(root, "app_a", {
+            "fatura.pdf": b"x", "fatura.pdf.fields.json": b"{}", "notes.docx": b"y",
+            "fotos/foto_1.png": b"z", "fotos/raw/foto_2.png": b"w",
+        })
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "recibo.pdf").write_bytes(b"r")
+        (app_dir / "linked").symlink_to(outside, target_is_directory=True)
+        (app_dir / "recibo.pdf").symlink_to(outside / "recibo.pdf")
+        (root / "labels.csv").write_text("app_id\n")
+        result = scan_corpus(root)
+        bundle = result.bundles[0]
+        # sorted(Path) order; the symlinked file is visited, the symlinked
+        # directory is not followed
+        assert [str(p.relative_to(app_dir)) for p in bundle.files] == [
+            "fatura.pdf", "fatura.pdf.fields.json", "form.xml", "fotos/foto_1.png",
+            "fotos/raw/foto_2.png", "notes.docx", "recibo.pdf"]
+        assert [d.path.name for d in bundle.documents] == [
+            "fatura.pdf", "foto_1.png", "foto_2.png", "recibo.pdf"]
+        assert result.unbundled_files == [root / "labels.csv"]
+
+    def test_failed_application_files_are_recorded(self, tmp_path):
+        broken = tmp_path / "app_b"
+        (broken / "fotos").mkdir(parents=True)
+        (broken / "fotos" / "foto_1.png").write_bytes(b"x")
+        (broken / "form.xml").write_text("<broken")
+        result = scan_corpus(tmp_path)
+        assert [f.app_id for f in result.failures] == ["app_b"]
+        assert result.unbundled_files == [broken / "form.xml", broken / "fotos" / "foto_1.png"]
+
+    def test_scan_and_classify_build_one_notice(self, tmp_path):
+        write_app(tmp_path, "app_a", {"notes.docx": b"y"})
+        notice = scan_corpus(tmp_path).bundles[0].unsupported[0]
+        assert notice == classify_file(tmp_path / "app_a" / "notes.docx")
+
     def test_deterministic(self, tmp_path):
         write_app(tmp_path, "app_a", {"fatura.pdf": b"x", "b/recibo.pdf": b"y"})
         first = scan_corpus(tmp_path)
@@ -168,6 +205,36 @@ class TestExpandArchives:
         assert [d.path.name for d in bundle.documents] == ["fatura.pdf"]
         sidecar = Path(str(bundle.documents[0].path) + ".fields.json")
         assert sidecar.is_file()
+
+    def test_members_sharing_a_base_name_stay_apart(self, tmp_path):
+        invoices = zip_bytes({
+            "obra1/fatura.pdf": b"first", "obra1/fatura.pdf.fields.json": b"{1}",
+            "obra2/fatura.pdf": b"second", "obra2/fatura.pdf.fields.json": b"{2}",
+            "../../fuga/recibo.pdf": b"up",
+        })
+        write_app(tmp_path, "app_a", {
+            "anexos.zip": invoices,
+            "a/docs.zip": zip_bytes({"foto.png": b"a"}),
+            "b/docs.zip": zip_bytes({"foto.png": b"b"}),
+        })
+        work = tmp_path / "work"
+        bundle = expand_archives(scan_corpus(tmp_path).bundles[0], work)
+        app_dir = tmp_path / "app_a"
+        assert [d.display_path for d in bundle.documents] == [
+            f"{app_dir / 'a/docs.zip'}!foto.png",
+            f"{app_dir / 'anexos.zip'}!obra1/fatura.pdf",
+            f"{app_dir / 'anexos.zip'}!obra2/fatura.pdf",
+            f"{app_dir / 'anexos.zip'}!../../fuga/recibo.pdf",
+            f"{app_dir / 'b/docs.zip'}!foto.png",
+        ]
+        assert [d.path.read_bytes() for d in bundle.documents] == [
+            b"a", b"first", b"second", b"up", b"b"]
+        sidecars = [Path(str(d.path) + ".fields.json") for d in bundle.documents]
+        assert [s.read_bytes() for s in sidecars if s.is_file()] == [b"{1}", b"{2}"]
+        # no in-archive directory name reaches the file system
+        for doc in bundle.documents:
+            rel = doc.path.relative_to(work / "app_a")
+            assert len(rel.parts) == 3 and rel.parts[0].isdigit() and rel.parts[1].isdigit()
 
 
 class TestParseFormXml:

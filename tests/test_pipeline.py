@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import threading
 import time
 import zipfile
@@ -7,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from claimcheck import pipeline
+from claimcheck import report as report_module
 from claimcheck.backends import MockBackend, RemoteBackend
 from claimcheck.cli import main
-from claimcheck.pipeline import RunConfig, verify_corpus
+from claimcheck.pipeline import RunConfig, build_manifest, verify_corpus
+from claimcheck.report import render_json, report_dict
 from claimcheck.stubserver import FixtureStubServer
 
 
@@ -189,3 +193,134 @@ def test_crashing_fetch_fails_only_its_app(small_corpus, tmp_path, monkeypatch, 
     assert "processing failed" in result.scan.failures[0].reason
     assert [r.app_id for r in result.records] == [a for a in app_ids if a != victim]
     assert all((out / a / "eligibility.json").is_file() for a in app_ids if a != victim)
+
+
+def rewalked_files(root: Path, scan) -> dict[str, list[str]]:
+    """File accounting by a second walk of the corpus with ``rglob`` and
+    ``resolve``, the way the manifest was once built: the oracle for the
+    manifest's ``files`` block on corpora without symlinks."""
+    def relpath(path) -> str:
+        try:
+            return str(Path(path).resolve().relative_to(root.resolve()))
+        except ValueError:
+            return str(path)
+
+    failed_dirs = {Path(f.path).resolve() for f in scan.failures if f.path}
+    unsupported_paths = {n.path for b in scan.bundles for n in b.unsupported}
+    files = {"processed": [], "unsupported": [], "failed": []}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        if any(parent in failed_dirs for parent in path.resolve().parents):
+            files["failed"].append(relpath(path))
+        elif str(path) in unsupported_paths:
+            files["unsupported"].append(relpath(path))
+        else:
+            files["processed"].append(relpath(path))
+    files["unsupported"].extend(relpath(p) for p in sorted(p for p in unsupported_paths if "!" in p))
+    return files
+
+
+def zip_members(members: dict[str, bytes]) -> bytes:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return buffer.getvalue()
+
+
+def test_manifest_files_match_a_corpus_rewalk(corpus_copy, tmp_path, monkeypatch):
+    apps = sorted(p for p in corpus_copy.iterdir() if p.is_dir())
+    (apps[1] / "form.xml").write_text("<broken")
+    (apps[1] / "extra").mkdir()
+    (apps[1] / "extra" / "scan.pdf").write_bytes(b"x")
+    fotos = apps[2] / "fotos"
+    fotos.mkdir()
+    for photo in sorted(apps[2].glob("foto_*")):
+        photo.rename(fotos / photo.name)
+    photo = sorted(apps[3].glob("foto_*.png"))[0]
+    photo.rename(photo.with_suffix(".docx"))
+    (apps[3] / "notas" / "rascunho").mkdir(parents=True)
+    (apps[3] / "notas" / "rascunho" / "leia-me.txt").write_text("n")
+    members = {p.name: p.read_bytes() for p in sorted(apps[4].glob("foto_*"))}
+    for name in members:
+        (apps[4] / name).unlink()
+    members["leia-me.docx"] = b"d"
+    members["interior.zip"] = zip_members({"foto_9.png": b"p"})
+    (apps[4] / "fotos.zip").write_bytes(zip_members(members))
+    (corpus_copy / f"{apps[5].name}.txt").write_text("stray")
+    real_fetch = MockBackend.fetch
+
+    def fetch(self, doc, schema):
+        if doc.path.parent == apps[6] and doc.path.name == "fatura.pdf":
+            raise RuntimeError("extraction worker crashed")
+        return real_fetch(self, doc, schema)
+
+    monkeypatch.setattr(MockBackend, "fetch", fetch)
+    result = verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=tmp_path / "out"))
+    assert [f.app_id for f in result.scan.failures] == [apps[1].name, apps[6].name]
+
+    files = result.manifest["files"]
+    assert files == rewalked_files(corpus_copy, result.scan)
+    # every case above is exercised
+    assert f"{apps[1].name}/extra/scan.pdf" in files["failed"]
+    assert f"{apps[6].name}/fatura.pdf" in files["failed"]
+    assert f"{apps[2].name}/fotos/foto_01.png" in files["processed"]
+    assert {f"{apps[4].name}/fotos.zip!leia-me.docx",
+            f"{apps[4].name}/fotos.zip!interior.zip"} <= set(files["unsupported"])
+    assert f"{apps[3].name}/notas/rascunho/leia-me.txt" in files["unsupported"]
+    processed = files["processed"]
+    assert {"labels.csv", "corpus_manifest.json"} <= set(processed)
+    assert (processed.index(f"{apps[5].name}/form.xml")
+            < processed.index(f"{apps[5].name}.txt")
+            < processed.index(f"{apps[7].name}/form.xml"))
+
+
+def test_symlinked_file_is_listed_relative_to_the_corpus(corpus_copy, tmp_path):
+    outside = tmp_path / "outside"
+    (outside / "fotos").mkdir(parents=True)
+    (outside / "anexo.docx").write_bytes(b"d")
+    (outside / "fotos" / "foto_9.png").write_bytes(b"p")
+    app_dir = sorted(p for p in corpus_copy.iterdir() if p.is_dir())[0]
+    (app_dir / "anexo.docx").symlink_to(outside / "anexo.docx")
+    (app_dir / "fotos").symlink_to(outside / "fotos", target_is_directory=True)
+    result = verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=tmp_path / "out"))
+    files = result.manifest["files"]
+    assert files["unsupported"] == [f"{app_dir.name}/anexo.docx"]
+    # a symlinked directory is not followed, as Path.rglob does not
+    listed = [f for bucket in files.values() for f in bucket]
+    assert not any("foto_9" in f or f.startswith("/") for f in listed)
+
+
+def test_build_manifest_reads_no_file_system(corpus_copy, tmp_path, catalog):
+    app_dir = sorted(p for p in corpus_copy.iterdir() if p.is_dir())[0]
+    (app_dir / "form.xml").write_text("<broken")
+    config = RunConfig(corpus_root=corpus_copy, out_dir=tmp_path / "out")
+    result = verify_corpus(config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_manifest touched the file system")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in ((Path, "rglob"), (Path, "glob"), (Path, "iterdir"),
+                            (Path, "resolve"), (Path, "stat"), (os, "scandir"),
+                            (os, "walk"), (os, "listdir"), (os, "stat")):
+            patch.setattr(owner, name, refuse)
+        manifest = build_manifest(config, catalog, result.scan, result.records)
+    assert manifest == result.manifest
+    assert manifest["files"]["failed"]
+
+
+def test_each_report_dict_is_built_once(small_corpus, tmp_path, monkeypatch):
+    built = []
+
+    def counted(report):
+        built.append(report)
+        return report_dict(report)
+
+    monkeypatch.setattr(pipeline, "report_dict", counted)
+    monkeypatch.setattr(report_module, "report_dict", counted)
+    result = verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=tmp_path / "out"))
+    monkeypatch.undo()
+    assert len(built) == 3 * len(result.records)
+    for report in built:
+        path = tmp_path / "out" / report.app_id / f"{report.kind.value}.json"
+        assert path.read_bytes() == render_json(report)
