@@ -11,7 +11,6 @@ from pathlib import Path
 
 import yaml
 
-from .gencorpus import GenOptions, write_corpus
 from .metrics import LabelError, read_labels_csv
 from .pipeline import (
     ConfigError,
@@ -21,7 +20,6 @@ from .pipeline import (
     log_event,
     verify_corpus,
 )
-from .textmetrics import score_pair, summarize, tokenize
 
 
 def _add_shared(parser: argparse.ArgumentParser) -> None:
@@ -39,8 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-corpus", help="generate a synthetic corpus with fixtures")
     _add_shared(gen)
     gen.add_argument("--n", type=int, required=True, help="number of applications")
-    gen.add_argument("--consistency", type=float, default=0.76,
-                     help="share of comparable field pairs kept consistent")
+    gen.add_argument("--consistency", type=float, default=None,
+                     help="share of comparable field pairs kept consistent "
+                          "(default: the config file's, else 0.76)")
     gen.add_argument("--docs-per-app", type=int, default=11)
     gen.add_argument("--unsupported-rate", type=float, default=0.0,
                      help="share of documents written with a disallowed extension")
@@ -52,8 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the verification pipeline over a corpus")
     _add_shared(verify)
     verify.add_argument("--corpus", type=Path, required=True)
-    verify.add_argument("--backend", choices=("mock", "remote"), default="mock")
-    verify.add_argument("--endpoint", type=str, default=None)
+    verify.add_argument("--backend", choices=("mock", "remote"), default=None,
+                        help="extraction backend (default: the config file's, else mock)")
+    verify.add_argument("--endpoint", type=str, default=None,
+                        help="remote extraction URL (default: the config file's)")
     verify.add_argument("--api-key-env", type=str, default="CLAIMCHECK_API_KEY")
     verify.add_argument("--parallelism", type=int, default=16,
                         help="extraction calls in flight (the mock backend runs inline)")
@@ -87,7 +88,15 @@ def _load_config_file(path: Path | None) -> dict:
         return {}
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file must hold a mapping of option values: {path}")
+    return data
+
+
+def _flag_or_config(flag, defaults: dict, key: str, default):
+    """An explicit flag wins over the config file, which wins over the default."""
+    return flag if flag is not None else defaults.get(key, default)
 
 
 def _parse_allow_ext(spec: str | None) -> dict[str, str]:
@@ -113,10 +122,12 @@ def _parse_typology_mix(spec: str | None) -> dict[int, float] | None:
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
+    from .gencorpus import GenOptions, write_corpus  # only this command needs it
+
     defaults = _load_config_file(args.config)
     options = GenOptions(
         n_apps=args.n,
-        consistency=defaults.get("consistency", args.consistency),
+        consistency=_flag_or_config(args.consistency, defaults, "consistency", 0.76),
         seed=args.seed,
         docs_per_app=args.docs_per_app,
         unsupported_rate=args.unsupported_rate,
@@ -135,8 +146,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config = RunConfig(
         corpus_root=args.corpus,
         out_dir=args.out,
-        backend=defaults.get("backend", args.backend),
-        endpoint=defaults.get("endpoint", args.endpoint),
+        backend=_flag_or_config(args.backend, defaults, "backend", "mock"),
+        endpoint=_flag_or_config(args.endpoint, defaults, "endpoint", None),
         api_key_env=args.api_key_env,
         catalog_path=args.catalog,
         parallelism=args.parallelism,
@@ -166,6 +177,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_text(args: argparse.Namespace) -> int:
+    from .textmetrics import score_pair, summarize, tokenize  # only this command needs it
+
     if not args.pairs.is_file():
         print(f"pairs file not found: {args.pairs}", file=sys.stderr)
         return 1

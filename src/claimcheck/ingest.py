@@ -265,6 +265,10 @@ def parse_form_xml(data: bytes) -> tuple[str, TypologyId, FormData]:
     app_id = (root.get("id") or "").strip()
     if not app_id:
         raise FormParseError("missing application id attribute")
+    # the id names the application's output directory, so it must stay one
+    # plain path component
+    if app_id in (".", "..") or any(c in app_id for c in "/\\\0"):
+        raise FormParseError(f"application id {app_id!r} is not a plain name")
     try:
         typology = TypologyId.parse(root.get("typology") or "")
     except ValueError as exc:

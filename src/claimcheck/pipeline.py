@@ -14,7 +14,7 @@ from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from urllib.parse import urlparse
+from urllib.parse import urlsplit
 
 from .backends import MockBackend, RemoteBackend, RemoteConfig
 from .catalog import Catalog, load_catalog_file
@@ -24,7 +24,6 @@ from .ingest import (
     LoadFailure,
     ScanResult,
     expand_archives,
-    map_documents,
     scan_corpus,
 )
 from .metrics import AppRecord, aggregate_metrics, cost_time_summary
@@ -40,6 +39,16 @@ def log_event(event: str, **fields) -> None:
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_http_url(url: str) -> bool:
+    """An http(s) URL with a host and, if it names one, a valid port."""
+    parsed = urlsplit(url)
+    try:
+        parsed.port  # raises ValueError on a port that is no number in range
+    except ValueError:
+        return False
+    return parsed.scheme in ("http", "https") and bool(parsed.hostname)
 
 
 @dataclass
@@ -65,8 +74,7 @@ class RunConfig:
         if self.backend == "remote":
             if not self.endpoint:
                 raise ConfigError("remote backend requires --endpoint")
-            parsed = urlparse(self.endpoint)
-            if parsed.scheme not in ("http", "https") or not parsed.netloc:
+            if not _is_http_url(self.endpoint):
                 raise ConfigError(f"malformed endpoint URL: {self.endpoint!r}")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
@@ -237,8 +245,8 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
     for failure in scan.failures:
         log_event("app_load_failed", app_id=failure.app_id, reason=failure.reason)
 
-    bundles = (map_documents(expand_archives(b, work_dir, config.max_file_mb))
-               for b in scan.bundles)
+    # the scan and the archive expansion give every document its slot
+    bundles = (expand_archives(b, work_dir, config.max_file_mb) for b in scan.bundles)
     records: list[AppRecord] = []
     # The mock backend only reads a local sidecar, so its calls run inline.
     inflight = 1 if config.backend == "mock" else config.parallelism

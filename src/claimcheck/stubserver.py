@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -28,6 +29,12 @@ def embedded_relpath(content: bytes) -> str | None:
     if end == -1:
         end = len(rest)
     return rest[:end].decode("utf-8", errors="replace")
+
+
+class _StubHTTPServer(ThreadingHTTPServer):
+    # socketserver listens with a backlog of 5; a burst of client connects
+    # beyond it has SYNs dropped and waits out a 1 s retransmit each.
+    request_queue_size = socket.SOMAXCONN
 
 
 class FixtureStubServer:
@@ -65,7 +72,7 @@ class FixtureStubServer:
             def log_message(self, *args):  # quiet in tests
                 pass
 
-        self._server = ThreadingHTTPServer((host, port), Handler)
+        self._server = _StubHTTPServer((host, port), Handler)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
     def _answer(self, request: dict) -> dict:

@@ -1,10 +1,16 @@
+import ast
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import claimcheck
 from claimcheck.cli import main
+from claimcheck.stubserver import FixtureStubServer
 
 
 def run(argv: list[str]) -> int:
@@ -57,6 +63,16 @@ class TestVerifyCommand:
         assert code == 1
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("endpoint", ["http://127.0.0.1:port", "http://:8080"])
+    def test_endpoint_without_a_usable_host_and_port_exits_1(self, tmp_path, endpoint):
+        corpus = tmp_path / "corpus"
+        run(["gen-corpus", "--out", str(corpus), "--n", "1", "--seed", "1"])
+        out = tmp_path / "out"
+        code = run(["verify", "--corpus", str(corpus), "--out", str(out),
+                    "--backend", "remote", "--endpoint", endpoint])
+        assert code == 1
+        assert not (out / "manifest.json").exists()
+
     def test_negative_retries_exits_1_before_processing(self, tmp_path):
         corpus = tmp_path / "corpus"
         run(["gen-corpus", "--out", str(corpus), "--n", "1", "--seed", "1"])
@@ -66,6 +82,19 @@ class TestVerifyCommand:
                     "--retries", "-1"])
         assert code == 1
         assert not (out / "manifest.json").exists()
+
+    def test_unsafe_app_id_writes_nothing_outside_out(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        out = tmp_path / "work" / "out"
+        run(["gen-corpus", "--out", str(corpus), "--n", "2", "--seed", "1"])
+        form = corpus / "app_00002" / "form.xml"
+        form.write_text(form.read_text(encoding="utf-8").replace(
+            'id="app_00002"', 'id="../escaped"'), encoding="utf-8")
+        assert run(["verify", "--corpus", str(corpus), "--out", str(out)]) == 2
+        assert list((tmp_path / "work").iterdir()) == [out]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [f["app_id"] for f in manifest["failures"]] == ["app_00002"]
+        assert "not a plain name" in manifest["failures"][0]["reason"]
 
     def test_manifest_file_accounting(self, verified_run):
         corpus, out = verified_run
@@ -139,6 +168,74 @@ class TestConfigFile:
         manifest = json.loads((corpus / "corpus_manifest.json").read_text())
         assert manifest["inconsistent_checks"] == 0
 
+    def test_consistency_flag_wins_over_config_file(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        config = tmp_path / "config.yaml"
+        config.write_text("consistency: 1.0\n")
+        assert run(["gen-corpus", "--out", str(corpus), "--n", "2", "--seed", "1",
+                    "--config", str(config), "--consistency", "0.5"]) == 0
+        manifest = json.loads((corpus / "corpus_manifest.json").read_text())
+        assert manifest["inconsistent_checks"] > 0
+
     def test_missing_config_file(self, tmp_path):
         assert run(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "1",
                     "--config", str(tmp_path / "none.yaml")]) == 1
+
+    def test_config_file_that_is_no_mapping_exits_1(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("- backend\n")
+        assert run(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "1",
+                    "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("flag, expected", [(["--backend", "mock"], "mock"),
+                                                ([], "remote")])
+    def test_backend_flag_wins_over_config_file(self, tmp_path, flag, expected):
+        corpus = tmp_path / "corpus"
+        out = tmp_path / "out"
+        run(["gen-corpus", "--out", str(corpus), "--n", "1", "--seed", "1"])
+        with FixtureStubServer(corpus) as server:
+            config = tmp_path / "config.yaml"
+            config.write_text(f"backend: remote\nendpoint: {server.url}\n")
+            assert run(["verify", "--corpus", str(corpus), "--out", str(out),
+                        "--config", str(config), *flag]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["backend"] == expected
+        assert manifest["config"]["endpoint"] == server.url
+
+    def test_endpoint_flag_wins_over_config_file(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        out = tmp_path / "out"
+        run(["gen-corpus", "--out", str(corpus), "--n", "1", "--seed", "1"])
+        config = tmp_path / "config.yaml"
+        config.write_text("backend: remote\nendpoint: http://127.0.0.1:9\n")
+        with FixtureStubServer(corpus) as server:
+            assert run(["verify", "--corpus", str(corpus), "--out", str(out),
+                        "--config", str(config), "--endpoint", server.url]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["endpoint"] == server.url
+
+
+SRC = Path(claimcheck.__file__).resolve().parents[1]
+
+
+def test_cli_import_loads_no_http_library_and_no_other_command():
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, claimcheck.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "claimcheck.cli" in loaded
+    for module in ("requests", "claimcheck.gencorpus", "claimcheck.textmetrics"):
+        assert module not in loaded
+
+
+def test_no_module_under_src_imports_requests():
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "requests" for name in names), path

@@ -1,4 +1,6 @@
+import base64
 import json
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -6,6 +8,7 @@ from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -210,6 +213,62 @@ class _ThrottlingHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 server answering every POST with an invoice total. It
+    counts connections and requests, and with ``close_after_reply`` it
+    closes each connection after one reply without saying so."""
+
+    protocol_version = "HTTP/1.1"
+    connections = 0
+    requests = 0
+    close_after_reply = False
+
+    def setup(self):
+        super().setup()
+        type(self).connections += 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        type(self).requests += 1
+        body = json.dumps({"fields": {"total_value": "1,00"}}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        if self.close_after_reply:
+            self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+class _ProxyHandler(_KeepAliveHandler):
+    """Forward proxy that answers every request itself and records what it
+    was asked; it refuses every CONNECT tunnel."""
+
+    seen: list[tuple[str, str, str | None, str | None]] = []
+
+    def do_POST(self):
+        type(self).seen.append(("POST", self.path, self.headers.get("Host"),
+                                self.headers.get("Proxy-Authorization")))
+        super().do_POST()
+
+    def do_CONNECT(self):  # noqa: N802 (http.server API)
+        type(self).seen.append(("CONNECT", self.path, None,
+                                self.headers.get("Proxy-Authorization")))
+        self.send_error(403)
+
+
+class _RedirectHandler(_FailingHandler):
+    def do_POST(self):
+        type(self).calls += 1
+        self.send_response(307)
+        self.send_header("Location", "/elsewhere")
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+
 @contextmanager
 def serving(handler):
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
@@ -307,6 +366,101 @@ class TestRemoteBackend:
         assert len({id(session) for session in sessions}) == 4
         assert remote._session() is remote._session()
         assert all(remote._session() is not session for session in sessions)
+
+    def test_sequential_fetches_reuse_one_connection(self, tmp_path):
+        _KeepAliveHandler.connections = _KeepAliveHandler.requests = 0
+        _KeepAliveHandler.close_after_reply = False
+        ref = invoice_ref(tmp_path)
+        with serving(_KeepAliveHandler) as url:
+            remote = RemoteBackend(RemoteConfig(endpoint=url, retries=1))
+            for _ in range(5):
+                response = remote.fetch(ref, schema_for(DocumentSlot.INVOICE, T1))
+                assert response.fields == {"total_value": "1,00"}
+        assert (_KeepAliveHandler.requests, _KeepAliveHandler.connections) == (5, 1)
+
+    def test_silently_closed_keep_alive_is_reopened_without_an_attempt(self, tmp_path):
+        _KeepAliveHandler.connections = _KeepAliveHandler.requests = 0
+        _KeepAliveHandler.close_after_reply = True
+        ref = invoice_ref(tmp_path)
+        try:
+            with serving(_KeepAliveHandler) as url:
+                remote = RemoteBackend(RemoteConfig(endpoint=url, retries=1))
+                for _ in range(3):
+                    time.sleep(0.05)  # let the server close the idle connection
+                    response = remote.fetch(ref, schema_for(DocumentSlot.INVOICE, T1))
+                    assert response.fields == {"total_value": "1,00"}
+        finally:
+            _KeepAliveHandler.close_after_reply = False
+        assert (_KeepAliveHandler.requests, _KeepAliveHandler.connections) == (3, 3)
+
+    def test_redirect_is_not_followed(self, tmp_path):
+        _RedirectHandler.calls = 0
+        with serving(_RedirectHandler) as url:
+            remote = RemoteBackend(RemoteConfig(endpoint=url, retries=3, backoff_s=0.01))
+            with pytest.raises(BackendError, match="returned 307"):
+                remote.fetch(invoice_ref(tmp_path), schema_for(DocumentSlot.INVOICE, T1))
+        assert _RedirectHandler.calls == 1
+
+    @pytest.fixture()
+    def proxy_env(self, monkeypatch):
+        for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        _ProxyHandler.connections = _ProxyHandler.requests = 0
+        _ProxyHandler.seen = []
+        with serving(_ProxyHandler) as url:
+            host_port = urlsplit(url).netloc
+            yield monkeypatch, f"http://claims:p%40ss@{host_port}"
+
+    def test_http_proxy_carries_requests_to_an_unreachable_endpoint(self, tmp_path, proxy_env):
+        monkeypatch, proxy = proxy_env
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+        remote = RemoteBackend(RemoteConfig(endpoint="http://127.0.0.1:9/v1", retries=1))
+        response = remote.fetch(invoice_ref(tmp_path), schema_for(DocumentSlot.INVOICE, T1))
+        assert response.fields == {"total_value": "1,00"}
+        auth = "Basic " + base64.b64encode(b"claims:p@ss").decode()
+        assert _ProxyHandler.seen == [("POST", "http://127.0.0.1:9/v1/extract", "127.0.0.1:9",
+                                       auth)]
+
+    def test_no_proxy_bypasses_the_proxy(self, tmp_path, proxy_env):
+        monkeypatch, proxy = proxy_env
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+        monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
+        remote = RemoteBackend(RemoteConfig(endpoint="http://127.0.0.1:9", retries=1))
+        with pytest.raises(BackendError):
+            remote.fetch(invoice_ref(tmp_path), schema_for(DocumentSlot.INVOICE, T1))
+        assert _ProxyHandler.seen == []
+
+    def test_https_goes_through_a_connect_tunnel(self, tmp_path, proxy_env):
+        monkeypatch, proxy = proxy_env
+        monkeypatch.setenv("HTTPS_PROXY", proxy)
+        remote = RemoteBackend(RemoteConfig(endpoint="https://127.0.0.1:9", retries=1))
+        with pytest.raises(BackendError, match="Tunnel connection failed: 403"):
+            remote.fetch(invoice_ref(tmp_path), schema_for(DocumentSlot.INVOICE, T1))
+        auth = "Basic " + base64.b64encode(b"claims:p@ss").decode()
+        assert _ProxyHandler.seen == [("CONNECT", "127.0.0.1:9", None, auth)]
+
+    def test_stub_accepts_a_burst_of_connects(self, tmp_path):
+        """More clients than the backend's default 16 in flight connect at
+        once; none waits out a dropped SYN's 1 s retransmit."""
+        with FixtureStubServer(tmp_path) as server:
+            address = urlsplit(server.url)
+            barrier = threading.Barrier(64)
+            connect_s: list[float] = []
+
+            def connect():
+                barrier.wait()
+                started = time.monotonic()
+                with socket.create_connection((address.hostname, address.port), timeout=5):
+                    connect_s.append(time.monotonic() - started)
+
+            threads = [threading.Thread(target=connect) for _ in range(64)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        assert len(connect_s) == 64
+        assert max(connect_s) < 0.5
 
     def test_missing_tag_in_response_is_absent(self):
         schema = schema_for(DocumentSlot.RECEIPT, T1)

@@ -279,6 +279,13 @@ class TestParseFormXml:
         assert declared.warning and declared.raw == "mil e tal"
 
 
+    @pytest.mark.parametrize("app_id", [".", "..", "../escaped", "a/b", "a\\b", "/abs"])
+    def test_id_must_be_one_plain_path_component(self, app_id):
+        xml = MINIMAL_FORM.format(app_id="PLACEHOLDER").replace("PLACEHOLDER", app_id)
+        with pytest.raises(FormParseError, match="not a plain name"):
+            parse_form_xml(xml.encode())
+
+
 class TestMapDocuments:
     def test_upload_directory_wins(self, tmp_path):
         write_app(tmp_path, "app_a", {"invoice/scan001.pdf": b"x"})

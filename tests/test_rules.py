@@ -2,6 +2,7 @@ import datetime as dt
 import random
 
 import pytest
+import yaml
 
 from claimcheck.catalog import CatalogError, load_catalog, parse_catalog
 from claimcheck.extract import ExtractedDocument, ExtractedValue, ExtractionMeta
@@ -248,6 +249,16 @@ class TestCatalog:
         from claimcheck.ingest import VALID_TYPOLOGIES
         for tid in VALID_TYPOLOGIES:
             assert len(catalog.for_typology(TypologyId.parse(tid))) >= 30, tid
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    def test_libyaml_and_pure_python_loaders_build_the_same_catalog(self, catalog):
+        from importlib import resources
+
+        text = resources.files("claimcheck").joinpath("catalog.yaml").read_text("utf-8")
+        pure = yaml.load(text, Loader=yaml.SafeLoader)
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert fast == pure
+        assert parse_catalog(fast) == parse_catalog(pure) == catalog
 
     def test_unknown_typology_names_valid_ids(self):
         with pytest.raises(ValueError, match="valid ids"):
