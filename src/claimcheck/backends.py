@@ -20,7 +20,6 @@ import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from .extract import ExtractionSchema, NONE_SENTINEL
@@ -99,16 +98,14 @@ class MockBackend:
 
     backend_id = "mock"
 
-    def __init__(self, store: dict[str, dict] | None = None,
-                 loader: Callable[[Path], dict] | None = None):
+    def __init__(self, store: dict[str, dict] | None = None):
         self._store = store
-        self._loader = loader or load_sidecar
 
     def fetch(self, doc: DocumentRef, schema: ExtractionSchema) -> BackendResponse:
         if self._store is not None:
             sidecar = self._store.get(str(doc.path), {})
         else:
-            sidecar = self._loader(doc.path)
+            sidecar = load_sidecar(doc.path)
         return interpret_sidecar(sidecar, schema)
 
 

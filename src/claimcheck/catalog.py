@@ -143,13 +143,3 @@ def load_catalog_file(path: Path | None = None) -> Catalog:
     else:
         text = Path(path).read_text("utf-8")
     return parse_catalog(yaml.load(text, Loader=_SAFE_LOADER))
-
-
-def load_catalog(typology: TypologyId | str, path: Path | None = None) -> list[CheckDefinition]:
-    """Ordered applicable checks for one typology.
-
-    Raises on unknown typologies, naming the valid catalog ids.
-    """
-    if isinstance(typology, str):
-        typology = TypologyId.parse(typology)
-    return load_catalog_file(path).for_typology(typology)

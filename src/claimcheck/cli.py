@@ -26,7 +26,6 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="YAML/JSON file with default option values")
     parser.add_argument("--out", type=Path, required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,6 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-corpus", help="generate a synthetic corpus with fixtures")
     _add_shared(gen)
     gen.add_argument("--n", type=int, required=True, help="number of applications")
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--consistency", type=float, default=None,
                      help="share of comparable field pairs kept consistent "
                           "(default: the config file's, else 0.76)")
@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--amount-tolerance-cents", type=int, default=0)
     verify.add_argument("--max-file-mb", type=float, default=25.0)
     verify.add_argument("--allow-ext", type=str, default=None,
-                        help="extra extensions, e.g. 'webp=png,tif=jpg'")
+                        help="extra extensions, e.g. 'webp=png,tif=jpg', each mapped to "
+                             "pdf, zip, jpg or png; archive members included")
     verify.add_argument("--timeout", type=float, default=30.0)
     verify.add_argument("--retries", type=int, default=3,
                         help="attempts per document; every document is tried at least once")
@@ -83,6 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The option values a --config file may set: verify reads backend and
+# endpoint, gen-corpus consistency and typology_mix.
+CONFIG_KEYS = ("backend", "endpoint", "consistency", "typology_mix")
+
+
 def _load_config_file(path: Path | None) -> dict:
     if path is None:
         return {}
@@ -91,6 +97,10 @@ def _load_config_file(path: Path | None) -> dict:
     data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
     if not isinstance(data, dict):
         raise ConfigError(f"config file must hold a mapping of option values: {path}")
+    unknown = sorted(str(key) for key in data if key not in CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) in {path}: {', '.join(unknown)}; "
+                          f"accepted: {', '.join(CONFIG_KEYS)}")
     return data
 
 
@@ -157,7 +167,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         allow_ext=_parse_allow_ext(args.allow_ext),
         timeout_s=args.timeout,
         retries=args.retries,
-        seed=args.seed,
     )
     result = verify_corpus(config)
     return result.exit_code

@@ -38,7 +38,6 @@ class ValueType(str, Enum):
 class TagSpec:
     name: str
     value_type: ValueType
-    required: bool = False
     variants: tuple[str, ...] = ()
 
 

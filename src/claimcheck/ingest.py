@@ -214,15 +214,6 @@ def mandatory_fields(typology: TypologyId) -> tuple[str, ...]:
     return COMMON_MANDATORY_FIELDS + TYPOLOGY_MANDATORY_FIELDS.get(typology.major, ())
 
 
-def classify_file(path: Path | str) -> FileKind | UnsupportedNotice:
-    """Extension-based, case-insensitive classification; no content sniffing."""
-    p = Path(path)
-    kind = SUPPORTED_EXTENSIONS.get(p.suffix.lower())
-    if kind is None:
-        return _unsupported_extension_notice(p, infer_slot(p))
-    return FileKind(kind)
-
-
 def _unsupported_extension_notice(path: Path, slot: DocumentSlot) -> UnsupportedNotice:
     return UnsupportedNotice(
         path=str(path),
@@ -318,19 +309,16 @@ def _walk_files(directory: Path):
 
 
 def scan_application(app_dir: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
-                     extra_extensions: dict[str, str] | None = None) -> ApplicationBundle:
+                     extensions: dict[str, str] = SUPPORTED_EXTENSIONS) -> ApplicationBundle:
     """Build one bundle from an application directory, recording every
-    file visited on it. Raises FormParseError."""
+    file visited on it. ``extensions`` maps each lower-case suffix that is
+    a document to its FileKind value. Raises FormParseError."""
     form_path = app_dir / FORM_FILENAME
     if not form_path.is_file():
         raise FormParseError(f"{FORM_FILENAME} not found")
     app_id, typology, form = parse_form_xml(form_path.read_bytes())
 
     cap_bytes = int(max_file_mb * 1_000_000)
-    extensions = dict(SUPPORTED_EXTENSIONS)
-    if extra_extensions:
-        extensions.update(extra_extensions)
-
     files: list[Path] = []
     documents: list[DocumentRef] = []
     unsupported: list[UnsupportedNotice] = []
@@ -353,7 +341,7 @@ def scan_application(app_dir: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
 
 
 def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
-                extra_extensions: dict[str, str] | None = None) -> ScanResult:
+                extensions: dict[str, str] = SUPPORTED_EXTENSIONS) -> ScanResult:
     """One bundle per application subdirectory, ordered by app id.
 
     A broken application is recorded as a LoadFailure and the scan moves
@@ -371,7 +359,7 @@ def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
         path = root / entry.name
         if entry.is_dir():
             try:
-                result.bundles.append(scan_application(path, max_file_mb, extra_extensions))
+                result.bundles.append(scan_application(path, max_file_mb, extensions))
             except FormParseError as exc:
                 result.failures.append(LoadFailure(app_id=entry.name, path=str(path),
                                                    reason=str(exc)))
@@ -383,8 +371,11 @@ def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
 
 
 def expand_archives(bundle: ApplicationBundle, work_dir: Path,
-                    max_file_mb: float = DEFAULT_MAX_FILE_MB) -> ApplicationBundle:
+                    max_file_mb: float = DEFAULT_MAX_FILE_MB,
+                    extensions: dict[str, str] = SUPPORTED_EXTENSIONS) -> ApplicationBundle:
     """Replace ZIP refs with their members, extracted under work_dir.
+    A member is a document when ``extensions`` (the map the scan used)
+    names its suffix.
 
     Each member goes to ``<app_id>/<archive no>/<member no>/<base name>``,
     with its sidecar beside it, so no two members share a path and no
@@ -421,7 +412,7 @@ def expand_archives(bundle: ApplicationBundle, work_dir: Path,
                         continue
                     if member_name.endswith(SIDECAR_SUFFIX):
                         continue  # written beside its document below
-                    kind_name = SUPPORTED_EXTENSIONS.get(suffix)
+                    kind_name = extensions.get(suffix)
                     if kind_name is None:
                         unsupported.append(UnsupportedNotice(
                             path=display, reason="unsupported_extension",
@@ -464,10 +455,3 @@ def map_documents(bundle: ApplicationBundle) -> ApplicationBundle:
     bundle.documents = mapped
     return bundle
 
-
-def load_bundle(app_dir: Path, work_dir: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
-                extra_extensions: dict[str, str] | None = None) -> ApplicationBundle:
-    """scan -> expand archives -> map slots for a single application."""
-    bundle = scan_application(app_dir, max_file_mb, extra_extensions)
-    bundle = expand_archives(bundle, work_dir, max_file_mb)
-    return map_documents(bundle)

@@ -111,49 +111,6 @@ def _classify_labeled(outcome: dict, real_error: bool, category: str | None) -> 
     return "correct" if real_error else "false_negative"
 
 
-def aggregate_metrics(records: list[AppRecord],
-                      labels: dict[tuple[str, str], dict] | None = None) -> dict:
-    """Build the corpus metrics summary (per typology and total)."""
-    total = MetricsBlock()
-    per_typology: dict[str, MetricsBlock] = {}
-    known: set[tuple[str, str]] = set()
-    outcome_index: dict[tuple[str, str], dict] = {}
-    for record in records:
-        total.add(record)
-        per_typology.setdefault(record.typology, MetricsBlock()).add(record)
-        for outcome in record.outcomes:
-            key = (record.app_id, outcome["check_id"])
-            known.add(key)
-            outcome_index[key] = outcome
-
-    summary = {
-        "total": total.to_dict(),
-        "per_typology": {
-            tid: per_typology[tid].to_dict()
-            for tid in sorted(per_typology, key=_typology_sort_key)
-        },
-    }
-
-    if labels is not None:
-        unknown = sorted(set(labels) - known)
-        if unknown:
-            app_id, check_id = unknown[0]
-            raise LabelError(f"label references unknown outcome: {app_id}/{check_id}")
-        buckets = {"correct": 0, "minor_error": 0, "false_positive": 0,
-                   "false_negative": 0, "reading_error": 0}
-        for key, label in labels.items():
-            bucket = _classify_labeled(outcome_index[key], bool(label.get("real_error")),
-                                       label.get("category"))
-            buckets[bucket] += 1
-        labeled = sum(buckets.values())
-        summary["taxonomy"] = {
-            **buckets,
-            "labeled_total": labeled,
-            "accuracy": (buckets["correct"] / labeled) if labeled else None,
-        }
-    return summary
-
-
 def _typology_sort_key(tid: str) -> tuple:
     try:
         return (0, VALID_TYPOLOGIES.index(tid))
@@ -174,56 +131,114 @@ class CostTimeTable:
         return buffer.getvalue()
 
 
+class RunTotals:
+    """A run's totals, folded in one application at a time, so no run keeps
+    its records: the total and per-typology blocks, the cost/time buckets
+    and, when labels are given, the taxonomy buckets of the labelled checks.
+
+    Sums run per application first, then across applications in the order
+    they are added (app-id order), as ``cost_time.csv`` has always summed.
+    """
+
+    def __init__(self, labels: dict[tuple[str, str], dict] | None = None):
+        self.total = MetricsBlock()
+        self.per_typology: dict[str, MetricsBlock] = {}
+        self.documents = 0
+        # [cost, time] sums per report bucket over every application, and
+        # of the typology bucket per typology
+        self.buckets = {"eligibility": [0.0, 0.0], "common_core": [0.0, 0.0],
+                        "typology": [0.0, 0.0]}
+        self.typology_costs: dict[str, list[float]] = {}
+        self.labels = labels
+        self.labelled: dict[tuple[str, str], str] = {}  # label key -> taxonomy bucket
+
+    @classmethod
+    def of(cls, records, labels: dict[tuple[str, str], dict] | None = None) -> "RunTotals":
+        totals = cls(labels)
+        for record in records:
+            totals.add(record)
+        return totals
+
+    def add(self, record: AppRecord) -> None:
+        self.total.add(record)
+        self.per_typology.setdefault(record.typology, MetricsBlock()).add(record)
+        self.documents += len(record.metas)
+        costs = record.bucket_costs()
+        for bucket, (cost, time_s) in costs.items():
+            self.buckets[bucket][0] += cost
+            self.buckets[bucket][1] += time_s
+        typology = self.typology_costs.setdefault(record.typology, [0.0, 0.0])
+        typology[0] += costs["typology"][0]
+        typology[1] += costs["typology"][1]
+        if self.labels is not None:
+            for outcome in record.outcomes:
+                key = (record.app_id, outcome["check_id"])
+                label = self.labels.get(key)
+                if label is not None:
+                    self.labelled[key] = _classify_labeled(
+                        outcome, bool(label.get("real_error")), label.get("category"))
+
+    def metrics(self) -> dict:
+        """The corpus metrics summary of ``metrics.json`` (per typology and total)."""
+        summary = {
+            "total": self.total.to_dict(),
+            "per_typology": {
+                tid: self.per_typology[tid].to_dict()
+                for tid in sorted(self.per_typology, key=_typology_sort_key)
+            },
+        }
+        if self.labels is not None:
+            unknown = sorted(set(self.labels) - set(self.labelled))
+            if unknown:
+                app_id, check_id = unknown[0]
+                raise LabelError(f"label references unknown outcome: {app_id}/{check_id}")
+            buckets = {"correct": 0, "minor_error": 0, "false_positive": 0,
+                       "false_negative": 0, "reading_error": 0}
+            for bucket in self.labelled.values():
+                buckets[bucket] += 1
+            labeled = sum(buckets.values())
+            summary["taxonomy"] = {
+                **buckets,
+                "labeled_total": labeled,
+                "accuracy": (buckets["correct"] / labeled) if labeled else None,
+            }
+        return summary
+
+    def cost_time(self) -> CostTimeTable:
+        """Average extraction cost/time per report kind, mirroring the
+        deployment accounting: one row per typology, the cross-typology
+        average, the two shared reports, and their sum as the total."""
+        n = self.total.applications
+        if not n:
+            return CostTimeTable(rows=[("Total", 0.0, 0.0)])
+        rows: list[tuple[str, float, float]] = []
+        for tid in sorted(self.typology_costs, key=_typology_sort_key):
+            apps = self.per_typology[tid].applications
+            cost, time_s = self.typology_costs[tid]
+            rows.append((f"Typology {tid}", cost / apps, time_s / apps))
+        typ_cost, typ_time = (v / n for v in self.buckets["typology"])
+        elig_cost, elig_time = (v / n for v in self.buckets["eligibility"])
+        common_cost, common_time = (v / n for v in self.buckets["common_core"])
+        rows.append(("All Typologies Avg.", typ_cost, typ_time))
+        rows.append(("Eligibility", elig_cost, elig_time))
+        rows.append(("Common Core", common_cost, common_time))
+        rows.append(("Total", typ_cost + elig_cost + common_cost,
+                     typ_time + elig_time + common_time))
+        return CostTimeTable(rows=rows)
+
+    def counts(self) -> dict:
+        """The manifest's counts of processed applications, documents and
+        checks (statuses that occurred, sorted)."""
+        return {
+            "applications_processed": self.total.applications,
+            "documents": self.documents,
+            "checks_by_status": {k: v for k, v in sorted(self.total.status_counts.items()) if v},
+        }
+
+
 def cost_time_summary(records: list[AppRecord]) -> CostTimeTable:
-    """Average extraction cost/time per report kind, mirroring the
-    deployment accounting: one row per typology, the cross-typology
-    average, the two shared reports, and their sum as the total."""
-    if not records:
-        return CostTimeTable(rows=[("Total", 0.0, 0.0)])
-
-    by_typology: dict[str, list[tuple[float, float]]] = {}
-    elig: list[tuple[float, float]] = []
-    common: list[tuple[float, float]] = []
-    typ_all: list[tuple[float, float]] = []
-    for record in records:
-        buckets = record.bucket_costs()
-        by_typology.setdefault(record.typology, []).append(buckets["typology"])
-        typ_all.append(buckets["typology"])
-        elig.append(buckets["eligibility"])
-        common.append(buckets["common_core"])
-
-    def avg(pairs: list[tuple[float, float]]) -> tuple[float, float]:
-        n = len(pairs)
-        return (sum(p[0] for p in pairs) / n, sum(p[1] for p in pairs) / n)
-
-    rows: list[tuple[str, float, float]] = []
-    for tid in sorted(by_typology, key=_typology_sort_key):
-        cost, time_s = avg(by_typology[tid])
-        rows.append((f"Typology {tid}", cost, time_s))
-    typ_cost, typ_time = avg(typ_all)
-    elig_cost, elig_time = avg(elig)
-    common_cost, common_time = avg(common)
-    rows.append(("All Typologies Avg.", typ_cost, typ_time))
-    rows.append(("Eligibility", elig_cost, elig_time))
-    rows.append(("Common Core", common_cost, common_time))
-    rows.append(("Total", typ_cost + elig_cost + common_cost,
-                 typ_time + elig_time + common_time))
-    return CostTimeTable(rows=rows)
-
-
-def comparison_delta(before: dict[str, float], after: dict[str, float]) -> list[dict]:
-    """Before/after deployment comparison rows (metric, before, after, delta)."""
-    rows = []
-    for metric in before:
-        if metric not in after:
-            raise ValueError(f"metric {metric!r} missing from the after-set")
-        rows.append({
-            "metric": metric,
-            "before": before[metric],
-            "after": after[metric],
-            "delta": round(after[metric] - before[metric], 10),
-        })
-    return rows
+    """The cost/time table of ``records`` (see ``RunTotals.cost_time``)."""
+    return RunTotals.of(records).cost_time()
 
 
 def read_labels_csv(text: str) -> dict[tuple[str, str], dict]:

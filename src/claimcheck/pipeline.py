@@ -20,15 +20,17 @@ from .backends import MockBackend, RemoteBackend, RemoteConfig
 from .catalog import Catalog, load_catalog_file
 from .extract import ExtractedDocument, extract, schema_for
 from .ingest import (
+    SUPPORTED_EXTENSIONS,
     ApplicationBundle,
+    FileKind,
     LoadFailure,
     ScanResult,
     expand_archives,
     scan_corpus,
 )
-from .metrics import AppRecord, aggregate_metrics, cost_time_summary
+from .metrics import AppRecord, RunTotals
 from .report import ReportDocument, canonical_json_bytes, render_html, report_dict
-from .rules import EngineSettings, ReportKind, evaluate_application
+from .rules import CheckStatus, EngineSettings, ReportKind, evaluate_application
 
 logger = logging.getLogger("claimcheck")
 
@@ -66,7 +68,6 @@ class RunConfig:
     allow_ext: dict[str, str] = field(default_factory=dict)
     timeout_s: float = 30.0
     retries: int = 3
-    seed: int | None = None
 
     def validate(self) -> None:
         if self.backend not in ("mock", "remote"):
@@ -82,6 +83,11 @@ class RunConfig:
             raise ConfigError("retries must be >= 0")
         if not (0.0 <= self.fuzzy_threshold <= 1.0):
             raise ConfigError("fuzzy threshold must be in [0, 1]")
+        kinds = {k.value for k in FileKind}
+        for ext, kind in self.allow_ext.items():
+            if kind not in kinds:
+                raise ConfigError(f"--allow-ext {ext.lstrip('.')}={kind}: the kind must be one of "
+                                  f"{', '.join(sorted(kinds))}")
 
     def public_dict(self) -> dict:
         data = asdict(self)
@@ -114,13 +120,21 @@ class _InlineExecutor(Executor):
         return future
 
 
-def _extract_ahead(bundles, backend, pool: Executor, window: int):
-    """Yield each bundle in order with the futures of its extracted documents,
-    once ``window`` documents of later bundles are submitted or none are left."""
+def _extract_ahead(bundles, expand, backend, pool: Executor, window: int):
+    """Yield each bundle in order, expanded by ``expand``, with the futures of
+    its extracted documents, once ``window`` documents of later bundles are
+    submitted or none are left. A bundle whose expansion raises is yielded
+    with one future that holds the exception."""
     ahead: deque[tuple[ApplicationBundle, list[Future]]] = deque()
     for bundle in bundles:
-        ahead.append((bundle, [pool.submit(extract, ref, schema_for(ref.slot, bundle.typology),
-                                           backend) for ref in bundle.documents]))
+        expanded = _InlineExecutor().submit(expand, bundle)
+        if expanded.exception() is None:
+            bundle = expanded.result()
+            futures = [pool.submit(extract, ref, schema_for(ref.slot, bundle.typology), backend)
+                       for ref in bundle.documents]
+        else:
+            futures = [expanded]
+        ahead.append((bundle, futures))
         while sum(len(futures) for _, futures in ahead) - len(ahead[0][1]) >= window:
             yield ahead.popleft()
     yield from ahead
@@ -129,8 +143,6 @@ def _extract_ahead(bundles, backend, pool: Executor, window: int):
 @dataclass
 class VerifyResult:
     exit_code: int
-    records: list[AppRecord]
-    scan: ScanResult
     manifest: dict
 
 
@@ -141,6 +153,7 @@ def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDoc
     app_out = out_dir / bundle.app_id
     app_out.mkdir(parents=True, exist_ok=True)
     all_outcome_dicts: list[dict] = []
+    manual = 0
     for kind in ReportKind:
         report = ReportDocument(
             app_id=bundle.app_id,
@@ -153,6 +166,7 @@ def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDoc
         (app_out / f"{kind.value}.json").write_bytes(canonical_json_bytes(data))
         (app_out / f"{kind.value}.html").write_bytes(render_html(report))
         all_outcome_dicts.extend(data["outcomes"])
+        manual += data["status_counts"][CheckStatus.MANUAL_CHECK.value]
 
     metas = [
         {"path": doc.doc.display_path, "slot": doc.doc.slot.value,
@@ -168,14 +182,13 @@ def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDoc
 
     record = AppRecord(app_id=bundle.app_id, typology=str(bundle.typology),
                        outcomes=all_outcome_dicts, metas=metas)
-    manual = sum(1 for o in all_outcome_dicts if o["status"] == "manual_check")
     log_event("app_processed", app_id=bundle.app_id, checks=len(all_outcome_dicts),
               manual_checks=manual, unsupported_files=len(bundle.unsupported))
     return record
 
 
 def build_manifest(config: RunConfig, catalog: Catalog, scan: ScanResult,
-                   records: list[AppRecord]) -> dict:
+                   totals: RunTotals) -> dict:
     """Run manifest: config, catalog version, counts, and every corpus
     file the scan visited in exactly one of processed/unsupported/failed.
 
@@ -207,20 +220,13 @@ def build_manifest(config: RunConfig, catalog: Catalog, scan: ScanResult,
     member_notices = sorted(unsupported_paths.difference(map(str, visited)))
     files["unsupported"].extend(str(Path(p).relative_to(root)) for p in member_notices)
 
-    status_counts: dict[str, int] = {}
-    for record in records:
-        for outcome in record.outcomes:
-            status_counts[outcome["status"]] = status_counts.get(outcome["status"], 0) + 1
-
     return {
         "config": config.public_dict(),
         "catalog_version": catalog.version,
         "counts": {
-            "applications_processed": len(records),
+            **totals.counts(),
             "applications_failed": len(scan.failures),
-            "documents": sum(len(r.metas) for r in records),
             "unsupported_notices": sum(len(b.unsupported) for b in scan.bundles),
-            "checks_by_status": dict(sorted(status_counts.items())),
         },
         "failures": [
             {"app_id": f.app_id, "path": str(Path(f.path).relative_to(root)) if f.path else "",
@@ -241,49 +247,57 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     work_dir = out_dir / "_archives"
 
-    scan = scan_corpus(Path(config.corpus_root), config.max_file_mb, config.allow_ext or None)
+    extensions = {**SUPPORTED_EXTENSIONS, **config.allow_ext}
+    scan = scan_corpus(Path(config.corpus_root), config.max_file_mb, extensions)
     for failure in scan.failures:
         log_event("app_load_failed", app_id=failure.app_id, reason=failure.reason)
 
     # the scan and the archive expansion give every document its slot
-    bundles = (expand_archives(b, work_dir, config.max_file_mb) for b in scan.bundles)
-    records: list[AppRecord] = []
+    def expand(bundle: ApplicationBundle) -> ApplicationBundle:
+        return expand_archives(bundle, work_dir, config.max_file_mb, extensions)
+
+    totals = RunTotals()
     # The mock backend only reads a local sidecar, so its calls run inline.
     inflight = 1 if config.backend == "mock" else config.parallelism
     with _InlineExecutor() if inflight == 1 else ThreadPoolExecutor(inflight) as pool:
-        for bundle, futures in _extract_ahead(bundles, backend, pool, 2 * inflight):
+        for bundle, futures in _extract_ahead(scan.bundles, expand, backend, pool, 2 * inflight):
             # one crashing application must never abort the batch
             try:
-                records.append(_process_application(
+                totals.add(_process_application(
                     bundle, [f.result() for f in futures], catalog, settings, out_dir))
             except Exception as exc:  # noqa: BLE001
                 log_event("app_processing_failed", app_id=bundle.app_id, error=str(exc))
                 scan.failures.append(LoadFailure(app_id=bundle.app_id, path=str(bundle.root or ""),
                                                  reason=f"processing failed: {exc}"))
 
-    summary = aggregate_metrics(records)
-    (out_dir / "metrics.json").write_bytes(canonical_json_bytes(summary))
-    (out_dir / "cost_time.csv").write_text(cost_time_summary(records).to_csv(), encoding="utf-8")
-
-    manifest = build_manifest(config, catalog, scan, records)
+    _write_totals(out_dir, totals)
+    manifest = build_manifest(config, catalog, scan, totals)
     (out_dir / "manifest.json").write_bytes(canonical_json_bytes(manifest))
 
     exit_code = 2 if scan.failures else 0
-    log_event("run_complete", applications=len(records), failures=len(scan.failures),
-              exit_code=exit_code)
-    return VerifyResult(exit_code=exit_code, records=records, scan=scan, manifest=manifest)
+    log_event("run_complete", applications=totals.total.applications,
+              failures=len(scan.failures), exit_code=exit_code)
+    return VerifyResult(exit_code=exit_code, manifest=manifest)
+
+
+def _write_totals(out_dir: Path, totals: RunTotals) -> dict:
+    """Write ``metrics.json`` and ``cost_time.csv``; return the metrics."""
+    summary = totals.metrics()
+    (out_dir / "metrics.json").write_bytes(canonical_json_bytes(summary))
+    (out_dir / "cost_time.csv").write_text(totals.cost_time().to_csv(), encoding="utf-8")
+    return summary
 
 
 class MetricsError(ValueError):
     pass
 
 
-def load_records_from_outputs(out_dir: Path) -> list[AppRecord]:
-    """Rebuild per-application records from a previous verify run."""
+def load_records_from_outputs(out_dir: Path):
+    """Yield per-application records rebuilt from a previous verify run,
+    one at a time, in app-id order."""
     out_dir = Path(out_dir)
     if not out_dir.is_dir():
         raise MetricsError(f"outputs directory not found: {out_dir}")
-    records: list[AppRecord] = []
     for app_dir in sorted(p for p in out_dir.iterdir() if p.is_dir()):
         extraction_path = app_dir / "extraction.json"
         if not extraction_path.is_file():
@@ -294,21 +308,16 @@ def load_records_from_outputs(out_dir: Path) -> list[AppRecord]:
             report_path = app_dir / f"{kind.value}.json"
             if report_path.is_file():
                 outcomes.extend(json.loads(report_path.read_text(encoding="utf-8"))["outcomes"])
-        records.append(AppRecord(
+        yield AppRecord(
             app_id=extraction["app_id"],
             typology=extraction["typology"],
             outcomes=outcomes,
             metas=extraction["docs"],
-        ))
-    if not records:
-        raise MetricsError(f"no verify outputs under {out_dir}")
-    return records
+        )
 
 
 def compute_metrics(out_dir: Path, labels: dict | None = None) -> dict:
-    records = load_records_from_outputs(out_dir)
-    summary = aggregate_metrics(records, labels)
-    out_dir = Path(out_dir)
-    (out_dir / "metrics.json").write_bytes(canonical_json_bytes(summary))
-    (out_dir / "cost_time.csv").write_text(cost_time_summary(records).to_csv(), encoding="utf-8")
-    return summary
+    totals = RunTotals.of(load_records_from_outputs(out_dir), labels)
+    if not totals.total.applications:
+        raise MetricsError(f"no verify outputs under {out_dir}")
+    return _write_totals(Path(out_dir), totals)

@@ -1,8 +1,8 @@
 """Per-application report documents: canonical JSON and reviewer HTML.
 
 JSON bytes are a pure function of the report content so report trees can
-be golden-tested and hash-compared across runs; the generation timestamp
-is deliberately kept out of the serialized body and only shown in HTML.
+be golden-tested and hash-compared across runs; no report carries a
+timestamp.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class ReportDocument:
     outcomes: list[CheckOutcome]
     unsupported_notices: list[UnsupportedNotice] = field(default_factory=list)
     catalog_version: str = "0"
-    generated_at: str | None = None  # display only, never serialized to JSON
 
     def status_counts(self) -> dict[str, int]:
         counts = {status.value: 0 for status in CheckStatus}
@@ -68,12 +67,6 @@ def report_dict(report: ReportDocument) -> dict:
 def canonical_json_bytes(payload: object) -> bytes:
     return json.dumps(payload, sort_keys=True, ensure_ascii=False,
                       separators=(",", ":")).encode("utf-8") + b"\n"
-
-
-def render_json(report: ReportDocument) -> bytes:
-    """Canonical serialization: sorted keys, outcome order preserved,
-    byte-identical across reruns of the same inputs."""
-    return canonical_json_bytes(report_dict(report))
 
 
 _REPORT_TITLES = {
@@ -145,10 +138,6 @@ def render_html(report: ReportDocument) -> bytes:
         )
         notices = f"<h2>Unsupported files</h2><ul>{items}</ul>"
 
-    generated = ""
-    if report.generated_at:
-        generated = f" &middot; generated {html.escape(report.generated_at)}"
-
     page = f"""<!DOCTYPE html>
 <html lang="en">
 <head>
@@ -167,7 +156,7 @@ def render_html(report: ReportDocument) -> bytes:
 </tbody>
 </table>
 {notices}
-<footer>catalog version {html.escape(report.catalog_version)}{generated}</footer>
+<footer>catalog version {html.escape(report.catalog_version)}</footer>
 </body>
 </html>
 """

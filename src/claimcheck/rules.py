@@ -78,14 +78,6 @@ class Selector:
     def submission(cls) -> "Selector":
         return cls(kind="submission")
 
-    def describe(self) -> str:
-        if self.kind == "form":
-            return f"form:{self.form_field}"
-        if self.kind == "doc":
-            return f"{self.slot.value}:{self.tag}"
-        if self.kind == "submission":
-            return "form:submission_date"
-        return f"constant:{self.const_value}"
 
 
 COMPARATOR_KINDS = (
@@ -416,12 +408,3 @@ def evaluate_application(bundle: ApplicationBundle, docs: list[ExtractedDocument
                                  unsupported=bundle.unsupported, settings=settings)
         results[defn.report].append(outcome)
     return results
-
-
-def suppression_rate(outcomes: list[CheckOutcome]) -> float | None:
-    """Share of actionable outcomes a reviewer can skip."""
-    counted = [o for o in outcomes if o.status is not CheckStatus.NOT_APPLICABLE]
-    if not counted:
-        return None
-    auto = sum(1 for o in counted if o.status is CheckStatus.AUTO_VERIFIED)
-    return auto / len(counted)

@@ -187,6 +187,16 @@ class TestConfigFile:
         assert run(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "1",
                     "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize("command", ["gen-corpus", "verify"])
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys, command):
+        config = tmp_path / "config.yaml"
+        config.write_text("backnd: remote\nconsistency: 1.0\n")
+        args = ["--n", "1"] if command == "gen-corpus" else ["--corpus", str(tmp_path)]
+        out = tmp_path / "out"
+        assert run([command, "--out", str(out), "--config", str(config), *args]) == 1
+        assert "backnd" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, expected", [(["--backend", "mock"], "mock"),
                                                 ([], "remote")])
     def test_backend_flag_wins_over_config_file(self, tmp_path, flag, expected):

@@ -11,10 +11,8 @@ from claimcheck.ingest import (
     FormParseError,
     TypologyId,
     UnsupportedNotice,
-    classify_file,
     expand_archives,
     infer_slot,
-    load_bundle,
     map_documents,
     parse_form_xml,
     scan_corpus,
@@ -63,18 +61,28 @@ def zip_bytes(members: dict[str, bytes]) -> bytes:
 
 
 class TestClassifyFile:
-    def test_case_insensitive_pdf(self):
-        assert classify_file("invoice.PDF") is FileKind.PDF
+    """The scan classifies a file by its extension, in any case; it never
+    sniffs the content."""
 
-    def test_jpeg_alias(self):
-        assert classify_file("scan.JPEG") is FileKind.JPG
+    @staticmethod
+    def classify(tmp_path, name: str) -> FileKind | UnsupportedNotice:
+        write_app(tmp_path, "app_a", {name: b"x"})
+        bundle = scan_corpus(tmp_path).bundles[0]
+        return bundle.documents[0].kind if bundle.documents else bundle.unsupported[0]
 
-    def test_zip_supported(self):
-        assert classify_file("photos.zip") is FileKind.ZIP
+    def test_case_insensitive_pdf(self, tmp_path):
+        assert self.classify(tmp_path, "invoice.PDF") is FileKind.PDF
 
-    def test_docx_unsupported(self):
-        notice = classify_file("docs.docx")
+    def test_jpeg_alias(self, tmp_path):
+        assert self.classify(tmp_path, "scan.JPEG") is FileKind.JPG
+
+    def test_zip_supported(self, tmp_path):
+        assert self.classify(tmp_path, "photos.zip") is FileKind.ZIP
+
+    def test_docx_unsupported(self, tmp_path):
+        notice = self.classify(tmp_path, "docs.docx")
         assert isinstance(notice, UnsupportedNotice)
+        assert notice.path == str(tmp_path / "app_a" / "docs.docx")
         assert notice.reason == "unsupported_extension"
         assert notice.message
 
@@ -148,11 +156,6 @@ class TestScanCorpus:
         result = scan_corpus(tmp_path)
         assert [f.app_id for f in result.failures] == ["app_b"]
         assert result.unbundled_files == [broken / "form.xml", broken / "fotos" / "foto_1.png"]
-
-    def test_scan_and_classify_build_one_notice(self, tmp_path):
-        write_app(tmp_path, "app_a", {"notes.docx": b"y"})
-        notice = scan_corpus(tmp_path).bundles[0].unsupported[0]
-        assert notice == classify_file(tmp_path / "app_a" / "notes.docx")
 
     def test_deterministic(self, tmp_path):
         write_app(tmp_path, "app_a", {"fatura.pdf": b"x", "b/recibo.pdf": b"y"})
@@ -321,12 +324,12 @@ class TestTypologyId:
             TypologyId.parse("2.9")
 
 
-def test_load_bundle_end_to_end(tmp_path):
+def test_scan_expand_and_map_end_to_end(tmp_path):
     write_app(tmp_path, "app_a", {
         "fatura.pdf": b"x",
         "fotos.zip": zip_bytes({"foto1.png": b"a", "leia-me.txt": b"b"}),
     })
-    bundle = load_bundle(tmp_path / "app_a", tmp_path / "work")
+    bundle = map_documents(expand_archives(scan_corpus(tmp_path).bundles[0], tmp_path / "work"))
     assert isinstance(bundle, ApplicationBundle)
     slots = sorted(d.slot.value for d in bundle.documents)
     assert slots == ["invoice", "photo"]

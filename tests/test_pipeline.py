@@ -12,8 +12,9 @@ from claimcheck import pipeline
 from claimcheck import report as report_module
 from claimcheck.backends import MockBackend, RemoteBackend
 from claimcheck.cli import main
-from claimcheck.pipeline import RunConfig, build_manifest, verify_corpus
-from claimcheck.report import render_json, report_dict
+from claimcheck.gencorpus import GenOptions, write_corpus
+from claimcheck.pipeline import ConfigError, RunConfig, verify_corpus
+from claimcheck.report import canonical_json_bytes, report_dict
 from claimcheck.stubserver import FixtureStubServer
 
 
@@ -33,16 +34,21 @@ def zip_app_photos(app_dir: Path) -> None:
     (app_dir / "fotos.zip").write_bytes(buffer.getvalue())
 
 
+def app_metas(out: Path, app_id: str) -> list[dict]:
+    """The per-document metas verify wrote to an application's extraction.json."""
+    return json.loads((out / app_id / "extraction.json").read_text())["docs"]
+
+
 def test_verify_with_zipped_photos(corpus_copy, tmp_path):
     app_dirs = sorted(p for p in corpus_copy.iterdir() if p.is_dir())
     zip_app_photos(app_dirs[0])
     out = tmp_path / "out"
     result = verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=out, parallelism=2))
     assert result.exit_code == 0
-    record = next(r for r in result.records if r.app_id == app_dirs[0].name)
+    metas = app_metas(out, app_dirs[0].name)
     # photo members re-enter through archive expansion with their metas
-    assert len(record.metas) == 11
-    photo_metas = [m for m in record.metas if m["slot"] == "photo"]
+    assert len(metas) == 11
+    photo_metas = [m for m in metas if m["slot"] == "photo"]
     assert photo_metas and all("!" in m["path"] or "fotos" in m["path"]
                                for m in photo_metas)
 
@@ -53,14 +59,13 @@ def test_verify_with_zipped_photos(corpus_copy, tmp_path):
 
 def test_verify_zip_costs_preserved(corpus_copy, tmp_path):
     baseline_out = tmp_path / "baseline"
-    result = verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=baseline_out))
-    app_id = result.records[0].app_id
-    baseline_cost = sum(m["cost_eur"] for m in result.records[0].metas)
+    verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=baseline_out))
+    app_id = sorted(p.name for p in corpus_copy.iterdir() if p.is_dir())[0]
+    baseline_cost = sum(m["cost_eur"] for m in app_metas(baseline_out, app_id))
 
     zip_app_photos(corpus_copy / app_id)
-    rerun = verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=tmp_path / "rerun"))
-    rerun_record = next(r for r in rerun.records if r.app_id == app_id)
-    assert sum(m["cost_eur"] for m in rerun_record.metas) == baseline_cost
+    verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=tmp_path / "rerun"))
+    assert sum(m["cost_eur"] for m in app_metas(tmp_path / "rerun", app_id)) == baseline_cost
 
 
 def test_allow_ext_extends_supported_set(corpus_copy, tmp_path):
@@ -84,13 +89,60 @@ def test_allow_ext_extends_supported_set(corpus_copy, tmp_path):
     assert manifest["counts"]["unsupported_notices"] == 0
 
 
+def test_allow_ext_kind_must_be_a_file_kind(corpus_copy, tmp_path, capsys):
+    app_dir = sorted(p for p in corpus_copy.iterdir() if p.is_dir())[0]
+    (app_dir / "foto_09.webp").write_bytes(b"w")
+    out = tmp_path / "out"
+    assert main(["verify", "--corpus", str(corpus_copy), "--out", str(out),
+                 "--allow-ext", "webp=gif"]) == 1
+    assert "webp=gif" in capsys.readouterr().err
+    assert not out.exists()  # refused before anything was processed
+    with pytest.raises(ConfigError, match="pdf, png, zip"):
+        RunConfig(corpus_root=corpus_copy, out_dir=out, allow_ext={".webp": "jpeg"}).validate()
+
+
+def test_allow_ext_covers_archive_members(corpus_copy, tmp_path):
+    app_dir = sorted(p for p in corpus_copy.iterdir() if p.is_dir())[0]
+    photo = sorted(app_dir.glob("foto_*.png"))[0]
+    sidecar = Path(str(photo) + ".fields.json")
+    loose = {"foto_09.webp": photo.read_bytes(), "foto_09.webp.fields.json": sidecar.read_bytes()}
+    photo.unlink()
+    sidecar.unlink()
+    for name, data in loose.items():
+        (app_dir / name).write_bytes(data)
+    outputs = {}
+    for layout in ("loose", "zipped"):
+        if layout == "zipped":
+            for name in loose:
+                (app_dir / name).unlink()
+            (app_dir / "anexos.zip").write_bytes(zip_members(loose))
+        out = tmp_path / layout
+        assert main(["verify", "--corpus", str(corpus_copy), "--out", str(out),
+                     "--allow-ext", "webp=png"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["counts"]["unsupported_notices"] == 0
+        report = json.loads((out / app_dir.name / "typology.json").read_text())
+        outputs[layout] = [(o["check_id"], o["status"]) for o in report["outcomes"]]
+    member = [m for m in app_metas(tmp_path / "zipped", app_dir.name) if "webp" in m["path"]]
+    assert [m["path"] for m in member] == [f"{app_dir / 'anexos.zip'}!foto_09.webp"]
+    assert outputs["zipped"] == outputs["loose"]
+
+
 def test_metrics_from_disk_match_live_run(corpus_copy, tmp_path):
     out = tmp_path / "out"
     verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=out))
-    live = json.loads((out / "metrics.json").read_text())
+    live = {name: (out / name).read_bytes() for name in ("metrics.json", "cost_time.csv")}
     assert main(["metrics", "--out", str(out)]) == 0
-    recomputed = json.loads((out / "metrics.json").read_text())
-    assert recomputed == live
+    assert {name: (out / name).read_bytes() for name in live} == live
+
+    labels = corpus_copy / "labels.csv"
+    assert main(["metrics", "--out", str(out), "--labels", str(labels)]) == 0
+    assert (out / "cost_time.csv").read_bytes() == live["cost_time.csv"]
+    labelled = json.loads((out / "metrics.json").read_text())
+    taxonomy = labelled.pop("taxonomy")
+    assert labelled == json.loads(live["metrics.json"])
+    assert taxonomy["labeled_total"] == len(labels.read_text().splitlines()) - 1
+    assert taxonomy["false_positive"] == 0
 
 
 def test_garbage_sidecar_contained_as_backend_error(corpus_copy, tmp_path):
@@ -114,9 +166,9 @@ def test_app_level_crash_contained(corpus_copy, tmp_path):
     (out / app_dirs[0] / "eligibility.json").mkdir(parents=True)
     result = verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=out, parallelism=2))
     assert result.exit_code == 2
-    assert len(result.records) == len(app_dirs) - 1
-    failed = [f for f in result.scan.failures if f.app_id == app_dirs[0]]
-    assert failed and "processing failed" in failed[0].reason
+    assert result.manifest["counts"]["applications_processed"] == len(app_dirs) - 1
+    failed = [f for f in result.manifest["failures"] if f["app_id"] == app_dirs[0]]
+    assert failed and "processing failed" in failed[0]["reason"]
 
 
 def test_oversize_flag_routes_through_cli(corpus_copy, tmp_path):
@@ -189,24 +241,30 @@ def test_crashing_fetch_fails_only_its_app(small_corpus, tmp_path, monkeypatch, 
                                          backend=backend.backend_id, endpoint=stub.url,
                                          parallelism=4))
     assert result.exit_code == 2
-    assert [f.app_id for f in result.scan.failures] == [victim]
-    assert "processing failed" in result.scan.failures[0].reason
-    assert [r.app_id for r in result.records] == [a for a in app_ids if a != victim]
+    failures = result.manifest["failures"]
+    assert [f["app_id"] for f in failures] == [victim]
+    assert "processing failed" in failures[0]["reason"]
+    assert result.manifest["counts"]["applications_processed"] == len(app_ids) - 1
+    assert sorted(p.parent.name for p in out.glob("*/extraction.json")) == \
+        [a for a in app_ids if a != victim]
     assert all((out / a / "eligibility.json").is_file() for a in app_ids if a != victim)
 
 
-def rewalked_files(root: Path, scan) -> dict[str, list[str]]:
+def rewalked_files(root: Path, out: Path, manifest: dict) -> dict[str, list[str]]:
     """File accounting by a second walk of the corpus with ``rglob`` and
     ``resolve``, the way the manifest was once built: the oracle for the
-    manifest's ``files`` block on corpora without symlinks."""
+    manifest's ``files`` block on corpora without symlinks. The failed
+    applications come from the manifest's ``failures``, the unsupported-file
+    notices from the reports."""
     def relpath(path) -> str:
         try:
             return str(Path(path).resolve().relative_to(root.resolve()))
         except ValueError:
             return str(path)
 
-    failed_dirs = {Path(f.path).resolve() for f in scan.failures if f.path}
-    unsupported_paths = {n.path for b in scan.bundles for n in b.unsupported}
+    failed_dirs = {(root / f["path"]).resolve() for f in manifest["failures"] if f["path"]}
+    unsupported_paths = {n["path"] for report in out.glob("*/eligibility.json")
+                         for n in json.loads(report.read_text())["unsupported"]}
     files = {"processed": [], "unsupported": [], "failed": []}
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         if any(parent in failed_dirs for parent in path.resolve().parents):
@@ -255,11 +313,12 @@ def test_manifest_files_match_a_corpus_rewalk(corpus_copy, tmp_path, monkeypatch
         return real_fetch(self, doc, schema)
 
     monkeypatch.setattr(MockBackend, "fetch", fetch)
-    result = verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=tmp_path / "out"))
-    assert [f.app_id for f in result.scan.failures] == [apps[1].name, apps[6].name]
+    out = tmp_path / "out"
+    result = verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=out))
+    assert [f["app_id"] for f in result.manifest["failures"]] == [apps[1].name, apps[6].name]
 
     files = result.manifest["files"]
-    assert files == rewalked_files(corpus_copy, result.scan)
+    assert files == rewalked_files(corpus_copy, out, result.manifest)
     # every case above is exercised
     assert f"{apps[1].name}/extra/scan.pdf" in files["failed"]
     assert f"{apps[6].name}/fatura.pdf" in files["failed"]
@@ -290,23 +349,28 @@ def test_symlinked_file_is_listed_relative_to_the_corpus(corpus_copy, tmp_path):
     assert not any("foto_9" in f or f.startswith("/") for f in listed)
 
 
-def test_build_manifest_reads_no_file_system(corpus_copy, tmp_path, catalog):
+def test_build_manifest_reads_no_file_system(corpus_copy, tmp_path, monkeypatch):
     app_dir = sorted(p for p in corpus_copy.iterdir() if p.is_dir())[0]
     (app_dir / "form.xml").write_text("<broken")
-    config = RunConfig(corpus_root=corpus_copy, out_dir=tmp_path / "out")
-    result = verify_corpus(config)
+    real_build = pipeline.build_manifest
+    built = []
 
     def refuse(*args, **kwargs):
         raise AssertionError("build_manifest touched the file system")
 
-    with pytest.MonkeyPatch.context() as patch:
-        for owner, name in ((Path, "rglob"), (Path, "glob"), (Path, "iterdir"),
-                            (Path, "resolve"), (Path, "stat"), (os, "scandir"),
-                            (os, "walk"), (os, "listdir"), (os, "stat")):
-            patch.setattr(owner, name, refuse)
-        manifest = build_manifest(config, catalog, result.scan, result.records)
-    assert manifest == result.manifest
-    assert manifest["files"]["failed"]
+    def build_refusing_file_system(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            for owner, name in ((Path, "rglob"), (Path, "glob"), (Path, "iterdir"),
+                                (Path, "resolve"), (Path, "stat"), (os, "scandir"),
+                                (os, "walk"), (os, "listdir"), (os, "stat")):
+                patch.setattr(owner, name, refuse)
+            built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "build_manifest", build_refusing_file_system)
+    result = verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=tmp_path / "out"))
+    assert built == [result.manifest]
+    assert result.manifest["files"]["failed"]
 
 
 def test_each_report_dict_is_built_once(small_corpus, tmp_path, monkeypatch):
@@ -320,7 +384,55 @@ def test_each_report_dict_is_built_once(small_corpus, tmp_path, monkeypatch):
     monkeypatch.setattr(report_module, "report_dict", counted)
     result = verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=tmp_path / "out"))
     monkeypatch.undo()
-    assert len(built) == 3 * len(result.records)
+    assert len(built) == 3 * result.manifest["counts"]["applications_processed"]
     for report in built:
         path = tmp_path / "out" / report.app_id / f"{report.kind.value}.json"
-        assert path.read_bytes() == render_json(report)
+        assert path.read_bytes() == canonical_json_bytes(report_dict(report))
+
+
+def break_first_photo(archive: Path, how: str) -> None:
+    """Rewrite ``archive`` deflated, with its first photo member unreadable:
+    flagged as encrypted, stored with an unsupported compression method, or
+    with a corrupt deflate stream."""
+    with zipfile.ZipFile(archive) as source:
+        members = {info.filename: source.read(info) for info in source.infolist()}
+    victim = min(name for name in members if not name.endswith(".fields.json"))
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as target:
+        for name, data in members.items():
+            target.writestr(name, data)
+        info = target.getinfo(victim)
+        if how == "encrypted":
+            info.flag_bits |= 0x1  # the central directory says encrypted
+        elif how == "unsupported_method":
+            info.compress_type = 1  # shrink, which zipfile cannot read
+    data = bytearray(buffer.getvalue())
+    if how == "corrupt_deflate":
+        with zipfile.ZipFile(io.BytesIO(bytes(data))) as written:
+            info = written.getinfo(victim)
+        start = info.header_offset + 30 + len(info.filename.encode()) + len(info.extra)
+        data[start] = 0xFF  # a deflate block of the reserved type
+    archive.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("how", ["encrypted", "corrupt_deflate", "unsupported_method"])
+def test_unreadable_archive_fails_only_its_application(tmp_path, how):
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, GenOptions(n_apps=3, consistency=0.76, seed=5))
+    apps = sorted(p.name for p in corpus.iterdir() if p.is_dir())
+    victim = apps[1]
+    zip_app_photos(corpus / victim)
+    assert main(["verify", "--corpus", str(corpus), "--out", str(tmp_path / "clean")]) == 0
+
+    break_first_photo(corpus / victim / "fotos.zip", how)
+    out = tmp_path / "broken"
+    assert main(["verify", "--corpus", str(corpus), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (out / "metrics.json").is_file()
+    assert [f["app_id"] for f in manifest["failures"]] == [victim]
+    assert manifest["failures"][0]["reason"].startswith("processing failed: ")
+    victim_files = sorted(str(p.relative_to(corpus)) for p in (corpus / victim).rglob("*"))
+    assert manifest["files"]["failed"] == victim_files
+    for app in apps:
+        if app != victim:
+            assert output_tree(out / app) == output_tree(tmp_path / "clean" / app)

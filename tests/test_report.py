@@ -1,4 +1,6 @@
+import gc
 import os
+import weakref
 from pathlib import Path
 
 import pytest
@@ -7,13 +9,12 @@ from claimcheck.ingest import DocumentSlot, UnsupportedNotice
 from claimcheck.metrics import (
     AppRecord,
     LabelError,
-    aggregate_metrics,
-    comparison_delta,
+    RunTotals,
     cost_time_summary,
     read_labels_csv,
     slot_bucket,
 )
-from claimcheck.report import ReportDocument, render_html, render_json
+from claimcheck.report import ReportDocument, canonical_json_bytes, render_html, report_dict
 from claimcheck.rules import CheckOutcome, CheckStatus, Evidence, ReportKind
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -53,23 +54,16 @@ def sample_report() -> ReportDocument:
 class TestRenderJson:
     def test_byte_identical_across_calls(self):
         report = sample_report()
-        assert render_json(report) == render_json(report)
-
-    def test_timestamp_not_serialized(self):
-        report = sample_report()
-        report.generated_at = "2024-01-01T00:00:00"
-        other = sample_report()
-        other.generated_at = "2099-12-31T23:59:59"
-        assert render_json(report) == render_json(other)
+        assert canonical_json_bytes(report_dict(report)) == canonical_json_bytes(report_dict(report))
 
     def test_empty_outcomes_valid(self):
         report = ReportDocument(app_id="a", kind=ReportKind.TYPOLOGY, outcomes=[])
-        payload = render_json(report)
+        payload = canonical_json_bytes(report_dict(report))
         assert b'"outcomes":[]' in payload
 
     def test_golden_file(self):
         golden_path = GOLDEN_DIR / "eligibility.json"
-        rendered = render_json(sample_report())
+        rendered = canonical_json_bytes(report_dict(sample_report()))
         if os.environ.get("UPDATE_GOLDEN"):
             golden_path.parent.mkdir(exist_ok=True)
             golden_path.write_bytes(rendered)
@@ -133,7 +127,7 @@ class TestAggregateMetrics:
     def test_count_conservation(self):
         records = [record("a", "1", ["auto_verified"] * 3 + ["manual_check"]),
                    record("b", "4", ["auto_verified", "unsupported", "not_applicable"])]
-        summary = aggregate_metrics(records)
+        summary = RunTotals.of(records).metrics()
         counts = summary["total"]["status_counts"]
         assert counts == {"auto_verified": 4, "manual_check": 1,
                           "unsupported": 1, "not_applicable": 1}
@@ -144,21 +138,21 @@ class TestAggregateMetrics:
         records = [record("a", "1", ["auto_verified"]),
                    record("b", "1", ["manual_check"]),
                    record("c", "4", ["auto_verified"])]
-        summary = aggregate_metrics(records)
+        summary = RunTotals.of(records).metrics()
         assert summary["per_typology"]["1"]["applications"] == 2
         assert summary["per_typology"]["4"]["suppression_rate"] == 1.0
 
     def test_adding_manual_never_raises_suppression(self):
         base = [record("a", "1", ["auto_verified"] * 5)]
         with_manual = [record("a", "1", ["auto_verified"] * 5 + ["manual_check"])]
-        assert aggregate_metrics(with_manual)["total"]["suppression_rate"] < \
-            aggregate_metrics(base)["total"]["suppression_rate"]
+        assert RunTotals.of(with_manual).metrics()["total"]["suppression_rate"] < \
+            RunTotals.of(base).metrics()["total"]["suppression_rate"]
 
     def test_unknown_label_rejected(self):
         records = [record("a", "1", ["auto_verified"])]
         labels = {("ghost", "c0"): {"real_error": False, "category": None}}
         with pytest.raises(LabelError, match="ghost"):
-            aggregate_metrics(records, labels)
+            RunTotals.of(records, labels).metrics()
 
     def test_taxonomy_buckets(self):
         outcomes = [
@@ -184,7 +178,7 @@ class TestAggregateMetrics:
             ("a", "read"): {"real_error": False, "category": None},
             ("a", "caught"): {"real_error": True, "category": None},
         }
-        taxonomy = aggregate_metrics(records, labels)["taxonomy"]
+        taxonomy = RunTotals.of(records, labels).metrics()["taxonomy"]
         assert taxonomy["correct"] == 2  # true auto + true catch
         assert taxonomy["false_positive"] == 1
         assert taxonomy["false_negative"] == 1
@@ -199,10 +193,37 @@ class TestAggregateMetrics:
     def test_all_auto_no_real_errors(self):
         records = [record("a", "1", ["auto_verified"] * 4)]
         labels = {("a", f"c{i}"): {"real_error": False, "category": None} for i in range(4)}
-        taxonomy = aggregate_metrics(records, labels)["taxonomy"]
+        taxonomy = RunTotals.of(records, labels).metrics()["taxonomy"]
         assert taxonomy["false_positive"] == 0
         assert taxonomy["false_negative"] == 0
         assert taxonomy["accuracy"] == 1.0
+
+
+class TestRunTotals:
+    def test_manifest_counts_list_only_statuses_that_occurred(self):
+        metas = [{"slot": "photo", "cost_eur": 0.05, "elapsed_ms": 37000}]
+        totals = RunTotals.of([record("a", "1", ["auto_verified"] * 3 + ["manual_check"], metas),
+                               record("b", "4", ["auto_verified"])])
+        assert totals.counts() == {"applications_processed": 2, "documents": 1,
+                                   "checks_by_status": {"auto_verified": 4, "manual_check": 1}}
+
+    def test_a_folded_record_is_not_kept(self):
+        class Item(dict):  # a dict that can be weakly referenced
+            pass
+
+        state = {"state": "present"}
+        folded = AppRecord(app_id="a", typology="1",
+                           outcomes=[Item(check_id="c0", status="auto_verified", lhs=state,
+                                          rhs=state)],
+                           metas=[Item(slot="photo", cost_eur=0.05, elapsed_ms=37000)])
+        refs = [weakref.ref(o) for o in (folded, *folded.outcomes, *folded.metas)]
+        totals = RunTotals({("a", "c0"): {"real_error": False, "category": None}})
+        totals.add(folded)
+        del folded
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+        assert totals.metrics()["taxonomy"]["correct"] == 1
+        assert totals.cost_time().rows[-1] == ("Total", 0.05, 37.0)
 
 
 class TestCostTime:
@@ -232,24 +253,6 @@ class TestCostTime:
         csv_text = cost_time_summary([record("a", "1", [], metas)]).to_csv()
         assert "report,cost_eur,time_s" in csv_text
         assert "Typology 1,0.05,37.00" in csv_text
-
-
-class TestComparisonDelta:
-    def test_deployment_delta_rows(self):
-        rows = comparison_delta(
-            {"clarification_requests_per_app": 2.13, "appeal_rate_pct": 25.8},
-            {"clarification_requests_per_app": 2.05, "appeal_rate_pct": 20.4},
-        )
-        by_metric = {r["metric"]: r for r in rows}
-        clar = by_metric["clarification_requests_per_app"]
-        assert (clar["before"], clar["after"]) == (2.13, 2.05)
-        assert f"{clar['delta']:.2f}" == "-0.08"
-        appeal = by_metric["appeal_rate_pct"]
-        assert f"{appeal['delta']:.2f}" == "-5.40"
-
-    def test_missing_metric_rejected(self):
-        with pytest.raises(ValueError):
-            comparison_delta({"x": 1.0}, {})
 
 
 def test_read_labels_csv():

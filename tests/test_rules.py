@@ -4,10 +4,11 @@ import random
 import pytest
 import yaml
 
-from claimcheck.catalog import CatalogError, load_catalog, parse_catalog
+from claimcheck.catalog import CatalogError, parse_catalog
 from claimcheck.extract import ExtractedDocument, ExtractedValue, ExtractionMeta
 from claimcheck.gencorpus import build_world, world_bundle_and_docs
 from claimcheck.ingest import DocumentRef, DocumentSlot, FileKind, TypologyId, UnsupportedNotice
+from claimcheck.metrics import MetricsBlock
 from claimcheck.normalize import DeclaredValue, FormData, Money, PowerValue, validate_tax_id
 from claimcheck.rules import (
     CheckDefinition,
@@ -18,7 +19,6 @@ from claimcheck.rules import (
     Selector,
     evaluate_application,
     evaluate_check,
-    suppression_rate,
 )
 
 from oracle_eval import oracle_evaluate
@@ -260,12 +260,8 @@ class TestCatalog:
         assert fast == pure
         assert parse_catalog(fast) == parse_catalog(pure) == catalog
 
-    def test_unknown_typology_names_valid_ids(self):
-        with pytest.raises(ValueError, match="valid ids"):
-            load_catalog("7.7")
-
-    def test_load_catalog_returns_applicable_only(self):
-        checks = load_catalog("1")
+    def test_for_typology_returns_applicable_only(self, catalog):
+        checks = catalog.for_typology(T1)
         assert checks and all(c.applicable(T1) for c in checks)
 
     def test_excluded_entries_listed_not_evaluated(self, catalog):
@@ -349,17 +345,10 @@ class TestEvaluateApplication:
 
 def test_suppression_rate_definition():
     # 3 auto / (3 auto + 1 manual) = 0.75; not_applicable excluded
-    from claimcheck.rules import CheckOutcome, Evidence
-    ev = Evidence(source="-", state="present")
-    outcomes = [
-        CheckOutcome("a", ReportKind.COMMON_CORE, "d", CheckStatus.AUTO_VERIFIED, ev, ev, ""),
-        CheckOutcome("b", ReportKind.COMMON_CORE, "d", CheckStatus.AUTO_VERIFIED, ev, ev, ""),
-        CheckOutcome("c", ReportKind.COMMON_CORE, "d", CheckStatus.AUTO_VERIFIED, ev, ev, ""),
-        CheckOutcome("d", ReportKind.COMMON_CORE, "d", CheckStatus.MANUAL_CHECK, ev, ev, ""),
-        CheckOutcome("e", ReportKind.COMMON_CORE, "d", CheckStatus.NOT_APPLICABLE, ev, ev, ""),
-    ]
-    assert suppression_rate(outcomes) == 0.75
-    assert suppression_rate([]) is None
+    counts = {s.value: 0 for s in CheckStatus}
+    assert MetricsBlock(status_counts=dict(counts)).suppression_rate is None
+    counts.update(auto_verified=3, manual_check=1, not_applicable=1)
+    assert MetricsBlock(status_counts=counts).suppression_rate == 0.75
 
 
 class TestOracleAgreement:
