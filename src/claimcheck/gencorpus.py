@@ -25,12 +25,14 @@ from .backends import DOC_MARKER, MockBackend
 from .catalog import Catalog, load_catalog_file
 from .extract import ExtractedDocument, extract, schema_for
 from .ingest import (
+    DEFAULT_MAX_FILE_MB,
     SIDECAR_SUFFIX,
+    SUPPORTED_EXTENSIONS,
     ApplicationBundle,
     DocumentRef,
-    FileKind,
     TypologyId,
     UnsupportedNotice,
+    admit_file,
     infer_slot,
     parse_form_xml,
 )
@@ -803,16 +805,15 @@ def world_bundle_and_docs(world: AppWorld) -> tuple[ApplicationBundle, list[Extr
     refs: list[DocumentRef] = []
     notices: list[UnsupportedNotice] = []
     store: dict[str, dict] = {}
+    cap_bytes = int(DEFAULT_MAX_FILE_MB * 1_000_000)
     for doc in world.docs:
-        name = doc.written_name
-        virtual = Path(app_id) / name
-        if doc.unsupported:
-            notices.append(UnsupportedNotice(
-                path=str(virtual), reason="unsupported_extension",
-                message=f"unsupported file type: {name}", slot=infer_slot(virtual)))
+        virtual = Path(app_id) / doc.written_name
+        slot = infer_slot(virtual)
+        admitted = admit_file(str(virtual), virtual, 0, slot, SUPPORTED_EXTENSIONS, cap_bytes)
+        if isinstance(admitted, UnsupportedNotice):
+            notices.append(admitted)
             continue
-        kind = FileKind.PNG if name.endswith(".png") else FileKind.PDF
-        refs.append(DocumentRef(path=virtual, kind=kind, slot=infer_slot(virtual)))
+        refs.append(DocumentRef(path=virtual, kind=admitted, slot=slot))
         store[str(virtual)] = sidecar_dict(doc)
     bundle = ApplicationBundle(app_id=app_id, typology=typology, form=form,
                                documents=refs, unsupported=notices)

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import zipfile
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from pathlib import Path
+from pathlib import Path, PurePath
 
 from .normalize import FormData, parse_declared
 
@@ -161,15 +161,14 @@ class LoadFailure:
     app_id: str
     path: str
     reason: str
+    files: list[Path]  # every regular file under the application directory
 
 
 @dataclass
 class ScanResult:
     bundles: list[ApplicationBundle]
     failures: list[LoadFailure]
-    # corpus files in no bundle: loose files at the root and every file
-    # under an application directory whose form failed to load
-    unbundled_files: list[Path] = field(default_factory=list)
+    loose_files: list[Path] = field(default_factory=list)  # regular files at the corpus root
 
 
 class FormParseError(ValueError):
@@ -212,15 +211,6 @@ TYPOLOGY_MANDATORY_FIELDS = {
 
 def mandatory_fields(typology: TypologyId) -> tuple[str, ...]:
     return COMMON_MANDATORY_FIELDS + TYPOLOGY_MANDATORY_FIELDS.get(typology.major, ())
-
-
-def _unsupported_extension_notice(path: Path, slot: DocumentSlot) -> UnsupportedNotice:
-    return UnsupportedNotice(
-        path=str(path),
-        reason="unsupported_extension",
-        message=f"unsupported file type {path.suffix!r}: {path.name} requires manual review",
-        slot=slot,
-    )
 
 
 def infer_slot(path: Path, app_root: Path | None = None) -> DocumentSlot:
@@ -282,13 +272,24 @@ def parse_form_xml(data: bytes) -> tuple[str, TypologyId, FormData]:
     return app_id, typology, form
 
 
-def _oversize_notice(path: Path, size: int, cap_bytes: int, slot: DocumentSlot) -> UnsupportedNotice:
-    return UnsupportedNotice(
-        path=str(path),
-        reason="oversize",
-        message=f"{path.name} is {size / 1e6:.1f} MB, above the {cap_bytes / 1e6:.0f} MB cap",
-        slot=slot,
-    )
+def admit_file(shown: str, file: PurePath, size: int, slot: DocumentSlot,
+               extensions: dict[str, str], cap_bytes: int) -> FileKind | UnsupportedNotice:
+    """The one rule for every submitted file, loose or inside an archive:
+    its FileKind when ``extensions`` names its suffix and it is at most
+    ``cap_bytes`` long, else the notice, shown as ``shown``, that sends it
+    to a human."""
+    kind_name = extensions.get(file.suffix.lower())
+    if kind_name is None:
+        return UnsupportedNotice(
+            path=shown, reason="unsupported_extension",
+            message=f"unsupported file type {file.suffix!r}: {file.name} requires manual review",
+            slot=slot)
+    if size > cap_bytes:
+        return UnsupportedNotice(
+            path=shown, reason="oversize",
+            message=f"{file.name} is {size / 1e6:.1f} MB, above the {cap_bytes / 1e6:.0f} MB cap",
+            slot=slot)
+    return FileKind(kind_name)
 
 
 def _walk_files(directory: Path):
@@ -327,15 +328,11 @@ def scan_application(app_dir: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
         if path == form_path or path.name.endswith(SIDECAR_SUFFIX):
             continue
         slot = infer_slot(path, app_dir)
-        kind_name = extensions.get(path.suffix.lower())
-        if kind_name is None:
-            unsupported.append(_unsupported_extension_notice(path, slot))
-            continue
-        size = entry.stat().st_size
-        if size > cap_bytes:
-            unsupported.append(_oversize_notice(path, size, cap_bytes, slot))
-            continue
-        documents.append(DocumentRef(path=path, kind=FileKind(kind_name), slot=slot))
+        admitted = admit_file(str(path), path, entry.stat().st_size, slot, extensions, cap_bytes)
+        if isinstance(admitted, UnsupportedNotice):
+            unsupported.append(admitted)
+        else:
+            documents.append(DocumentRef(path=path, kind=admitted, slot=slot))
     return ApplicationBundle(app_id=app_id, typology=typology, form=form, documents=documents,
                              unsupported=unsupported, root=app_dir, files=files)
 
@@ -346,8 +343,8 @@ def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
 
     A broken application is recorded as a LoadFailure and the scan moves
     on; only an unreadable corpus root is an error. Every regular file of
-    the corpus is recorded on its bundle or in ``unbundled_files``, so no
-    later stage walks the corpus again.
+    the corpus is recorded on its bundle, its failure or in ``loose_files``,
+    so no later stage walks the corpus again.
     """
     root = Path(root)
     if not root.is_dir():
@@ -362,30 +359,75 @@ def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
                 result.bundles.append(scan_application(path, max_file_mb, extensions))
             except FormParseError as exc:
                 result.failures.append(LoadFailure(app_id=entry.name, path=str(path),
-                                                   reason=str(exc)))
-                result.unbundled_files.extend(p for p, _ in _walk_files(path))
+                                                   reason=str(exc),
+                                                   files=[p for p, _ in _walk_files(path)]))
         elif entry.is_file():
-            result.unbundled_files.append(path)
+            result.loose_files.append(path)
     result.bundles.sort(key=lambda b: b.app_id)
     return result
+
+
+def _read_archive(doc: DocumentRef, target: Path, extensions: dict[str, str],
+                  cap_bytes: int) -> tuple[list[DocumentRef], list[UnsupportedNotice]]:
+    """The documents and notices of one archive's members, extracted under
+    ``target``; one corrupt_archive notice instead when the archive cannot
+    be read to its end."""
+    documents: list[DocumentRef] = []
+    notices: list[UnsupportedNotice] = []
+    try:
+        with zipfile.ZipFile(doc.path) as archive:
+            members = [m for m in archive.infolist() if not m.is_dir()]
+            for member_no, member in enumerate(members):
+                member_path = Path(member.filename)
+                member_name = member_path.name
+                display = f"{doc.path}!{member.filename}"
+                if not member_name or member_name.startswith("."):
+                    continue
+                slot = infer_slot(member_path)
+                if member_path.suffix.lower() == ".zip":
+                    notices.append(UnsupportedNotice(
+                        path=display, reason="archive_depth_exceeded",
+                        message=f"nested archive {member.filename} not expanded; review manually",
+                        slot=slot))
+                    continue
+                if member_name.endswith(SIDECAR_SUFFIX):
+                    continue  # written beside its document below
+                admitted = admit_file(display, member_path, member.file_size, slot, extensions,
+                                      cap_bytes)
+                if isinstance(admitted, UnsupportedNotice):
+                    notices.append(admitted)
+                    continue
+                out_path = target / str(member_no) / member_name
+                out_path.parent.mkdir(parents=True, exist_ok=True)
+                out_path.write_bytes(archive.read(member))
+                try:
+                    sidecar = archive.getinfo(member.filename + SIDECAR_SUFFIX)
+                except KeyError:
+                    pass
+                else:
+                    Path(str(out_path) + SIDECAR_SUFFIX).write_bytes(archive.read(sidecar))
+                documents.append(DocumentRef(path=out_path, kind=admitted, slot=slot,
+                                             origin="archive_member", archive_source=display))
+    except zipfile.BadZipFile:
+        return [], [UnsupportedNotice(
+            path=str(doc.path), reason="corrupt_archive",
+            message=f"{doc.path.name} could not be opened as a ZIP archive", slot=doc.slot)]
+    return documents, notices
 
 
 def expand_archives(bundle: ApplicationBundle, work_dir: Path,
                     max_file_mb: float = DEFAULT_MAX_FILE_MB,
                     extensions: dict[str, str] = SUPPORTED_EXTENSIONS) -> ApplicationBundle:
-    """Replace ZIP refs with their members, extracted under work_dir.
-    A member is a document when ``extensions`` (the map the scan used)
-    names its suffix.
+    """A copy of ``bundle`` with each ZIP ref replaced by its members,
+    extracted under work_dir. Members are admitted by the rule, and with
+    the ``extensions``, that the scan applied to loose files.
 
     Each member goes to ``<app_id>/<archive no>/<member no>/<base name>``,
     with its sidecar beside it, so no two members share a path and no
     in-archive directory name reaches the file system. Nesting is limited
     to one level: a ZIP inside a ZIP becomes an archive_depth_exceeded
-    notice. Idempotent on archive-free bundles.
+    notice. An archive gives all its members or one notice.
     """
-    if not any(d.kind is FileKind.ZIP for d in bundle.documents):
-        return bundle
-
     cap_bytes = int(max_file_mb * 1_000_000)
     documents: list[DocumentRef] = []
     unsupported = list(bundle.unsupported)
@@ -394,56 +436,10 @@ def expand_archives(bundle: ApplicationBundle, work_dir: Path,
             documents.append(doc)
             continue
         target = Path(work_dir) / bundle.app_id / str(archive_no)
-        try:
-            with zipfile.ZipFile(doc.path) as archive:
-                members = [m for m in archive.infolist() if not m.is_dir()]
-                for member_no, member in enumerate(members):
-                    member_name = Path(member.filename).name
-                    display = f"{doc.path}!{member.filename}"
-                    if not member_name or member_name.startswith("."):
-                        continue
-                    suffix = Path(member_name).suffix.lower()
-                    slot = infer_slot(Path(member_name))
-                    if suffix == ".zip":
-                        unsupported.append(UnsupportedNotice(
-                            path=display, reason="archive_depth_exceeded",
-                            message=f"nested archive {member.filename} not expanded; review manually",
-                            slot=slot))
-                        continue
-                    if member_name.endswith(SIDECAR_SUFFIX):
-                        continue  # written beside its document below
-                    kind_name = extensions.get(suffix)
-                    if kind_name is None:
-                        unsupported.append(UnsupportedNotice(
-                            path=display, reason="unsupported_extension",
-                            message=f"unsupported file type {suffix!r} inside {doc.path.name}",
-                            slot=slot))
-                        continue
-                    if member.file_size > cap_bytes:
-                        unsupported.append(UnsupportedNotice(
-                            path=display, reason="oversize",
-                            message=f"{member.filename} exceeds the size cap", slot=slot))
-                        continue
-                    out_path = target / str(member_no) / member_name
-                    out_path.parent.mkdir(parents=True, exist_ok=True)
-                    out_path.write_bytes(archive.read(member))
-                    try:
-                        sidecar = archive.getinfo(member.filename + SIDECAR_SUFFIX)
-                    except KeyError:
-                        pass
-                    else:
-                        Path(str(out_path) + SIDECAR_SUFFIX).write_bytes(archive.read(sidecar))
-                    documents.append(DocumentRef(
-                        path=out_path, kind=FileKind(kind_name), slot=slot,
-                        origin="archive_member", archive_source=display))
-        except zipfile.BadZipFile:
-            unsupported.append(UnsupportedNotice(
-                path=str(doc.path), reason="corrupt_archive",
-                message=f"{doc.path.name} could not be opened as a ZIP archive",
-                slot=doc.slot))
-    bundle.documents = documents
-    bundle.unsupported = unsupported
-    return bundle
+        members, notices = _read_archive(doc, target, extensions, cap_bytes)
+        documents.extend(members)
+        unsupported.extend(notices)
+    return replace(bundle, documents=documents, unsupported=unsupported)
 
 
 def map_documents(bundle: ApplicationBundle) -> ApplicationBundle:

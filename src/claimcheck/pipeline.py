@@ -24,7 +24,6 @@ from .ingest import (
     ApplicationBundle,
     FileKind,
     LoadFailure,
-    ScanResult,
     expand_archives,
     scan_corpus,
 )
@@ -187,53 +186,39 @@ def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDoc
     return record
 
 
-def build_manifest(config: RunConfig, catalog: Catalog, scan: ScanResult,
-                   totals: RunTotals) -> dict:
+def build_manifest(config: RunConfig, catalog: Catalog, totals: RunTotals,
+                   failures: list[LoadFailure], files: dict[str, list],
+                   notices: int) -> dict:
     """Run manifest: config, catalog version, counts, and every corpus
     file the scan visited in exactly one of processed/unsupported/failed.
 
-    It reads nothing from the file system: paths are placed relative to
-    the corpus root by path arithmetic alone, and listed in the order of
-    ``sorted(Path)``, which compares path parts, not strings.
+    ``files`` holds the paths the run filed under each of those three, and
+    under ``members`` the archive-member notice paths, which name no file
+    on disk; ``notices`` counts the notices of processed applications. It
+    reads nothing from the file system: paths are placed relative to the
+    corpus root by path arithmetic alone, and files are listed in the order
+    of ``sorted(Path)``, which compares path parts, not strings.
     """
     root = Path(config.corpus_root)
-    failed_apps = {Path(f.path).relative_to(root).parts[0] for f in scan.failures if f.path}
-    unsupported_paths = {n.path for bundle in scan.bundles for n in bundle.unsupported}
-    visited = list(scan.unbundled_files)
-    for bundle in scan.bundles:
-        visited.extend(bundle.files)
-
-    files = {"processed": [], "unsupported": [], "failed": []}
     prefix = len(str(root / "_")) - 1  # every visited path is root / rel
-    for path in sorted(visited):
-        name = str(path)
-        rel = name[prefix:]
-        app, nested, _ = rel.partition("/")
-        if nested and app in failed_apps:
-            bucket = "failed"
-        elif name in unsupported_paths:
-            bucket = "unsupported"
-        else:
-            bucket = "processed"
-        files[bucket].append(rel)
-    # archive members only exist virtually; account for their notices too
-    member_notices = sorted(unsupported_paths.difference(map(str, visited)))
-    files["unsupported"].extend(str(Path(p).relative_to(root)) for p in member_notices)
-
+    listed = {bucket: [str(path)[prefix:] for path in sorted(files[bucket])]
+              for bucket in ("processed", "unsupported", "failed")}
+    # archive members only exist virtually; their notices follow the files
+    listed["unsupported"].extend(str(Path(p).relative_to(root)) for p in sorted(files["members"]))
     return {
         "config": config.public_dict(),
         "catalog_version": catalog.version,
         "counts": {
             **totals.counts(),
-            "applications_failed": len(scan.failures),
-            "unsupported_notices": sum(len(b.unsupported) for b in scan.bundles),
+            "applications_failed": len(failures),
+            "unsupported_notices": notices,
         },
         "failures": [
             {"app_id": f.app_id, "path": str(Path(f.path).relative_to(root)) if f.path else "",
              "reason": f.reason}
-            for f in scan.failures
+            for f in failures
         ],
-        "files": files,
+        "files": listed,
     }
 
 
@@ -256,7 +241,11 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
     def expand(bundle: ApplicationBundle) -> ApplicationBundle:
         return expand_archives(bundle, work_dir, config.max_file_mb, extensions)
 
+    # each application's files are filed once its fate is known
     totals = RunTotals()
+    failures = list(scan.failures)
+    files = {"processed": list(scan.loose_files), "unsupported": [], "failed": [], "members": []}
+    notices = 0
     # The mock backend only reads a local sidecar, so its calls run inline.
     inflight = 1 if config.backend == "mock" else config.parallelism
     with _InlineExecutor() if inflight == 1 else ThreadPoolExecutor(inflight) as pool:
@@ -267,16 +256,24 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
                     bundle, [f.result() for f in futures], catalog, settings, out_dir))
             except Exception as exc:  # noqa: BLE001
                 log_event("app_processing_failed", app_id=bundle.app_id, error=str(exc))
-                scan.failures.append(LoadFailure(app_id=bundle.app_id, path=str(bundle.root or ""),
-                                                 reason=f"processing failed: {exc}"))
+                failures.append(LoadFailure(app_id=bundle.app_id, path=str(bundle.root or ""),
+                                            reason=f"processing failed: {exc}", files=bundle.files))
+                continue
+            shown = {n.path for n in bundle.unsupported}
+            for path in bundle.files:
+                files["unsupported" if str(path) in shown else "processed"].append(path)
+            files["members"].extend(shown.difference(map(str, bundle.files)))
+            notices += len(bundle.unsupported)
+    for failure in failures:
+        files["failed"].extend(failure.files)
 
     _write_totals(out_dir, totals)
-    manifest = build_manifest(config, catalog, scan, totals)
+    manifest = build_manifest(config, catalog, totals, failures, files, notices)
     (out_dir / "manifest.json").write_bytes(canonical_json_bytes(manifest))
 
-    exit_code = 2 if scan.failures else 0
+    exit_code = 2 if failures else 0
     log_event("run_complete", applications=totals.total.applications,
-              failures=len(scan.failures), exit_code=exit_code)
+              failures=len(failures), exit_code=exit_code)
     return VerifyResult(exit_code=exit_code, manifest=manifest)
 
 

@@ -85,6 +85,12 @@ class TestClassifyFile:
         assert notice.path == str(tmp_path / "app_a" / "docs.docx")
         assert notice.reason == "unsupported_extension"
         assert notice.message
+        # a ZIP member is admitted by the same rule, in the same words
+        write_app(tmp_path, "app_b", {"anexos.zip": zip_bytes({"docs.docx": b"x"})})
+        bundle = expand_archives(scan_corpus(tmp_path).bundles[1], tmp_path / "work")
+        member = bundle.unsupported[0]
+        assert member.path == f"{tmp_path / 'app_b' / 'anexos.zip'}!docs.docx"
+        assert (member.reason, member.message) == (notice.reason, notice.message)
 
 
 class TestScanCorpus:
@@ -146,7 +152,7 @@ class TestScanCorpus:
             "fotos/raw/foto_2.png", "notes.docx", "recibo.pdf"]
         assert [d.path.name for d in bundle.documents] == [
             "fatura.pdf", "foto_1.png", "foto_2.png", "recibo.pdf"]
-        assert result.unbundled_files == [root / "labels.csv"]
+        assert result.loose_files == [root / "labels.csv"]
 
     def test_failed_application_files_are_recorded(self, tmp_path):
         broken = tmp_path / "app_b"
@@ -155,7 +161,8 @@ class TestScanCorpus:
         (broken / "form.xml").write_text("<broken")
         result = scan_corpus(tmp_path)
         assert [f.app_id for f in result.failures] == ["app_b"]
-        assert result.unbundled_files == [broken / "form.xml", broken / "fotos" / "foto_1.png"]
+        assert result.failures[0].files == [broken / "form.xml", broken / "fotos" / "foto_1.png"]
+        assert result.loose_files == []
 
     def test_deterministic(self, tmp_path):
         write_app(tmp_path, "app_a", {"fatura.pdf": b"x", "b/recibo.pdf": b"y"})
@@ -200,6 +207,26 @@ class TestExpandArchives:
         bundle = expand_archives(scan_corpus(tmp_path).bundles[0], tmp_path / "work")
         assert bundle.documents == []
         assert [n.reason for n in bundle.unsupported] == ["corrupt_archive"]
+
+    def test_archive_unreadable_to_its_end_gives_only_its_notice(self, tmp_path):
+        payload = bytearray(zip_bytes({"foto_01.png": b"first", "foto_02.png": b"second"}))
+        at = payload.index(b"second")  # members are stored, so their bytes are verbatim
+        payload[at:at + 6] = b"SECOND"  # the second member now fails its CRC check
+        write_app(tmp_path, "app_a", {"fotos.zip": bytes(payload)})
+        bundle = expand_archives(scan_corpus(tmp_path).bundles[0], tmp_path / "work")
+        assert bundle.documents == []
+        assert [n.reason for n in bundle.unsupported] == ["corrupt_archive"]
+
+    def test_input_bundle_is_left_unchanged(self, tmp_path):
+        write_app(tmp_path, "app_a", {
+            "notes.docx": b"n", "fotos.zip": zip_bytes({"foto1.png": b"a", "doc.docx": b"d"})})
+        bundle = scan_corpus(tmp_path).bundles[0]
+        documents, unsupported = list(bundle.documents), list(bundle.unsupported)
+        expanded = expand_archives(bundle, tmp_path / "work")
+        assert [d.kind for d in bundle.documents] == [FileKind.ZIP]
+        assert bundle.documents == documents and bundle.unsupported == unsupported
+        assert [d.kind for d in expanded.documents] == [FileKind.PNG]
+        assert len(expanded.unsupported) == 2
 
     def test_sidecars_extracted_but_not_listed(self, tmp_path):
         payload = zip_bytes({"fatura.pdf": b"x", "fatura.pdf.fields.json": b"{}"})

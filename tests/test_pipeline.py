@@ -175,13 +175,23 @@ def test_oversize_flag_routes_through_cli(corpus_copy, tmp_path):
     app_dir = sorted(p for p in corpus_copy.iterdir() if p.is_dir())[0]
     big = app_dir / "foto_big.png"
     big.write_bytes(b"p" * 1_200_000)
+    # the same cap, and the same words, for a member of a ZIP archive
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive:
+        archive.writestr("foto_grande.png", b"p" * 1_300_000)
+    (app_dir / "anexos.zip").write_bytes(buffer.getvalue())
     out = tmp_path / "out"
     assert main(["verify", "--corpus", str(corpus_copy), "--out", str(out),
                  "--max-file-mb", "1"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["counts"]["unsupported_notices"] == 1
+    assert manifest["counts"]["unsupported_notices"] == 2
     rel = str(big.relative_to(corpus_copy))
     assert rel in manifest["files"]["unsupported"]
+    assert f"{app_dir.name}/anexos.zip!foto_grande.png" in manifest["files"]["unsupported"]
+    report = json.loads((out / app_dir.name / "eligibility.json").read_text())
+    assert [(n["reason"], n["message"]) for n in report["unsupported"]] == [
+        ("oversize", "foto_big.png is 1.2 MB, above the 1 MB cap"),
+        ("oversize", "foto_grande.png is 1.3 MB, above the 1 MB cap")]
 
 
 class _CountingStub(FixtureStubServer):
@@ -305,6 +315,9 @@ def test_manifest_files_match_a_corpus_rewalk(corpus_copy, tmp_path, monkeypatch
     members["interior.zip"] = zip_members({"foto_9.png": b"p"})
     (apps[4] / "fotos.zip").write_bytes(zip_members(members))
     (corpus_copy / f"{apps[5].name}.txt").write_text("stray")
+    zip_app_photos(apps[6])
+    with zipfile.ZipFile(apps[6] / "fotos.zip", "a") as archive:
+        archive.writestr("notas.docx", b"d")
     real_fetch = MockBackend.fetch
 
     def fetch(self, doc, schema):
@@ -322,6 +335,11 @@ def test_manifest_files_match_a_corpus_rewalk(corpus_copy, tmp_path, monkeypatch
     # every case above is exercised
     assert f"{apps[1].name}/extra/scan.pdf" in files["failed"]
     assert f"{apps[6].name}/fatura.pdf" in files["failed"]
+    assert f"{apps[6].name}/fotos.zip" in files["failed"]
+    # a failed application's notices are neither listed nor counted
+    reported = sum(len(json.loads(r.read_text())["unsupported"])
+                   for r in out.glob("*/eligibility.json"))
+    assert result.manifest["counts"]["unsupported_notices"] == reported
     assert f"{apps[2].name}/fotos/foto_01.png" in files["processed"]
     assert {f"{apps[4].name}/fotos.zip!leia-me.docx",
             f"{apps[4].name}/fotos.zip!interior.zip"} <= set(files["unsupported"])
@@ -425,6 +443,7 @@ def test_unreadable_archive_fails_only_its_application(tmp_path, how):
     assert main(["verify", "--corpus", str(corpus), "--out", str(tmp_path / "clean")]) == 0
 
     break_first_photo(corpus / victim / "fotos.zip", how)
+    (corpus / victim / "notas.docx").write_bytes(b"d")
     out = tmp_path / "broken"
     assert main(["verify", "--corpus", str(corpus), "--out", str(out)]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
@@ -433,6 +452,10 @@ def test_unreadable_archive_fails_only_its_application(tmp_path, how):
     assert manifest["failures"][0]["reason"].startswith("processing failed: ")
     victim_files = sorted(str(p.relative_to(corpus)) for p in (corpus / victim).rglob("*"))
     assert manifest["files"]["failed"] == victim_files
+    # a failed application's notices are neither listed nor counted
+    assert f"{victim}/notas.docx" in victim_files
+    assert manifest["files"]["unsupported"] == []
+    assert manifest["counts"]["unsupported_notices"] == 0
     for app in apps:
         if app != victim:
             assert output_tree(out / app) == output_tree(tmp_path / "clean" / app)
