@@ -17,7 +17,7 @@ from .ingest import (
     DocumentSlot,
     TypologyId,
 )
-from .rules import CheckDefinition, Comparator, ReportKind, Selector
+from .rules import CheckDefinition, Comparator, ReportKind, Selector, pattern_matches
 
 
 # libyaml's safe loader builds the same data as the pure-Python one, six
@@ -130,9 +130,7 @@ def validate_catalog(catalog: Catalog) -> None:
                         f"{check.check_id}: tag {selector.tag!r} not in the "
                         f"{selector.slot.value} schema")
         for pattern in check.applies_to:
-            if pattern == "*":
-                continue
-            if not any(t == pattern or t.startswith(pattern + ".") for t in VALID_TYPOLOGIES):
+            if not any(pattern_matches(pattern, tid) for tid in VALID_TYPOLOGIES):
                 raise CatalogError(f"{check.check_id}: pattern {pattern!r} matches no typology")
 
 

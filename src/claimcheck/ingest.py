@@ -4,6 +4,7 @@ expand archives, parse declared form data and map files to document slots."""
 from __future__ import annotations
 
 import os
+import shutil
 import xml.etree.ElementTree as ET
 import zipfile
 from dataclasses import dataclass, field, replace
@@ -370,8 +371,8 @@ def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
 def _read_archive(doc: DocumentRef, target: Path, extensions: dict[str, str],
                   cap_bytes: int) -> tuple[list[DocumentRef], list[UnsupportedNotice]]:
     """The documents and notices of one archive's members, extracted under
-    ``target``; one corrupt_archive notice instead when the archive cannot
-    be read to its end."""
+    ``target``; one corrupt_archive notice instead, and nothing left under
+    ``target``, when the archive cannot be read to its end."""
     documents: list[DocumentRef] = []
     notices: list[UnsupportedNotice] = []
     try:
@@ -409,9 +410,10 @@ def _read_archive(doc: DocumentRef, target: Path, extensions: dict[str, str],
                 documents.append(DocumentRef(path=out_path, kind=admitted, slot=slot,
                                              origin="archive_member", archive_source=display))
     except zipfile.BadZipFile:
+        shutil.rmtree(target, ignore_errors=True)
         return [], [UnsupportedNotice(
             path=str(doc.path), reason="corrupt_archive",
-            message=f"{doc.path.name} could not be opened as a ZIP archive", slot=doc.slot)]
+            message=f"{doc.path.name} could not be read as a ZIP archive", slot=doc.slot)]
     return documents, notices
 
 

@@ -28,7 +28,7 @@ from .ingest import (
     scan_corpus,
 )
 from .metrics import AppRecord, RunTotals
-from .report import ReportDocument, canonical_json_bytes, render_html, report_dict
+from .report import canonical_json_bytes, render_html, report_dict
 from .rules import CheckStatus, EngineSettings, ReportKind, evaluate_application
 
 logger = logging.getLogger("claimcheck")
@@ -154,16 +154,10 @@ def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDoc
     all_outcome_dicts: list[dict] = []
     manual = 0
     for kind in ReportKind:
-        report = ReportDocument(
-            app_id=bundle.app_id,
-            kind=kind,
-            outcomes=outcomes_by_kind[kind],
-            unsupported_notices=bundle.unsupported,
-            catalog_version=catalog.version,
-        )
-        data = report_dict(report)
+        data = report_dict(bundle.app_id, kind, outcomes_by_kind[kind], bundle.unsupported,
+                           catalog.version)
         (app_out / f"{kind.value}.json").write_bytes(canonical_json_bytes(data))
-        (app_out / f"{kind.value}.html").write_bytes(render_html(report))
+        (app_out / f"{kind.value}.html").write_bytes(render_html(data))
         all_outcome_dicts.extend(data["outcomes"])
         manual += data["status_counts"][CheckStatus.MANUAL_CHECK.value]
 

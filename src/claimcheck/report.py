@@ -1,7 +1,8 @@
 """Per-application report documents: canonical JSON and reviewer HTML.
 
-JSON bytes are a pure function of the report content so report trees can
-be golden-tested and hash-compared across runs; no report carries a
+Each report is one dict, written as JSON and rendered as HTML, so both
+files are pure functions of the report content: report trees can be
+golden-tested and hash-compared across runs, and no report carries a
 timestamp.
 """
 
@@ -9,25 +10,9 @@ from __future__ import annotations
 
 import html
 import json
-from dataclasses import dataclass, field
 
 from .ingest import UnsupportedNotice
 from .rules import STATUS_LABELS, CheckOutcome, CheckStatus, ReportKind
-
-
-@dataclass
-class ReportDocument:
-    app_id: str
-    kind: ReportKind
-    outcomes: list[CheckOutcome]
-    unsupported_notices: list[UnsupportedNotice] = field(default_factory=list)
-    catalog_version: str = "0"
-
-    def status_counts(self) -> dict[str, int]:
-        counts = {status.value: 0 for status in CheckStatus}
-        for outcome in self.outcomes:
-            counts[outcome.status.value] += 1
-        return counts
 
 
 def _outcome_dict(outcome: CheckOutcome) -> dict:
@@ -50,17 +35,22 @@ def _outcome_dict(outcome: CheckOutcome) -> dict:
     }
 
 
-def report_dict(report: ReportDocument) -> dict:
+def report_dict(app_id: str, kind: ReportKind, outcomes: list[CheckOutcome],
+                notices: list[UnsupportedNotice], catalog_version: str) -> dict:
+    """The one record of a report: written as JSON and rendered as HTML."""
+    counts = {status.value: 0 for status in CheckStatus}
+    for outcome in outcomes:
+        counts[outcome.status.value] += 1
     return {
-        "app_id": report.app_id,
-        "kind": report.kind.value,
-        "catalog_version": report.catalog_version,
-        "outcomes": [_outcome_dict(o) for o in report.outcomes],
+        "app_id": app_id,
+        "kind": kind.value,
+        "catalog_version": catalog_version,
+        "outcomes": [_outcome_dict(o) for o in outcomes],
         "unsupported": [
             {"path": n.path, "reason": n.reason, "message": n.message, "slot": n.slot.value}
-            for n in report.unsupported_notices
+            for n in notices
         ],
-        "status_counts": report.status_counts(),
+        "status_counts": counts,
     }
 
 
@@ -95,58 +85,62 @@ footer { margin-top: 2em; color: #888; font-size: 0.8em; }
 """
 
 
-def _evidence_cell(evidence) -> str:
-    value = evidence.rendered if evidence.rendered is not None else f"({evidence.state})"
-    parts = [html.escape(value), f'<div class="src">{html.escape(evidence.source)}</div>']
-    if evidence.detail:
-        parts.append(f'<div class="src">{html.escape(evidence.detail)}</div>')
+def _evidence_cell(side: dict) -> str:
+    value = side["rendered"] if side["rendered"] is not None else f"({side['state']})"
+    parts = [html.escape(value), f'<div class="src">{html.escape(side["source"])}</div>']
+    if side["detail"]:
+        parts.append(f'<div class="src">{html.escape(side["detail"])}</div>')
     return "".join(parts)
 
 
-def render_html(report: ReportDocument) -> bytes:
-    """Self-contained reviewer page; manual checks highlighted in red."""
+_ROW_CLASSES = {
+    CheckStatus.MANUAL_CHECK.value: ' class="manual"',
+    CheckStatus.UNSUPPORTED.value: ' class="unsupported"',
+}
+
+
+def render_html(report: dict) -> bytes:
+    """Self-contained reviewer page of a ``report_dict``; manual checks
+    highlighted in red."""
     rows = []
-    for outcome in report.outcomes:
-        css = ""
-        if outcome.status is CheckStatus.MANUAL_CHECK:
-            css = ' class="manual"'
-        elif outcome.status is CheckStatus.UNSUPPORTED:
-            css = ' class="unsupported"'
+    for outcome in report["outcomes"]:
+        status = outcome["status"]
         rows.append(
-            f"<tr{css}>"
-            f"<td>{html.escape(outcome.description)}</td>"
-            f'<td><span class="badge {outcome.status.value}">'
-            f"{html.escape(STATUS_LABELS[outcome.status])}</span></td>"
-            f"<td>{_evidence_cell(outcome.lhs)}</td>"
-            f"<td>{_evidence_cell(outcome.rhs)}</td>"
-            f"<td>{html.escape(outcome.message)}</td>"
+            f"<tr{_ROW_CLASSES.get(status, '')}>"
+            f"<td>{html.escape(outcome['description'])}</td>"
+            f'<td><span class="badge {status}">{html.escape(outcome["label"])}</span></td>'
+            f"<td>{_evidence_cell(outcome['lhs'])}</td>"
+            f"<td>{_evidence_cell(outcome['rhs'])}</td>"
+            f"<td>{html.escape(outcome['message'])}</td>"
             "</tr>"
         )
 
-    counts = report.status_counts()
+    counts = report["status_counts"]
     actionable = sum(v for k, v in counts.items() if k != CheckStatus.NOT_APPLICABLE.value)
     banner = ""
-    if report.outcomes and counts[CheckStatus.AUTO_VERIFIED.value] == actionable:
+    if report["outcomes"] and counts[CheckStatus.AUTO_VERIFIED.value] == actionable:
         banner = '<div class="banner">No verification needed for this report.</div>'
 
     notices = ""
-    if report.unsupported_notices:
+    if report["unsupported"]:
         items = "".join(
-            f"<li><b>{html.escape(n.path)}</b> [{html.escape(n.reason)}]: "
-            f"{html.escape(n.message)}</li>"
-            for n in report.unsupported_notices
+            f"<li><b>{html.escape(n['path'])}</b> [{html.escape(n['reason'])}]: "
+            f"{html.escape(n['message'])}</li>"
+            for n in report["unsupported"]
         )
         notices = f"<h2>Unsupported files</h2><ul>{items}</ul>"
 
+    title = html.escape(_REPORT_TITLES[ReportKind(report["kind"])])
+    app_id = html.escape(report["app_id"])
     page = f"""<!DOCTYPE html>
 <html lang="en">
 <head>
 <meta charset="utf-8">
-<title>{html.escape(_REPORT_TITLES[report.kind])} - {html.escape(report.app_id)}</title>
+<title>{title} - {app_id}</title>
 <style>{_STYLE}</style>
 </head>
 <body>
-<h1>{html.escape(_REPORT_TITLES[report.kind])} &mdash; application {html.escape(report.app_id)}</h1>
+<h1>{title} &mdash; application {app_id}</h1>
 {banner}
 <table>
 <thead><tr><th>Verification</th><th>Status</th><th>Declared / left</th>
@@ -156,7 +150,7 @@ def render_html(report: ReportDocument) -> bytes:
 </tbody>
 </table>
 {notices}
-<footer>catalog version {html.escape(report.catalog_version)}</footer>
+<footer>catalog version {html.escape(report["catalog_version"])}</footer>
 </body>
 </html>
 """

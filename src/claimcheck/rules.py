@@ -2,7 +2,8 @@
 
 Every check compares two operands (declared form field, extracted
 document tag, constant or the application submission date) and yields
-one of four statuses. The engine is fail-safe by construction: a check
+one of the statuses below; a check outside an application's typology is
+not evaluated at all. The engine is fail-safe by construction: a check
 auto-verifies only when both operands were actually read and the
 comparison holds; anything missing, unreadable or merely suspicious is
 handed to a human.
@@ -17,7 +18,6 @@ from enum import Enum
 from .extract import ExtractedDocument, ValueState
 from .ingest import ApplicationBundle, DocumentSlot, TypologyId, UnsupportedNotice
 from .normalize import (
-    CanonicalName,
     FormData,
     Money,
     PowerValue,
@@ -37,7 +37,7 @@ class ReportKind(str, Enum):
 class CheckStatus(str, Enum):
     AUTO_VERIFIED = "auto_verified"
     MANUAL_CHECK = "manual_check"
-    NOT_APPLICABLE = "not_applicable"
+    NOT_APPLICABLE = "not_applicable"  # never given; a zero in every status count
     UNSUPPORTED = "unsupported"
 
 
@@ -112,6 +112,12 @@ class Comparator:
             raise ValueError(f"unknown comparator kind {self.kind!r}")
 
 
+def pattern_matches(pattern: str, tid: str) -> bool:
+    """Whether an ``applies_to`` pattern covers typology ``tid``: "*" covers
+    every typology, and "3" covers "3" and all of "3.x"."""
+    return pattern == "*" or tid == pattern or tid.startswith(pattern + ".")
+
+
 @dataclass(frozen=True)
 class CheckDefinition:
     check_id: str
@@ -126,7 +132,7 @@ class CheckDefinition:
     def applicable(self, typology: TypologyId) -> bool:
         tid = str(typology)
         for pattern in self.applies_to:
-            if pattern == "*" or pattern == tid or tid.startswith(pattern + "."):
+            if pattern_matches(pattern, tid):
                 return True
         return False
 
@@ -134,7 +140,7 @@ class CheckDefinition:
 @dataclass(frozen=True)
 class Evidence:
     source: str
-    state: str  # present | absent | unreadable | unsupported | none
+    state: str  # present | absent | unreadable | unsupported
     rendered: str | None = None
     detail: str | None = None
 
@@ -142,7 +148,6 @@ class Evidence:
 @dataclass(frozen=True)
 class CheckOutcome:
     check_id: str
-    report: ReportKind
     description: str
     status: CheckStatus
     lhs: Evidence
@@ -157,8 +162,6 @@ class EngineSettings:
 
 
 DEFAULT_SETTINGS = EngineSettings()
-
-_NO_EVIDENCE = Evidence(source="-", state="none")
 
 
 @dataclass
@@ -184,8 +187,6 @@ def render_value(value: object) -> str:
         return f"{value.watts} W"
     if isinstance(value, TaxId):
         return value.digits
-    if isinstance(value, CanonicalName):
-        return value.original
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return str(value)
@@ -243,8 +244,6 @@ def _resolve(selector: Selector, form: FormData,
 def _as_text(value: object) -> str | None:
     if isinstance(value, TaxId):
         return value.digits
-    if isinstance(value, CanonicalName):
-        return value.canonical
     if isinstance(value, str):
         return normalize_name(value).canonical
     return None
@@ -316,15 +315,9 @@ def _compare(comp: Comparator, lhs: object, rhs: object, settings: EngineSetting
 
 def evaluate_check(defn: CheckDefinition, form: FormData,
                    docs: list[ExtractedDocument], submission_date: dt.date | None,
-                   typology: TypologyId | None = None,
                    unsupported: list[UnsupportedNotice] = (),
                    settings: EngineSettings = DEFAULT_SETTINGS) -> CheckOutcome:
     """Evaluate one check. Pure function; all failure modes are statuses."""
-    if typology is not None and not defn.applicable(typology):
-        return CheckOutcome(defn.check_id, defn.report, defn.description,
-                            CheckStatus.NOT_APPLICABLE, _NO_EVIDENCE, _NO_EVIDENCE,
-                            f"not applicable to typology {typology}")
-
     docs_by_slot: dict[DocumentSlot, ExtractedDocument] = {}
     for doc in docs:
         docs_by_slot.setdefault(doc.doc.slot, doc)
@@ -337,7 +330,7 @@ def evaluate_check(defn: CheckDefinition, form: FormData,
         rhs = _Resolved(state="present", source="-", rendered=None)
 
     def outcome(status: CheckStatus, message: str) -> CheckOutcome:
-        return CheckOutcome(defn.check_id, defn.report, defn.description, status,
+        return CheckOutcome(defn.check_id, defn.description, status,
                             lhs.evidence(), rhs.evidence(), message)
 
     if defn.comparator.kind == "manual_always":

@@ -216,6 +216,10 @@ class TestExpandArchives:
         bundle = expand_archives(scan_corpus(tmp_path).bundles[0], tmp_path / "work")
         assert bundle.documents == []
         assert [n.reason for n in bundle.unsupported] == ["corrupt_archive"]
+        assert bundle.unsupported[0].message == "fotos.zip could not be read as a ZIP archive"
+        # the first member was written before the failure; nothing of it is left
+        archive_dir = tmp_path / "work" / "app_a" / "0"
+        assert not archive_dir.exists() or not any(archive_dir.rglob("*"))
 
     def test_input_bundle_is_left_unchanged(self, tmp_path):
         write_app(tmp_path, "app_a", {

@@ -14,7 +14,7 @@ from claimcheck.backends import MockBackend, RemoteBackend
 from claimcheck.cli import main
 from claimcheck.gencorpus import GenOptions, write_corpus
 from claimcheck.pipeline import ConfigError, RunConfig, verify_corpus
-from claimcheck.report import canonical_json_bytes, report_dict
+from claimcheck.report import canonical_json_bytes, render_html, report_dict
 from claimcheck.stubserver import FixtureStubServer
 
 
@@ -394,18 +394,36 @@ def test_build_manifest_reads_no_file_system(corpus_copy, tmp_path, monkeypatch)
 def test_each_report_dict_is_built_once(small_corpus, tmp_path, monkeypatch):
     built = []
 
-    def counted(report):
-        built.append(report)
-        return report_dict(report)
+    def counted(*args):
+        built.append(args)
+        return report_dict(*args)
 
     monkeypatch.setattr(pipeline, "report_dict", counted)
     monkeypatch.setattr(report_module, "report_dict", counted)
     result = verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=tmp_path / "out"))
     monkeypatch.undo()
     assert len(built) == 3 * result.manifest["counts"]["applications_processed"]
-    for report in built:
-        path = tmp_path / "out" / report.app_id / f"{report.kind.value}.json"
-        assert path.read_bytes() == canonical_json_bytes(report_dict(report))
+    for app_id, kind, *rest in built:
+        path = tmp_path / "out" / app_id / f"{kind.value}.json"
+        assert path.read_bytes() == canonical_json_bytes(report_dict(app_id, kind, *rest))
+
+
+def test_each_html_report_is_rendered_from_its_json(corpus_copy, tmp_path):
+    app_dir = sorted(p for p in corpus_copy.iterdir() if p.is_dir())[0]
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("notas.docx", b"notes")
+    (app_dir / "anexos.zip").write_bytes(buffer.getvalue())
+    out = tmp_path / "out"
+    result = verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=out))
+    assert result.exit_code == 0
+    reports = [p for p in sorted(out.glob("*/*.json")) if p.name != "extraction.json"]
+    assert len(reports) == 3 * result.manifest["counts"]["applications_processed"] == 60
+    notices = json.loads((out / app_dir.name / "typology.json").read_text())["unsupported"]
+    assert [n["path"] for n in notices] == [f"{app_dir / 'anexos.zip'}!notas.docx"]
+    for path in reports:
+        report = json.loads(path.read_text(encoding="utf-8"))
+        assert render_html(report) == path.with_suffix(".html").read_bytes(), path
 
 
 def break_first_photo(archive: Path, how: str) -> None:

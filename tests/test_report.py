@@ -14,7 +14,7 @@ from claimcheck.metrics import (
     read_labels_csv,
     slot_bucket,
 )
-from claimcheck.report import ReportDocument, canonical_json_bytes, render_html, report_dict
+from claimcheck.report import canonical_json_bytes, render_html, report_dict
 from claimcheck.rules import CheckOutcome, CheckStatus, Evidence, ReportKind
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -26,7 +26,6 @@ def outcome(check_id: str, status: CheckStatus,
             rhs_rendered: str | None = "1.500,00 €") -> CheckOutcome:
     return CheckOutcome(
         check_id=check_id,
-        report=ReportKind.ELIGIBILITY,
         description=f"verification {check_id}",
         status=status,
         lhs=Evidence(source="form:invoice_value", state=lhs_state, rendered=lhs_rendered),
@@ -36,34 +35,32 @@ def outcome(check_id: str, status: CheckStatus,
     )
 
 
-def sample_report() -> ReportDocument:
-    outcomes = [
-        outcome("elig.a", CheckStatus.AUTO_VERIFIED),
-        outcome("elig.b", CheckStatus.AUTO_VERIFIED),
-        outcome("elig.c", CheckStatus.AUTO_VERIFIED),
-        outcome("elig.d", CheckStatus.MANUAL_CHECK, rhs_state="absent", rhs_rendered=None),
-    ]
+SAMPLE_OUTCOMES = [
+    outcome("elig.a", CheckStatus.AUTO_VERIFIED),
+    outcome("elig.b", CheckStatus.AUTO_VERIFIED),
+    outcome("elig.c", CheckStatus.AUTO_VERIFIED),
+    outcome("elig.d", CheckStatus.MANUAL_CHECK, rhs_state="absent", rhs_rendered=None),
+]
+
+
+def sample_report(outcomes: list[CheckOutcome] = SAMPLE_OUTCOMES) -> dict:
     notices = [UnsupportedNotice(path="app_1/manual.docx", reason="unsupported_extension",
                                  message="unsupported file type '.docx'",
                                  slot=DocumentSlot.OTHER)]
-    return ReportDocument(app_id="app_00001", kind=ReportKind.ELIGIBILITY,
-                          outcomes=outcomes, unsupported_notices=notices,
-                          catalog_version="1.0")
+    return report_dict("app_00001", ReportKind.ELIGIBILITY, outcomes, notices, "1.0")
 
 
 class TestRenderJson:
     def test_byte_identical_across_calls(self):
-        report = sample_report()
-        assert canonical_json_bytes(report_dict(report)) == canonical_json_bytes(report_dict(report))
+        assert canonical_json_bytes(sample_report()) == canonical_json_bytes(sample_report())
 
     def test_empty_outcomes_valid(self):
-        report = ReportDocument(app_id="a", kind=ReportKind.TYPOLOGY, outcomes=[])
-        payload = canonical_json_bytes(report_dict(report))
+        payload = canonical_json_bytes(report_dict("a", ReportKind.TYPOLOGY, [], [], "0"))
         assert b'"outcomes":[]' in payload
 
     def test_golden_file(self):
         golden_path = GOLDEN_DIR / "eligibility.json"
-        rendered = canonical_json_bytes(report_dict(sample_report()))
+        rendered = canonical_json_bytes(sample_report())
         if os.environ.get("UPDATE_GOLDEN"):
             golden_path.parent.mkdir(exist_ok=True)
             golden_path.write_bytes(rendered)
@@ -77,15 +74,12 @@ class TestRenderHtml:
         assert "No Verification Needed" in html
 
     def test_all_auto_banner(self):
-        report = sample_report()
-        report.outcomes = report.outcomes[:3]
-        html = render_html(report).decode()
+        html = render_html(sample_report(SAMPLE_OUTCOMES[:3])).decode()
         assert "No verification needed for this report." in html
         assert html.count("No Verification Needed") == 3
 
     def test_zero_checks_valid_page(self):
-        report = ReportDocument(app_id="a", kind=ReportKind.COMMON_CORE, outcomes=[])
-        html = render_html(report).decode()
+        html = render_html(report_dict("a", ReportKind.COMMON_CORE, [], [], "0")).decode()
         assert "<table>" in html and "</html>" in html
 
     def test_unsupported_notices_section(self):
@@ -98,9 +92,8 @@ class TestRenderHtml:
         assert "http://" not in html and "https://" not in html
 
     def test_html_escaping(self):
-        report = sample_report()
-        report.outcomes = [outcome("elig.x", CheckStatus.AUTO_VERIFIED,
-                                   lhs_rendered="<script>alert(1)</script>")]
+        report = sample_report([outcome("elig.x", CheckStatus.AUTO_VERIFIED,
+                                        lhs_rendered="<script>alert(1)</script>")])
         html = render_html(report).decode()
         assert "<script>alert(1)" not in html
 

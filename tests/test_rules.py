@@ -199,12 +199,6 @@ class TestFailSafeStatuses:
         outcome = evaluate_check(defn, form_with(declared_peak_power=3), docs, SUBMITTED)
         assert outcome.status is CheckStatus.MANUAL_CHECK
 
-    def test_not_applicable_via_typology(self):
-        defn = check(Comparator("present"),
-                     Selector.doc(DocumentSlot.INVOICE, "panel_model"), applies=("4",))
-        outcome = evaluate_check(defn, FormData(), [], SUBMITTED, typology=T1)
-        assert outcome.status is CheckStatus.NOT_APPLICABLE
-
     def test_auto_implies_present_operands(self, catalog):
         # fail-safe soundness, re-checked from the evidence itself
         world = build_world("app_x", T4, catalog, random.Random(3), consistency=0.8)
@@ -214,7 +208,7 @@ class TestFailSafeStatuses:
             for outcome in batch:
                 if outcome.status is CheckStatus.AUTO_VERIFIED:
                     assert outcome.lhs.state == "present"
-                    assert outcome.rhs.state in ("present", "none", "absent")
+                    assert outcome.rhs.state in ("present", "absent")
 
 
 class TestCatalog:
@@ -281,6 +275,24 @@ class TestCatalog:
         }]}
         with pytest.raises(CatalogError, match="nonexistent_tag"):
             parse_catalog(data)
+
+    @pytest.mark.parametrize("pattern", ["6", "3.4"])
+    def test_pattern_matching_no_typology_rejected(self, pattern):
+        data = {"version": "x", "checks": [{
+            "id": "bad.check", "report": "eligibility", "description": "d",
+            "applies_to": [pattern], "lhs": {"form": "invoice_value"},
+            "comparator": {"kind": "present"},
+        }]}
+        with pytest.raises(CatalogError, match=f"pattern '{pattern}'"):
+            parse_catalog(data)
+
+    def test_patterns_matching_a_typology_load(self):
+        data = {"version": "x", "checks": [{
+            "id": "ok.check", "report": "eligibility", "description": "d",
+            "applies_to": ["*", "2", "3.1", "2.1.1"], "lhs": {"form": "invoice_value"},
+            "comparator": {"kind": "present"},
+        }]}
+        assert parse_catalog(data).checks[0].applies_to == ("*", "2", "3.1", "2.1.1")
 
     def test_unknown_form_field_rejected(self):
         data = {"version": "x", "checks": [{
