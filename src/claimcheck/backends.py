@@ -17,9 +17,9 @@ import ssl
 import threading
 import time
 import urllib.request
+import zipfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 from urllib.parse import SplitResult, unquote, urlsplit
 
 from .extract import ExtractionSchema, NONE_SENTINEL
@@ -79,18 +79,20 @@ def interpret_sidecar(sidecar: dict, schema: ExtractionSchema) -> BackendRespons
     )
 
 
-def load_sidecar(doc_path: Path) -> dict:
-    sidecar_path = Path(str(doc_path) + SIDECAR_SUFFIX)
-    if not sidecar_path.is_file():
-        return {}
+def load_sidecar(doc: DocumentRef) -> dict:
+    """The fixture of ``doc``: ``<file>.fields.json`` beside a file, or
+    ``<member>.fields.json`` in the archive that holds a member; {} when
+    there is none."""
     try:
-        return json.loads(sidecar_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+        return json.loads(doc.read_bytes(SIDECAR_SUFFIX).decode("utf-8"))
+    except (FileNotFoundError, KeyError):
+        return {}
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise BackendError(f"fixture sidecar unreadable: {exc}") from exc
 
 
 class MockBackend:
-    """Answers from fixture sidecars next to each document file.
+    """Answers from each document's fixture sidecar.
 
     ``store`` bypasses the filesystem: a mapping from document path (str)
     to sidecar dicts, used by in-memory corpus tests.
@@ -105,7 +107,7 @@ class MockBackend:
         if self._store is not None:
             sidecar = self._store.get(str(doc.path), {})
         else:
-            sidecar = load_sidecar(doc.path)
+            sidecar = load_sidecar(doc)
         return interpret_sidecar(sidecar, schema)
 
 
@@ -253,7 +255,7 @@ class RemoteBackend:
                  **({"variants": list(t.variants)} if t.variants else {})}
                 for t in schema.tags
             ],
-            "content_b64": base64.b64encode(doc.path.read_bytes()).decode("ascii"),
+            "content_b64": base64.b64encode(doc.read_bytes()).decode("ascii"),
         }
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
 

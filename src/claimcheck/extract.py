@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .ingest import DocumentRef, DocumentSlot, TypologyId
-from .normalize import (
-    ParseError,
-    parse_date,
-    parse_money,
-    parse_number,
-    parse_power,
-    validate_tax_id,
-)
+from .normalize import VALUE_PARSERS, ParseError, TaxId, parse_power
 
 NONE_SENTINEL = "None"
 
@@ -32,6 +25,9 @@ class ValueType(str, Enum):
     TAX_ID = "tax_id"
     ENUM = "enum"
     NUMBER = "number"
+
+
+_TAG_PARSERS = {**VALUE_PARSERS, ValueType.POWER.value: parse_power}
 
 
 @dataclass(frozen=True)
@@ -194,28 +190,17 @@ def _parse_tag(spec: TagSpec, raw: str) -> ExtractedValue:
     raw = raw.strip()
     if raw == NONE_SENTINEL or raw == "":
         return ExtractedValue.absent()
-    try:
-        if spec.value_type is ValueType.TEXT:
-            return ExtractedValue.present(raw, raw)
-        if spec.value_type is ValueType.MONEY:
-            return ExtractedValue.present(parse_money(raw), raw)
-        if spec.value_type is ValueType.DATE:
-            return ExtractedValue.present(parse_date(raw), raw)
-        if spec.value_type is ValueType.POWER:
-            return ExtractedValue.present(parse_power(raw), raw)
-        if spec.value_type is ValueType.NUMBER:
-            return ExtractedValue.present(parse_number(raw), raw)
-        if spec.value_type is ValueType.TAX_ID:
-            tax = validate_tax_id(raw)
-            if not tax.valid:
-                return ExtractedValue.unreadable("type_mismatch", raw)
-            return ExtractedValue.present(tax, raw)
-        # enum
+    if spec.value_type is ValueType.ENUM:
         if raw in spec.variants:
             return ExtractedValue.present(raw, raw)
         return ExtractedValue.unreadable("type_mismatch", raw)
+    try:
+        value = _TAG_PARSERS[spec.value_type.value](raw)
     except ParseError:
         return ExtractedValue.unreadable("type_mismatch", raw)
+    if isinstance(value, TaxId) and not value.valid:
+        return ExtractedValue.unreadable("type_mismatch", raw)
+    return ExtractedValue.present(value, raw)
 
 
 def extract(doc: DocumentRef, schema: ExtractionSchema, backend) -> ExtractedDocument:

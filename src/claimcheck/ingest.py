@@ -4,7 +4,6 @@ expand archives, parse declared form data and map files to document slots."""
 from __future__ import annotations
 
 import os
-import shutil
 import xml.etree.ElementTree as ET
 import zipfile
 from dataclasses import dataclass, field, replace
@@ -15,6 +14,9 @@ from .normalize import FormData, parse_declared
 
 SUPPORTED_EXTENSIONS = {".pdf": "pdf", ".zip": "zip", ".jpg": "jpg", ".jpeg": "jpg", ".png": "png"}
 DEFAULT_MAX_FILE_MB = 25
+# Every read of a member reopens its archive, which parses each entry of
+# the central directory again, so the entries an archive may list are capped.
+MAX_ARCHIVE_ENTRIES = 256
 
 # Sidecar fixture files and the form itself are bundle metadata, not
 # user documents; they are excluded from the document/unsupported split.
@@ -128,22 +130,37 @@ class TypologyId:
 @dataclass(frozen=True)
 class UnsupportedNotice:
     path: str
-    reason: str  # unsupported_extension | corrupt_archive | archive_depth_exceeded | oversize
+    # unsupported_extension | oversize | corrupt_archive | too_many_members
+    # | archive_depth_exceeded
+    reason: str
     message: str
     slot: DocumentSlot = DocumentSlot.OTHER
 
 
 @dataclass(frozen=True)
 class DocumentRef:
-    path: Path
+    path: Path  # the file, or the archive that holds the member
     kind: FileKind
     slot: DocumentSlot = DocumentSlot.OTHER
     origin: str = "direct_upload"
-    archive_source: str | None = None  # "<archive>!<member name>" for an archive member
+    member: str | None = None  # the member's name inside the archive at ``path``
 
     @property
     def display_path(self) -> str:
-        return self.archive_source or str(self.path)
+        return str(self.path) if self.member is None else f"{self.path}!{self.member}"
+
+    @property
+    def name(self) -> str:
+        return self.path.name if self.member is None else PurePath(self.member).name
+
+    def read_bytes(self, suffix: str = "") -> bytes:
+        """Its bytes; with ``suffix``, those of the file or member whose name
+        adds it. Raises FileNotFoundError, or KeyError in an archive, when
+        there is none."""
+        if self.member is None:
+            return Path(f"{self.path}{suffix}").read_bytes()
+        with zipfile.ZipFile(self.path) as archive:
+            return archive.read(self.member + suffix)
 
 
 @dataclass
@@ -368,21 +385,28 @@ def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
     return result
 
 
-def _read_archive(doc: DocumentRef, target: Path, extensions: dict[str, str],
+def _read_archive(doc: DocumentRef, extensions: dict[str, str],
                   cap_bytes: int) -> tuple[list[DocumentRef], list[UnsupportedNotice]]:
-    """The documents and notices of one archive's members, extracted under
-    ``target``; one corrupt_archive notice instead, and nothing left under
-    ``target``, when the archive cannot be read to its end."""
+    """The documents and notices of one archive's members, each admitted
+    member read once to its end and none written anywhere; one notice
+    instead when the archive lists more than MAX_ARCHIVE_ENTRIES entries
+    or cannot be read to its end."""
     documents: list[DocumentRef] = []
     notices: list[UnsupportedNotice] = []
     try:
         with zipfile.ZipFile(doc.path) as archive:
-            members = [m for m in archive.infolist() if not m.is_dir()]
-            for member_no, member in enumerate(members):
+            entries = archive.infolist()
+            if len(entries) > MAX_ARCHIVE_ENTRIES:
+                return [], [UnsupportedNotice(str(doc.path), "too_many_members", (
+                    f"{doc.path.name} lists {len(entries)} entries, above the "
+                    f"{MAX_ARCHIVE_ENTRIES} cap"), doc.slot)]
+            if len({entry.filename for entry in entries}) < len(entries):
+                raise zipfile.BadZipFile("two entries share a name")  # a member is read by name
+            for member in entries:
                 member_path = Path(member.filename)
                 member_name = member_path.name
                 display = f"{doc.path}!{member.filename}"
-                if not member_name or member_name.startswith("."):
+                if member.is_dir() or not member_name or member_name.startswith("."):
                     continue
                 slot = infer_slot(member_path)
                 if member_path.suffix.lower() == ".zip":
@@ -392,53 +416,41 @@ def _read_archive(doc: DocumentRef, target: Path, extensions: dict[str, str],
                         slot=slot))
                     continue
                 if member_name.endswith(SIDECAR_SUFFIX):
-                    continue  # written beside its document below
+                    continue  # read by the mock backend with its document
                 admitted = admit_file(display, member_path, member.file_size, slot, extensions,
                                       cap_bytes)
                 if isinstance(admitted, UnsupportedNotice):
                     notices.append(admitted)
                     continue
-                out_path = target / str(member_no) / member_name
-                out_path.parent.mkdir(parents=True, exist_ok=True)
-                out_path.write_bytes(archive.read(member))
-                try:
-                    sidecar = archive.getinfo(member.filename + SIDECAR_SUFFIX)
-                except KeyError:
-                    pass
-                else:
-                    Path(str(out_path) + SIDECAR_SUFFIX).write_bytes(archive.read(sidecar))
-                documents.append(DocumentRef(path=out_path, kind=admitted, slot=slot,
-                                             origin="archive_member", archive_source=display))
+                with archive.open(member) as stream:  # checks its CRC at the end
+                    while stream.read(1 << 20):
+                        pass
+                documents.append(DocumentRef(path=doc.path, kind=admitted, slot=slot,
+                                             origin="archive_member", member=member.filename))
     except zipfile.BadZipFile:
-        shutil.rmtree(target, ignore_errors=True)
         return [], [UnsupportedNotice(
             path=str(doc.path), reason="corrupt_archive",
             message=f"{doc.path.name} could not be read as a ZIP archive", slot=doc.slot)]
     return documents, notices
 
 
-def expand_archives(bundle: ApplicationBundle, work_dir: Path,
-                    max_file_mb: float = DEFAULT_MAX_FILE_MB,
+def expand_archives(bundle: ApplicationBundle, max_file_mb: float = DEFAULT_MAX_FILE_MB,
                     extensions: dict[str, str] = SUPPORTED_EXTENSIONS) -> ApplicationBundle:
     """A copy of ``bundle`` with each ZIP ref replaced by its members,
-    extracted under work_dir. Members are admitted by the rule, and with
-    the ``extensions``, that the scan applied to loose files.
-
-    Each member goes to ``<app_id>/<archive no>/<member no>/<base name>``,
-    with its sidecar beside it, so no two members share a path and no
-    in-archive directory name reaches the file system. Nesting is limited
-    to one level: a ZIP inside a ZIP becomes an archive_depth_exceeded
-    notice. An archive gives all its members or one notice.
+    which stay in the archive and are read from it. Members are admitted by
+    the rule, and with the ``extensions``, that the scan applied to loose
+    files. Nesting is limited to one level: a ZIP inside a ZIP becomes an
+    archive_depth_exceeded notice. An archive gives all its members or one
+    notice.
     """
     cap_bytes = int(max_file_mb * 1_000_000)
     documents: list[DocumentRef] = []
     unsupported = list(bundle.unsupported)
-    for archive_no, doc in enumerate(bundle.documents):
+    for doc in bundle.documents:
         if doc.kind is not FileKind.ZIP:
             documents.append(doc)
             continue
-        target = Path(work_dir) / bundle.app_id / str(archive_no)
-        members, notices = _read_archive(doc, target, extensions, cap_bytes)
+        members, notices = _read_archive(doc, extensions, cap_bytes)
         documents.extend(members)
         unsupported.extend(notices)
     return replace(bundle, documents=documents, unsupported=unsupported)
@@ -448,8 +460,10 @@ def map_documents(bundle: ApplicationBundle) -> ApplicationBundle:
     """Finalize slot assignment relative to the application root."""
     mapped = []
     for doc in bundle.documents:
-        base = bundle.root if doc.origin == "direct_upload" else None
-        mapped.append(replace(doc, slot=infer_slot(doc.path, base)))
+        if doc.member is None:
+            mapped.append(replace(doc, slot=infer_slot(doc.path, bundle.root)))
+        else:  # folders inside an archive name no upload directory
+            mapped.append(replace(doc, slot=infer_slot(Path(doc.name))))
     bundle.documents = mapped
     return bundle
 

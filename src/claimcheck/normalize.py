@@ -200,6 +200,17 @@ def parse_number(text: str) -> int | float:
         raise ParseError("non_numeric", f"not a number: {text!r}") from None
 
 
+# The parser of each value type a declared field and an extracted tag share.
+# Each raises ParseError, except validate_tax_id: its TaxId says if it is valid.
+VALUE_PARSERS = {
+    "text": str.strip,
+    "money": parse_money,
+    "date": parse_date,
+    "number": parse_number,
+    "tax_id": validate_tax_id,
+}
+
+
 def normalize_name(text: str) -> CanonicalName:
     """Uppercase, strip diacritics, drop punctuation, collapse whitespace."""
     decomposed = unicodedata.normalize("NFKD", text)
@@ -250,32 +261,20 @@ class DeclaredValue:
     warning: str | None = None
 
 
-DECLARED_TYPES = ("text", "money", "date", "number", "tax_id")
-
-
 def parse_declared(field_id: str, declared_type: str, raw: str) -> DeclaredValue:
     """Build a DeclaredValue, downgrading parse failures to warnings."""
-    if declared_type not in DECLARED_TYPES:
+    parse = VALUE_PARSERS.get(declared_type)
+    if parse is None:
         return DeclaredValue(field_id, declared_type, raw, value=raw.strip(),
                              warning=f"unknown declared type {declared_type!r}")
     try:
-        if declared_type == "text":
-            value: object = raw.strip()
-        elif declared_type == "money":
-            value = parse_money(raw)
-        elif declared_type == "date":
-            value = parse_date(raw)
-        elif declared_type == "number":
-            value = parse_number(raw)
-        else:
-            tax = validate_tax_id(raw)
-            if not tax.valid:
-                return DeclaredValue(field_id, declared_type, raw, value=tax,
-                                     warning=f"tax id failed validation ({tax.reason})")
-            value = tax
+        value = parse(raw)
     except ParseError as exc:
         return DeclaredValue(field_id, declared_type, raw, value=raw.strip(),
                              warning=f"unparseable {declared_type}: {exc.reason}")
+    if isinstance(value, TaxId) and not value.valid:
+        return DeclaredValue(field_id, declared_type, raw, value=value,
+                             warning=f"tax id failed validation ({value.reason})")
     return DeclaredValue(field_id, declared_type, raw, value=value)
 
 

@@ -224,7 +224,6 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
     backend = make_backend(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    work_dir = out_dir / "_archives"
 
     extensions = {**SUPPORTED_EXTENSIONS, **config.allow_ext}
     scan = scan_corpus(Path(config.corpus_root), config.max_file_mb, extensions)
@@ -233,7 +232,7 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
 
     # the scan and the archive expansion give every document its slot
     def expand(bundle: ApplicationBundle) -> ApplicationBundle:
-        return expand_archives(bundle, work_dir, config.max_file_mb, extensions)
+        return expand_archives(bundle, config.max_file_mb, extensions)
 
     # each application's files are filed once its fate is known
     totals = RunTotals()

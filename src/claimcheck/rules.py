@@ -227,7 +227,7 @@ def _resolve(selector: Selector, form: FormData,
                              detail=f"document only available as unsupported file: {notice.message}")
         return _Resolved(state="absent", source=f"{selector.slot.value}:{selector.tag}",
                          detail=f"no {selector.slot.value} document in the bundle")
-    source = f"{selector.slot.value}:{selector.tag} ({doc.doc.path.name})"
+    source = f"{selector.slot.value}:{selector.tag} ({doc.doc.name})"
     extracted = doc.fields.get(selector.tag)
     if extracted is None or extracted.state is ValueState.ABSENT:
         return _Resolved(state="absent", source=source, detail="tag not found in document")

@@ -3,6 +3,7 @@ import json
 import socket
 import threading
 import time
+import zipfile
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
@@ -215,12 +216,14 @@ class _ThrottlingHandler(BaseHTTPRequestHandler):
 
 class _KeepAliveHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 server answering every POST with an invoice total. It
-    counts connections and requests, and with ``close_after_reply`` it
-    closes each connection after one reply without saying so."""
+    counts connections and requests, keeps each request body, and with
+    ``close_after_reply`` it closes each connection after one reply
+    without saying so."""
 
     protocol_version = "HTTP/1.1"
     connections = 0
     requests = 0
+    bodies: list[bytes] = []
     close_after_reply = False
 
     def setup(self):
@@ -228,7 +231,7 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
         type(self).connections += 1
 
     def do_POST(self):
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        type(self).bodies.append(self.rfile.read(int(self.headers.get("Content-Length", 0))))
         type(self).requests += 1
         body = json.dumps({"fields": {"total_value": "1,00"}}).encode()
         self.send_response(200)
@@ -377,6 +380,20 @@ class TestRemoteBackend:
                 response = remote.fetch(ref, schema_for(DocumentSlot.INVOICE, T1))
                 assert response.fields == {"total_value": "1,00"}
         assert (_KeepAliveHandler.requests, _KeepAliveHandler.connections) == (5, 1)
+
+    def test_archive_member_posts_its_own_bytes(self, tmp_path):
+        archive = tmp_path / "anexos.zip"
+        with zipfile.ZipFile(archive, "w", zipfile.ZIP_DEFLATED) as writer:
+            writer.writestr("fatura.pdf", b"the other invoice")
+            writer.writestr("obra/fatura.pdf", doc_bytes("app_x", "obra/fatura.pdf"))
+        ref = DocumentRef(path=archive, kind=FileKind.PDF, slot=DocumentSlot.INVOICE,
+                          origin="archive_member", member="obra/fatura.pdf")
+        _KeepAliveHandler.bodies = []
+        with serving(_KeepAliveHandler) as url:
+            RemoteBackend(RemoteConfig(endpoint=url)).fetch(ref, schema_for(ref.slot, T1))
+        [body] = _KeepAliveHandler.bodies
+        posted = base64.b64decode(json.loads(body)["content_b64"])
+        assert posted == doc_bytes("app_x", "obra/fatura.pdf")
 
     def test_silently_closed_keep_alive_is_reopened_without_an_attempt(self, tmp_path):
         _KeepAliveHandler.connections = _KeepAliveHandler.requests = 0

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from claimcheck.backends import load_sidecar
 from claimcheck.ingest import (
+    MAX_ARCHIVE_ENTRIES,
     ApplicationBundle,
     DocumentSlot,
     FileKind,
@@ -87,7 +89,7 @@ class TestClassifyFile:
         assert notice.message
         # a ZIP member is admitted by the same rule, in the same words
         write_app(tmp_path, "app_b", {"anexos.zip": zip_bytes({"docs.docx": b"x"})})
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[1], tmp_path / "work")
+        bundle = expand_archives(scan_corpus(tmp_path).bundles[1])
         member = bundle.unsupported[0]
         assert member.path == f"{tmp_path / 'app_b' / 'anexos.zip'}!docs.docx"
         assert (member.reason, member.message) == (notice.reason, notice.message)
@@ -177,7 +179,7 @@ class TestExpandArchives:
         write_app(tmp_path, "app_a", {"fatura.pdf": b"x"})
         bundle = scan_corpus(tmp_path).bundles[0]
         before = list(bundle.documents)
-        after = expand_archives(bundle, tmp_path / "work")
+        after = expand_archives(bundle)
         assert after.documents == before
 
     def test_members_extracted_and_classified(self, tmp_path):
@@ -186,7 +188,7 @@ class TestExpandArchives:
         })
         write_app(tmp_path, "app_a", {"fotos.zip": payload})
         bundle = scan_corpus(tmp_path).bundles[0]
-        bundle = expand_archives(bundle, tmp_path / "work")
+        bundle = expand_archives(bundle)
         kinds = sorted(d.kind for d in bundle.documents)
         assert kinds == [FileKind.PNG, FileKind.PNG, FileKind.PNG]
         assert all(d.origin == "archive_member" for d in bundle.documents)
@@ -198,13 +200,13 @@ class TestExpandArchives:
         inner = zip_bytes({"x.png": b"x"})
         payload = zip_bytes({"outer.png": b"a", "inner.zip": inner})
         write_app(tmp_path, "app_a", {"docs.zip": payload})
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0], tmp_path / "work")
+        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
         assert len(bundle.documents) == 1
         assert [n.reason for n in bundle.unsupported] == ["archive_depth_exceeded"]
 
     def test_corrupt_zip(self, tmp_path):
         write_app(tmp_path, "app_a", {"broken.zip": b"this is not a zip"})
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0], tmp_path / "work")
+        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
         assert bundle.documents == []
         assert [n.reason for n in bundle.unsupported] == ["corrupt_archive"]
 
@@ -213,37 +215,61 @@ class TestExpandArchives:
         at = payload.index(b"second")  # members are stored, so their bytes are verbatim
         payload[at:at + 6] = b"SECOND"  # the second member now fails its CRC check
         write_app(tmp_path, "app_a", {"fotos.zip": bytes(payload)})
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0], tmp_path / "work")
+        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
         assert bundle.documents == []
         assert [n.reason for n in bundle.unsupported] == ["corrupt_archive"]
         assert bundle.unsupported[0].message == "fotos.zip could not be read as a ZIP archive"
-        # the first member was written before the failure; nothing of it is left
-        archive_dir = tmp_path / "work" / "app_a" / "0"
-        assert not archive_dir.exists() or not any(archive_dir.rglob("*"))
+
+    def test_entries_sharing_a_name_make_the_archive_corrupt(self, tmp_path):
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w") as archive, pytest.warns(UserWarning, match="Duplicate"):
+            archive.writestr("fatura.pdf", b"first")
+            archive.writestr("fatura.pdf", b"second")
+        write_app(tmp_path, "app_a", {"anexos.zip": buffer.getvalue()})
+        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        assert bundle.documents == []
+        assert [n.reason for n in bundle.unsupported] == ["corrupt_archive"]
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_archive_entries_are_capped(self, tmp_path, extra):
+        count = MAX_ARCHIVE_ENTRIES + extra
+        write_app(tmp_path, "app_a", {
+            "fotos.zip": zip_bytes({f"foto_{i:03d}.png": b"p" for i in range(count)})})
+        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        if not extra:
+            assert len(bundle.documents) == count and bundle.unsupported == []
+            return
+        assert bundle.documents == []
+        [notice] = bundle.unsupported
+        assert (notice.path, notice.reason) == (str(tmp_path / "app_a" / "fotos.zip"),
+                                                "too_many_members")
+        assert notice.message == f"fotos.zip lists {count} entries, above the 256 cap"
 
     def test_input_bundle_is_left_unchanged(self, tmp_path):
         write_app(tmp_path, "app_a", {
             "notes.docx": b"n", "fotos.zip": zip_bytes({"foto1.png": b"a", "doc.docx": b"d"})})
         bundle = scan_corpus(tmp_path).bundles[0]
         documents, unsupported = list(bundle.documents), list(bundle.unsupported)
-        expanded = expand_archives(bundle, tmp_path / "work")
+        expanded = expand_archives(bundle)
         assert [d.kind for d in bundle.documents] == [FileKind.ZIP]
         assert bundle.documents == documents and bundle.unsupported == unsupported
         assert [d.kind for d in expanded.documents] == [FileKind.PNG]
         assert len(expanded.unsupported) == 2
 
-    def test_sidecars_extracted_but_not_listed(self, tmp_path):
-        payload = zip_bytes({"fatura.pdf": b"x", "fatura.pdf.fields.json": b"{}"})
+    def test_sidecars_read_in_place_but_not_listed(self, tmp_path):
+        payload = zip_bytes({"fatura.pdf": b"x", "fatura.pdf.fields.json": b'{"n": 1}'})
         write_app(tmp_path, "app_a", {"docs.zip": payload})
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0], tmp_path / "work")
-        assert [d.path.name for d in bundle.documents] == ["fatura.pdf"]
-        sidecar = Path(str(bundle.documents[0].path) + ".fields.json")
-        assert sidecar.is_file()
+        before = sorted(tmp_path.rglob("*"))
+        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        assert sorted(tmp_path.rglob("*")) == before
+        assert [d.name for d in bundle.documents] == ["fatura.pdf"]
+        assert bundle.documents[0].read_bytes() == b"x"
+        assert load_sidecar(bundle.documents[0]) == {"n": 1}
 
     def test_members_sharing_a_base_name_stay_apart(self, tmp_path):
         invoices = zip_bytes({
-            "obra1/fatura.pdf": b"first", "obra1/fatura.pdf.fields.json": b"{1}",
-            "obra2/fatura.pdf": b"second", "obra2/fatura.pdf.fields.json": b"{2}",
+            "obra1/fatura.pdf": b"first", "obra1/fatura.pdf.fields.json": b'{"n": 1}',
+            "obra2/fatura.pdf": b"second", "obra2/fatura.pdf.fields.json": b'{"n": 2}',
             "../../fuga/recibo.pdf": b"up",
         })
         write_app(tmp_path, "app_a", {
@@ -251,8 +277,9 @@ class TestExpandArchives:
             "a/docs.zip": zip_bytes({"foto.png": b"a"}),
             "b/docs.zip": zip_bytes({"foto.png": b"b"}),
         })
-        work = tmp_path / "work"
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0], work)
+        before = sorted(tmp_path.rglob("*"))
+        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        assert sorted(tmp_path.rglob("*")) == before
         app_dir = tmp_path / "app_a"
         assert [d.display_path for d in bundle.documents] == [
             f"{app_dir / 'a/docs.zip'}!foto.png",
@@ -261,14 +288,11 @@ class TestExpandArchives:
             f"{app_dir / 'anexos.zip'}!../../fuga/recibo.pdf",
             f"{app_dir / 'b/docs.zip'}!foto.png",
         ]
-        assert [d.path.read_bytes() for d in bundle.documents] == [
+        assert [d.name for d in bundle.documents] == [
+            "foto.png", "fatura.pdf", "fatura.pdf", "recibo.pdf", "foto.png"]
+        assert [d.read_bytes() for d in bundle.documents] == [
             b"a", b"first", b"second", b"up", b"b"]
-        sidecars = [Path(str(d.path) + ".fields.json") for d in bundle.documents]
-        assert [s.read_bytes() for s in sidecars if s.is_file()] == [b"{1}", b"{2}"]
-        # no in-archive directory name reaches the file system
-        for doc in bundle.documents:
-            rel = doc.path.relative_to(work / "app_a")
-            assert len(rel.parts) == 3 and rel.parts[0].isdigit() and rel.parts[1].isdigit()
+        assert [load_sidecar(d) for d in bundle.documents] == [{}, {"n": 1}, {"n": 2}, {}, {}]
 
 
 class TestParseFormXml:
@@ -360,7 +384,7 @@ def test_scan_expand_and_map_end_to_end(tmp_path):
         "fatura.pdf": b"x",
         "fotos.zip": zip_bytes({"foto1.png": b"a", "leia-me.txt": b"b"}),
     })
-    bundle = map_documents(expand_archives(scan_corpus(tmp_path).bundles[0], tmp_path / "work"))
+    bundle = map_documents(expand_archives(scan_corpus(tmp_path).bundles[0]))
     assert isinstance(bundle, ApplicationBundle)
     slots = sorted(d.slot.value for d in bundle.documents)
     assert slots == ["invoice", "photo"]

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import threading
 import time
 import zipfile
@@ -426,13 +427,13 @@ def test_each_html_report_is_rendered_from_its_json(corpus_copy, tmp_path):
         assert render_html(report) == path.with_suffix(".html").read_bytes(), path
 
 
-def break_first_photo(archive: Path, how: str) -> None:
-    """Rewrite ``archive`` deflated, with its first photo member unreadable:
-    flagged as encrypted, stored with an unsupported compression method, or
-    with a corrupt deflate stream."""
+def break_photo(archive: Path, how: str, index: int = 0) -> None:
+    """Rewrite ``archive`` deflated, with its ``index``-th photo member
+    unreadable: flagged as encrypted, stored with an unsupported compression
+    method, or with a corrupt deflate stream."""
     with zipfile.ZipFile(archive) as source:
         members = {info.filename: source.read(info) for info in source.infolist()}
-    victim = min(name for name in members if not name.endswith(".fields.json"))
+    victim = sorted(name for name in members if not name.endswith(".fields.json"))[index]
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as target:
         for name, data in members.items():
@@ -460,7 +461,7 @@ def test_unreadable_archive_fails_only_its_application(tmp_path, how):
     zip_app_photos(corpus / victim)
     assert main(["verify", "--corpus", str(corpus), "--out", str(tmp_path / "clean")]) == 0
 
-    break_first_photo(corpus / victim / "fotos.zip", how)
+    break_photo(corpus / victim / "fotos.zip", how)
     (corpus / victim / "notas.docx").write_bytes(b"d")
     out = tmp_path / "broken"
     assert main(["verify", "--corpus", str(corpus), "--out", str(out)]) == 2
@@ -477,3 +478,50 @@ def test_unreadable_archive_fails_only_its_application(tmp_path, how):
     for app in apps:
         if app != victim:
             assert output_tree(out / app) == output_tree(tmp_path / "clean" / app)
+
+
+def test_member_failing_mid_archive_leaves_nothing_under_out(tmp_path):
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, GenOptions(n_apps=3, consistency=0.76, seed=5))
+    victim = sorted(p for p in corpus.iterdir() if p.is_dir())[1]
+    members = {}
+    for photo in sorted(victim.glob("foto_*.png"))[:2]:
+        for path in (photo, Path(f"{photo}.fields.json")):
+            members[path.name] = path.read_bytes()
+            path.unlink()
+    (victim / "fotos.zip").write_bytes(zip_members(members))
+    # the first photo reads to its end; the second starts with a reserved block type
+    break_photo(victim / "fotos.zip", "corrupt_deflate", index=1)
+    out = tmp_path / "out"
+    assert main(["verify", "--corpus", str(corpus), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [f["app_id"] for f in manifest["failures"]] == [victim.name]
+    assert manifest["files"]["failed"] == sorted(
+        str(p.relative_to(corpus)) for p in victim.rglob("*"))
+    written = [p.read_bytes() for p in out.rglob("*") if p.is_file()]
+    for data in members.values():
+        assert not any(data in output for output in written)
+
+
+DOCUMENTED_OUTPUT = re.compile(
+    r"[^/]+/(eligibility|common_core|typology)\.(json|html)|[^/]+/extraction\.json"
+    r"|metrics\.json|cost_time\.csv|manifest\.json")
+
+
+def test_verify_writes_only_documented_outputs(corpus_copy, tmp_path):
+    app_dir = sorted(p for p in corpus_copy.iterdir() if p.is_dir())[0]
+    (app_dir / "anexos.zip").write_bytes(zip_members({
+        "../../fuga/recibo.pdf": b"up", "obra1/fatura.pdf": b"first",
+        "obra2/fatura.pdf": b"second", "notas.docx": b"d",
+        "interior.zip": zip_members({"foto_9.png": b"p"}),
+    }))
+    out = tmp_path / "out"
+    assert main(["verify", "--corpus", str(corpus_copy), "--out", str(out)]) == 0
+    assert len(app_metas(out, app_dir.name)) == 14  # 11 loose documents and 3 members
+    for path in out.rglob("*"):
+        rel = str(path.relative_to(out))
+        if path.is_dir():
+            assert (out / rel / "extraction.json").is_file(), rel
+        else:
+            assert DOCUMENTED_OUTPUT.fullmatch(rel), rel
+    assert not (tmp_path / "fuga").exists()
