@@ -103,6 +103,9 @@ class MockBackend:
     def __init__(self, store: dict[str, dict] | None = None):
         self._store = store
 
+    def close(self) -> None:
+        """Nothing to release: the mock opens no connection."""
+
     def fetch(self, doc: DocumentRef, schema: ExtractionSchema) -> BackendResponse:
         if self._store is not None:
             sidecar = self._store.get(str(doc.path), {})
@@ -181,7 +184,8 @@ class RemoteBackend:
     ``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY``, read once here: plain
     HTTP goes through the proxy as an absolute-URI request, HTTPS through
     a CONNECT tunnel. Certificates are checked against the default trust
-    store, which ``SSL_CERT_FILE`` overrides.
+    store, which ``SSL_CERT_FILE`` overrides. ``close`` closes the
+    connections of every thread.
     """
 
     backend_id = "remote"
@@ -189,6 +193,8 @@ class RemoteBackend:
     def __init__(self, config: RemoteConfig):
         self.config = config
         self._local = threading.local()
+        self._connections: list[http.client.HTTPConnection] = []  # one per thread
+        self._connections_lock = threading.Lock()
         endpoint = urlsplit(config.endpoint)
         self._context = ssl.create_default_context() if endpoint.scheme == "https" else None
         self._address = (endpoint.hostname, endpoint.port)
@@ -218,8 +224,17 @@ class RemoteBackend:
                                                    context=self._context)
             if self._tunnel is not None:
                 conn.set_tunnel(*self._tunnel)
+            with self._connections_lock:
+                self._connections.append(conn)
             self._local.conn = conn
         return conn
+
+    def close(self) -> None:
+        """Close the connection of every thread that fetched. A later fetch
+        on a closed connection opens it again, and ``close`` closes it too."""
+        with self._connections_lock:
+            for conn in self._connections:
+                conn.close()
 
     def _post(self, body: bytes) -> tuple[int, str | None, bytes]:
         """POST once on this thread's connection: (status, Retry-After, body).

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -41,9 +41,17 @@ class Catalog:
     version: str
     checks: list[CheckDefinition]
     excluded: list[ExcludedCheck]
+    # one filtered tuple per typology asked for: at most one per valid typology
+    _by_typology: dict[str, tuple[CheckDefinition, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
-    def for_typology(self, typology: TypologyId) -> list[CheckDefinition]:
-        return [c for c in self.checks if c.applicable(typology)]
+    def for_typology(self, typology: TypologyId) -> tuple[CheckDefinition, ...]:
+        """The checks that apply to ``typology``, in catalog order."""
+        tid = str(typology)
+        checks = self._by_typology.get(tid)
+        if checks is None:
+            checks = self._by_typology[tid] = tuple(c for c in self.checks if c.applicable(tid))
+        return checks
 
 
 KNOWN_FORM_FIELDS = frozenset(COMMON_MANDATORY_FIELDS) | frozenset(

@@ -7,6 +7,7 @@ import csv
 import json
 import logging
 import sys
+import traceback
 from pathlib import Path
 
 import yaml
@@ -227,6 +228,8 @@ def cmd_eval_text(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. Exit codes: 0 done, 1 configuration or input error,
+    2 some application failed (``verify``), 3 internal error."""
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -238,6 +241,10 @@ def main(argv: list[str] | None = None) -> int:
     except (MetricsError, LabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # noqa: BLE001 (a defect, not a bad input)
+        log_event("internal_error", command=args.command, error=repr(exc),
+                  traceback=traceback.format_exc())
+        return 3
 
 
 if __name__ == "__main__":

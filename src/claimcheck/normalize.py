@@ -220,30 +220,48 @@ def normalize_name(text: str) -> CanonicalName:
     return CanonicalName(canonical=canonical, original=text)
 
 
-def levenshtein(a: str, b: str) -> int:
+def fuzzy_match(a: str, b: str, threshold: float) -> bool:
+    """Whether the similarity ``1 - levenshtein(a, b) / max(len(a), len(b))``
+    (1.0 for equal strings) is at least ``threshold``; expects canonical input.
+
+    The threshold becomes an edit budget k, the largest k for which
+    ``1.0 - k / longest >= threshold`` holds in floating point, so every
+    boundary case answers as that expression does. Only the diagonal band
+    of width k is filled, and the fill stops at the first row whose
+    cells all exceed k (Ukkonen, "Algorithms for approximate string
+    matching", Information and Control 64, 1985).
+    """
     if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        return 1.0 >= threshold
+    if len(a) > len(b):
+        a, b = b, a
+    n, m = len(a), len(b)
+    k = m  # 1.0 - k / m never rises with k, so the first k that passes is the largest
+    while k >= 0 and not 1.0 - k / m >= threshold:
+        k -= 1
+    if m - n > k:
+        return False
+    big = k + 1  # stands for every distance above the budget
+    prev = list(range(m + 1))
+    for i in range(1, n + 1):
+        ca = a[i - 1]
+        lo, hi = max(1, i - k), min(m, i + k)
+        cur = [big] * (m + 1)
+        cur[0] = row_min = i
+        left = cur[lo - 1]
+        for j in range(lo, hi + 1):
+            cell = prev[j - 1] + (ca != b[j - 1])
+            if prev[j] < cell:
+                cell = prev[j] + 1
+            if left < cell:
+                cell = left + 1
+            cur[j] = left = cell
+            if cell < row_min:
+                row_min = cell
+        if row_min > k:
+            return False
         prev = cur
-    return prev[-1]
-
-
-def fuzzy_score(a: str, b: str) -> float:
-    """Normalized edit-distance similarity in [0, 1]; expects canonical input."""
-    if a == b:
-        return 1.0
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / longest
+    return prev[m] <= k
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import json
 import logging
 import os
 from collections import deque
+from contextlib import closing
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -147,7 +148,8 @@ class VerifyResult:
 
 def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDocument],
                          catalog: Catalog, settings: EngineSettings, out_dir: Path) -> AppRecord:
-    outcomes_by_kind = evaluate_application(bundle, extracted, catalog.checks, settings)
+    outcomes_by_kind = evaluate_application(bundle, extracted,
+                                            catalog.for_typology(bundle.typology), settings)
 
     app_out = out_dir / bundle.app_id
     app_out.mkdir(parents=True, exist_ok=True)
@@ -241,7 +243,9 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
     notices = 0
     # The mock backend only reads a local sidecar, so its calls run inline.
     inflight = 1 if config.backend == "mock" else config.parallelism
-    with _InlineExecutor() if inflight == 1 else ThreadPoolExecutor(inflight) as pool:
+    pool = _InlineExecutor() if inflight == 1 else ThreadPoolExecutor(inflight)
+    # the pool's threads finish before the backend's connections close
+    with closing(backend), pool:
         for bundle, futures in _extract_ahead(scan.bundles, expand, backend, pool, 2 * inflight):
             # one crashing application must never abort the batch
             try:

@@ -12,7 +12,8 @@ handed to a human.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from enum import Enum
 
 from .extract import ExtractedDocument, ValueState
@@ -23,7 +24,7 @@ from .normalize import (
     PowerValue,
     TaxId,
     format_money,
-    fuzzy_score,
+    fuzzy_match,
     normalize_name,
 )
 
@@ -129,8 +130,8 @@ class CheckDefinition:
     rhs: Selector | None = None
     note: str = ""
 
-    def applicable(self, typology: TypologyId) -> bool:
-        tid = str(typology)
+    def applicable(self, typology: TypologyId | str) -> bool:
+        tid = str(typology)  # a str is its own str()
         for pattern in self.applies_to:
             if pattern_matches(pattern, tid):
                 return True
@@ -164,18 +165,13 @@ class EngineSettings:
 DEFAULT_SETTINGS = EngineSettings()
 
 
-@dataclass
-class _Resolved:
-    state: str  # present | absent | unreadable | unsupported
-    value: object = None
-    rendered: str | None = None
-    source: str = "-"
-    detail: str | None = None
-    warning: str | None = None
+# An operand as read: the evidence a report shows for it, and its typed
+# value, None unless the evidence's state is "present". A present
+# operand's evidence carries a detail only to warn about its value.
+_Operand = tuple[Evidence, object]
 
-    def evidence(self) -> Evidence:
-        return Evidence(source=self.source, state=self.state,
-                        rendered=self.rendered, detail=self.detail or self.warning)
+# the rhs of a check that reads one operand only
+_NO_OPERAND: _Operand = (Evidence(source="-", state="present"), None)
 
 
 def render_value(value: object) -> str:
@@ -192,63 +188,6 @@ def render_value(value: object) -> str:
     return str(value)
 
 
-def _resolve(selector: Selector, form: FormData,
-             docs_by_slot: dict[DocumentSlot, ExtractedDocument],
-             submission_date: dt.date | None,
-             unsupported_slots: dict[DocumentSlot, UnsupportedNotice]) -> _Resolved:
-    if selector.kind == "const":
-        return _Resolved(state="present", value=selector.const_value,
-                         rendered=render_value(selector.const_value), source="constant")
-
-    if selector.kind == "submission":
-        if submission_date is None:
-            return _Resolved(state="absent", source="form:submission_date",
-                             detail="submission date not declared or unparseable")
-        return _Resolved(state="present", value=submission_date,
-                         rendered=submission_date.isoformat(), source="form:submission_date")
-
-    if selector.kind == "form":
-        source = f"form:{selector.form_field}"
-        declared = form.get(selector.form_field)
-        if declared is None:
-            return _Resolved(state="absent", source=source, detail="form field not declared")
-        if declared.warning:
-            return _Resolved(state="unreadable", rendered=declared.raw, source=source,
-                             detail=declared.warning)
-        return _Resolved(state="present", value=declared.value,
-                         rendered=render_value(declared.value), source=source)
-
-    # document tag
-    doc = docs_by_slot.get(selector.slot)
-    if doc is None:
-        notice = unsupported_slots.get(selector.slot)
-        if notice is not None:
-            return _Resolved(state="unsupported", source=f"{selector.slot.value}:{selector.tag}",
-                             detail=f"document only available as unsupported file: {notice.message}")
-        return _Resolved(state="absent", source=f"{selector.slot.value}:{selector.tag}",
-                         detail=f"no {selector.slot.value} document in the bundle")
-    source = f"{selector.slot.value}:{selector.tag} ({doc.doc.name})"
-    extracted = doc.fields.get(selector.tag)
-    if extracted is None or extracted.state is ValueState.ABSENT:
-        return _Resolved(state="absent", source=source, detail="tag not found in document")
-    if extracted.state is ValueState.UNREADABLE:
-        return _Resolved(state="unreadable", rendered=extracted.raw, source=source,
-                         detail=f"unreadable value ({extracted.reason})")
-    warning = None
-    if isinstance(extracted.value, PowerValue) and extracted.value.unit_assumed:
-        warning = "power value had no unit; watts assumed"
-    return _Resolved(state="present", value=extracted.value,
-                     rendered=render_value(extracted.value), source=source, warning=warning)
-
-
-def _as_text(value: object) -> str | None:
-    if isinstance(value, TaxId):
-        return value.digits
-    if isinstance(value, str):
-        return normalize_name(value).canonical
-    return None
-
-
 def _as_magnitude(value: object) -> float | None:
     if isinstance(value, PowerValue):
         return float(value.watts)
@@ -263,8 +202,10 @@ class _TypeMismatch(Exception):
     pass
 
 
-def _compare(comp: Comparator, lhs: object, rhs: object, settings: EngineSettings) -> bool:
-    """Apply a comparator to two present typed values."""
+def _compare(comp: Comparator, lhs: object, rhs: object, settings: EngineSettings,
+             as_text: Callable[[object], str | None]) -> bool:
+    """Apply a comparator to two present typed values; ``as_text`` gives a
+    value's canonical text, or None when it is no text."""
     if comp.kind == "equal_money":
         if not isinstance(lhs, Money) or not isinstance(rhs, Money):
             raise _TypeMismatch("expected monetary values on both sides")
@@ -294,14 +235,14 @@ def _compare(comp: Comparator, lhs: object, rhs: object, settings: EngineSetting
         return True
 
     if comp.kind in ("text_match", "text_distinct"):
-        lhs_t, rhs_t = _as_text(lhs), _as_text(rhs)
+        lhs_t, rhs_t = as_text(lhs), as_text(rhs)
         if lhs_t is None or rhs_t is None:
             raise _TypeMismatch("expected text on both sides")
         if comp.kind == "text_distinct":
             return lhs_t != rhs_t
         if comp.mode == "fuzzy":
             threshold = comp.threshold if comp.threshold is not None else settings.fuzzy_threshold
-            return fuzzy_score(lhs_t, rhs_t) >= threshold
+            return fuzzy_match(lhs_t, rhs_t, threshold)
         return lhs_t == rhs_t
 
     if comp.kind == "enum_is":
@@ -313,70 +254,152 @@ def _compare(comp: Comparator, lhs: object, rhs: object, settings: EngineSetting
     raise _TypeMismatch(f"comparator {comp.kind} not applicable here")
 
 
+class _Operands:
+    """One application's operands as its checks read them: each selector
+    is resolved once, and each text operand normalised once. It lives as
+    long as the evaluation of that application."""
+
+    def __init__(self, form: FormData, docs: list[ExtractedDocument],
+                 submission_date: dt.date | None, unsupported: list[UnsupportedNotice]):
+        self.form = form
+        self.submission_date = submission_date
+        self.docs_by_slot: dict[DocumentSlot, ExtractedDocument] = {}
+        for doc in docs:
+            self.docs_by_slot.setdefault(doc.doc.slot, doc)
+        self.unsupported_slots = {n.slot: n for n in unsupported}
+        self._resolved: dict[Selector, _Operand] = {}
+        self._canonical: dict[str, str] = {}
+
+    def resolve(self, selector: Selector | None) -> _Operand:
+        if selector is None:
+            return _NO_OPERAND
+        resolved = self._resolved.get(selector)
+        if resolved is None:
+            resolved = self._resolved[selector] = self._read(selector)
+        return resolved
+
+    def text(self, value: object) -> str | None:
+        if isinstance(value, str):
+            canonical = self._canonical.get(value)
+            if canonical is None:
+                canonical = self._canonical[value] = normalize_name(value).canonical
+            return canonical
+        if isinstance(value, TaxId):
+            return value.digits
+        return None
+
+    def _read(self, selector: Selector) -> _Operand:
+        if selector.kind == "const":
+            value = selector.const_value
+            return Evidence(source="constant", state="present", rendered=render_value(value)), value
+
+        if selector.kind == "submission":
+            source = "form:submission_date"
+            submission_date = self.submission_date
+            if submission_date is None:
+                return Evidence(source=source, state="absent",
+                                detail="submission date not declared or unparseable"), None
+            return Evidence(source=source, state="present",
+                            rendered=submission_date.isoformat()), submission_date
+
+        if selector.kind == "form":
+            source = f"form:{selector.form_field}"
+            declared = self.form.get(selector.form_field)
+            if declared is None:
+                return Evidence(source=source, state="absent",
+                                detail="form field not declared"), None
+            if declared.warning:
+                return Evidence(source=source, state="unreadable", rendered=declared.raw,
+                                detail=declared.warning), None
+            return Evidence(source=source, state="present",
+                            rendered=render_value(declared.value)), declared.value
+
+        # document tag
+        doc = self.docs_by_slot.get(selector.slot)
+        if doc is None:
+            source = f"{selector.slot.value}:{selector.tag}"
+            notice = self.unsupported_slots.get(selector.slot)
+            if notice is not None:
+                return Evidence(source=source, state="unsupported", detail=(
+                    f"document only available as unsupported file: {notice.message}")), None
+            return Evidence(source=source, state="absent",
+                            detail=f"no {selector.slot.value} document in the bundle"), None
+        source = f"{selector.slot.value}:{selector.tag} ({doc.doc.name})"
+        extracted = doc.fields.get(selector.tag)
+        if extracted is None or extracted.state is ValueState.ABSENT:
+            return Evidence(source=source, state="absent",
+                            detail="tag not found in document"), None
+        if extracted.state is ValueState.UNREADABLE:
+            return Evidence(source=source, state="unreadable", rendered=extracted.raw,
+                            detail=f"unreadable value ({extracted.reason})"), None
+        warning = None
+        if isinstance(extracted.value, PowerValue) and extracted.value.unit_assumed:
+            warning = "power value had no unit; watts assumed"
+        return Evidence(source=source, state="present", rendered=render_value(extracted.value),
+                        detail=warning), extracted.value
+
+    def evaluate(self, defn: CheckDefinition, settings: EngineSettings) -> CheckOutcome:
+        lhs, lhs_value = self.resolve(defn.lhs)
+        rhs, rhs_value = self.resolve(defn.rhs)
+        status, message = self._verdict(defn.comparator, lhs, lhs_value, rhs, rhs_value,
+                                        settings)
+        return CheckOutcome(defn.check_id, defn.description, status, lhs, rhs, message)
+
+    def _verdict(self, comp: Comparator, lhs: Evidence, lhs_value: object,
+                 rhs: Evidence, rhs_value: object,
+                 settings: EngineSettings) -> tuple[CheckStatus, str]:
+        if comp.kind == "manual_always":
+            return CheckStatus.MANUAL_CHECK, "always requires manual review"
+
+        if comp.kind == "present_if_rhs_above":
+            # Conditional presence: the rhs amount decides whether the lhs
+            # document field must exist at all.
+            if rhs.state == "unsupported":
+                return CheckStatus.UNSUPPORTED, "reference document unsupported"
+            if rhs.state != "present":
+                return CheckStatus.MANUAL_CHECK, f"reference amount {rhs.state}"
+            if not isinstance(rhs_value, Money):
+                return CheckStatus.MANUAL_CHECK, "reference value is not an amount"
+            threshold = comp.threshold_cents or 0
+            if rhs_value.amount_cents <= threshold:
+                return (CheckStatus.AUTO_VERIFIED,
+                        f"not required below {format_money(Money(threshold))}")
+            if lhs.state == "unsupported":
+                return CheckStatus.UNSUPPORTED, "required document unsupported"
+            if lhs.state == "present":
+                return CheckStatus.AUTO_VERIFIED, "required document present"
+            return (CheckStatus.MANUAL_CHECK,
+                    f"required above {format_money(Money(threshold))} but {lhs.state}")
+
+        for side in (lhs, rhs):
+            if side.state == "unsupported":
+                return (CheckStatus.UNSUPPORTED,
+                        "supporting document exists only as an unsupported file")
+        for side, label in ((lhs, "left"), (rhs, "right")):
+            if side.state == "unreadable":
+                return CheckStatus.MANUAL_CHECK, f"{label} value unreadable: {side.detail}"
+        for side, label in ((lhs, "left"), (rhs, "right")):
+            if side.state == "absent":
+                return CheckStatus.MANUAL_CHECK, f"{label} value missing: {side.detail}"
+        for side in (lhs, rhs):
+            if side.detail:  # both are present: a detail warns about the value
+                return CheckStatus.MANUAL_CHECK, side.detail
+
+        try:
+            holds = _compare(comp, lhs_value, rhs_value, settings, self.text)
+        except _TypeMismatch as exc:
+            return CheckStatus.MANUAL_CHECK, f"cannot compare: {exc}"
+        if holds:
+            return CheckStatus.AUTO_VERIFIED, "values consistent"
+        return CheckStatus.MANUAL_CHECK, "values inconsistent"
+
+
 def evaluate_check(defn: CheckDefinition, form: FormData,
                    docs: list[ExtractedDocument], submission_date: dt.date | None,
                    unsupported: list[UnsupportedNotice] = (),
                    settings: EngineSettings = DEFAULT_SETTINGS) -> CheckOutcome:
     """Evaluate one check. Pure function; all failure modes are statuses."""
-    docs_by_slot: dict[DocumentSlot, ExtractedDocument] = {}
-    for doc in docs:
-        docs_by_slot.setdefault(doc.doc.slot, doc)
-    unsupported_slots = {n.slot: n for n in unsupported}
-
-    lhs = _resolve(defn.lhs, form, docs_by_slot, submission_date, unsupported_slots)
-    if defn.rhs is not None:
-        rhs = _resolve(defn.rhs, form, docs_by_slot, submission_date, unsupported_slots)
-    else:
-        rhs = _Resolved(state="present", source="-", rendered=None)
-
-    def outcome(status: CheckStatus, message: str) -> CheckOutcome:
-        return CheckOutcome(defn.check_id, defn.description, status,
-                            lhs.evidence(), rhs.evidence(), message)
-
-    if defn.comparator.kind == "manual_always":
-        return outcome(CheckStatus.MANUAL_CHECK, "always requires manual review")
-
-    if defn.comparator.kind == "present_if_rhs_above":
-        # Conditional presence: the rhs amount decides whether the lhs
-        # document field must exist at all.
-        if rhs.state == "unsupported":
-            return outcome(CheckStatus.UNSUPPORTED, "reference document unsupported")
-        if rhs.state != "present":
-            return outcome(CheckStatus.MANUAL_CHECK, f"reference amount {rhs.state}")
-        if not isinstance(rhs.value, Money):
-            return outcome(CheckStatus.MANUAL_CHECK, "reference value is not an amount")
-        threshold = defn.comparator.threshold_cents or 0
-        if rhs.value.amount_cents <= threshold:
-            return outcome(CheckStatus.AUTO_VERIFIED,
-                           f"not required below {format_money(Money(threshold))}")
-        if lhs.state == "unsupported":
-            return outcome(CheckStatus.UNSUPPORTED, "required document unsupported")
-        if lhs.state == "present":
-            return outcome(CheckStatus.AUTO_VERIFIED, "required document present")
-        return outcome(CheckStatus.MANUAL_CHECK,
-                       f"required above {format_money(Money(threshold))} but {lhs.state}")
-
-    for side in (lhs, rhs):
-        if side.state == "unsupported":
-            return outcome(CheckStatus.UNSUPPORTED,
-                           "supporting document exists only as an unsupported file")
-    for side, label in ((lhs, "left"), (rhs, "right")):
-        if side.state == "unreadable":
-            return outcome(CheckStatus.MANUAL_CHECK, f"{label} value unreadable: {side.detail}")
-    for side, label in ((lhs, "left"), (rhs, "right")):
-        if side.state == "absent":
-            return outcome(CheckStatus.MANUAL_CHECK, f"{label} value missing: {side.detail}")
-    for side in (lhs, rhs):
-        if side.warning:
-            return outcome(CheckStatus.MANUAL_CHECK, side.warning)
-
-    try:
-        holds = _compare(defn.comparator, lhs.value, rhs.value, settings)
-    except _TypeMismatch as exc:
-        return outcome(CheckStatus.MANUAL_CHECK, f"cannot compare: {exc}")
-    if holds:
-        return outcome(CheckStatus.AUTO_VERIFIED, "values consistent")
-    return outcome(CheckStatus.MANUAL_CHECK, "values inconsistent")
+    return _Operands(form, docs, submission_date, unsupported).evaluate(defn, settings)
 
 
 def submission_date_of(form: FormData) -> dt.date | None:
@@ -387,17 +410,16 @@ def submission_date_of(form: FormData) -> dt.date | None:
 
 
 def evaluate_application(bundle: ApplicationBundle, docs: list[ExtractedDocument],
-                         catalog: list[CheckDefinition],
+                         catalog: Sequence[CheckDefinition],
                          settings: EngineSettings = DEFAULT_SETTINGS,
                          ) -> dict[ReportKind, list[CheckOutcome]]:
-    """Evaluate every applicable catalog check once, grouped by report,
-    preserving catalog order."""
-    submission = submission_date_of(bundle.form)
+    """Evaluate every applicable check of ``catalog`` once, grouped by
+    report, preserving catalog order. ``catalog`` may be a whole catalog's
+    checks or, cheaper, ``Catalog.for_typology`` of the bundle's typology."""
+    operands = _Operands(bundle.form, docs, submission_date_of(bundle.form), bundle.unsupported)
+    tid = str(bundle.typology)
     results: dict[ReportKind, list[CheckOutcome]] = {kind: [] for kind in ReportKind}
     for defn in catalog:
-        if not defn.applicable(bundle.typology):
-            continue
-        outcome = evaluate_check(defn, bundle.form, docs, submission,
-                                 unsupported=bundle.unsupported, settings=settings)
-        results[defn.report].append(outcome)
+        if defn.applicable(tid):
+            results[defn.report].append(operands.evaluate(defn, settings))
     return results

@@ -134,6 +134,25 @@ class TestMetricsCommand:
         assert run(["metrics", "--out", str(tmp_path / "nothing")]) == 1
 
 
+@pytest.mark.parametrize("command, target", [("verify", "verify_corpus"),
+                                             ("metrics", "compute_metrics")])
+def test_internal_error_exits_3_and_logs_its_traceback(tmp_path, monkeypatch, caplog,
+                                                        command, target):
+    def crash(*args, **kwargs):
+        raise ZeroDivisionError("a defect")
+
+    monkeypatch.setattr(f"claimcheck.cli.{target}", crash)
+    argv = {"verify": ["verify", "--corpus", str(tmp_path), "--out", str(tmp_path / "out")],
+            "metrics": ["metrics", "--out", str(tmp_path)]}[command]
+    with caplog.at_level("INFO", logger="claimcheck"):
+        assert run(argv) == 3
+    [event] = [json.loads(r.getMessage()) for r in caplog.records
+               if '"internal_error"' in r.getMessage()]
+    assert event["command"] == command
+    assert "ZeroDivisionError" in event["error"]
+    assert "Traceback" in event["traceback"] and "in crash" in event["traceback"]
+
+
 class TestEvalTextCommand:
     def test_pairs_to_csv(self, tmp_path):
         pairs = tmp_path / "pairs.jsonl"

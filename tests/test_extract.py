@@ -381,6 +381,28 @@ class TestRemoteBackend:
                 assert response.fields == {"total_value": "1,00"}
         assert (_KeepAliveHandler.requests, _KeepAliveHandler.connections) == (5, 1)
 
+    def test_close_closes_the_connection_of_every_thread(self, tmp_path):
+        _KeepAliveHandler.close_after_reply = False
+        ref = invoice_ref(tmp_path)
+        schema = schema_for(DocumentSlot.INVOICE, T1)
+        with serving(_KeepAliveHandler) as url:
+            remote = RemoteBackend(RemoteConfig(endpoint=url, retries=1))
+            threads = [threading.Thread(target=remote.fetch, args=(ref, schema))
+                       for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=5)
+            remote.fetch(ref, schema)
+            assert len(remote._connections) == 4
+            assert all(conn.sock is not None for conn in remote._connections)
+            remote.close()
+            assert all(conn.sock is None for conn in remote._connections)
+            remote.fetch(ref, schema)  # reopens this thread's connection
+            assert sum(conn.sock is not None for conn in remote._connections) == 1
+            remote.close()
+        assert all(conn.sock is None for conn in remote._connections)
+
     def test_archive_member_posts_its_own_bytes(self, tmp_path):
         archive = tmp_path / "anexos.zip"
         with zipfile.ZipFile(archive, "w", zipfile.ZIP_DEFLATED) as writer:

@@ -1,16 +1,18 @@
 import datetime as dt
+import math
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_eval import _similarity
+
 from claimcheck.normalize import (
     Money,
     ParseError,
     format_money,
-    fuzzy_score,
-    levenshtein,
+    fuzzy_match,
     normalize_name,
     parse_date,
     parse_declared,
@@ -173,26 +175,57 @@ class TestNames:
         assert normalize_name(once).canonical == once
 
 
+def _just_above(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
 class TestFuzzyScore:
+    """``fuzzy_match(a, b, t)`` answers ``similarity(a, b) >= t``."""
+
     def test_identical(self):
-        assert fuzzy_score("ABC", "ABC") == 1.0
+        assert fuzzy_match("ABC", "ABC", 1.0)
+        assert not fuzzy_match("ABC", "ABC", _just_above(1.0))
+        assert fuzzy_match("", "", 1.0)
 
     def test_one_edit_of_three(self):
-        assert fuzzy_score("ABC", "ABD") == pytest.approx(1 - 1 / 3)
+        assert fuzzy_match("ABC", "ABD", 1 - 1 / 3)
+        assert not fuzzy_match("ABC", "ABD", _just_above(1 - 1 / 3))
 
     def test_against_empty(self):
-        assert fuzzy_score("X", "") == 0.0
+        assert fuzzy_match("X", "", 0.0)
+        assert not fuzzy_match("X", "", _just_above(0.0))
 
     def test_levenshtein_known(self):
-        assert levenshtein("kitten", "sitting") == 3
+        # kitten -> sitting takes 3 edits over 7 characters
+        assert fuzzy_match("KITTEN", "SITTING", 1.0 - 3 / 7)
+        assert not fuzzy_match("KITTEN", "SITTING", _just_above(1.0 - 3 / 7))
 
-    @given(st.text(alphabet="ABCDE", max_size=12), st.text(alphabet="ABCDE", max_size=12))
+    @given(st.text(alphabet="ABCDE", max_size=12), st.text(alphabet="ABCDE", max_size=12),
+           st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=200)
-    def test_symmetric_and_bounded(self, a, b):
-        score = fuzzy_score(a, b)
-        assert 0.0 <= score <= 1.0
-        assert score == fuzzy_score(b, a)
-        assert fuzzy_score(a, a) == 1.0
+    def test_symmetric_and_bounded(self, a, b, threshold):
+        assert fuzzy_match(a, b, threshold) == fuzzy_match(b, a, threshold)
+        assert fuzzy_match(a, b, 0.0)
+        assert fuzzy_match(a, a, 1.0)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_oracle_on_every_boundary(self, data):
+        # the oracle's own edit distance, at thresholds exactly on 1 - k/L
+        # and one float step either side of it
+        alphabet = data.draw(st.sampled_from(("AB", "ABC ", "ABCDEFGH")))
+        a = data.draw(st.text(alphabet=alphabet, max_size=40))
+        b = data.draw(st.one_of(
+            st.text(alphabet=alphabet, max_size=40),
+            st.builds(lambda s, i, c: s[:i] + c + s[i + 1:], st.just(a),
+                      st.integers(0, 40), st.sampled_from(alphabet))))
+        longest = max(len(a), len(b), 1)
+        k = data.draw(st.integers(0, longest))
+        on = 1.0 - k / longest
+        threshold = data.draw(st.sampled_from(
+            (on, math.nextafter(on, -math.inf), _just_above(on), 0.0, 1.0)))
+        assert fuzzy_match(a, b, threshold) == (_similarity(a, b) >= threshold), \
+            (a, b, threshold)
 
 
 class TestParseNumber:

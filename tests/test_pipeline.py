@@ -1,9 +1,12 @@
+import gc
 import io
 import json
 import os
 import re
+import sys
 import threading
 import time
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -259,6 +262,22 @@ def test_crashing_fetch_fails_only_its_app(small_corpus, tmp_path, monkeypatch, 
     assert sorted(p.parent.name for p in out.glob("*/extraction.json")) == \
         [a for a in app_ids if a != victim]
     assert all((out / a / "eligibility.json").is_file() for a in app_ids if a != victim)
+
+
+@pytest.mark.parametrize("protocol", ["HTTP/1.0", "HTTP/1.1"])
+def test_remote_verify_leaves_no_socket_open(small_corpus, tmp_path, monkeypatch, protocol):
+    # a socket collected while still open warns from its finalizer, which
+    # reaches sys.unraisablehook, not the caller
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with FixtureStubServer(small_corpus) as stub, warnings.catch_warnings():
+        stub._server.RequestHandlerClass.protocol_version = protocol  # 1.1 keeps alive
+        warnings.simplefilter("error", ResourceWarning)
+        code = main(["verify", "--corpus", str(small_corpus), "--out", str(tmp_path / "out"),
+                     "--backend", "remote", "--endpoint", stub.url, "--parallelism", "4"])
+        gc.collect()
+    assert code == 0
+    assert [repr(u.exc_value) for u in unraisable] == []
 
 
 def rewalked_files(root: Path, out: Path, manifest: dict) -> dict[str, list[str]]:

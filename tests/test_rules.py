@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import random
 
@@ -381,3 +382,68 @@ class TestOracleAgreement:
                 want = oracle_evaluate(defn, bundle.form, docs, submission,
                                        unsupported=bundle.unsupported)
                 assert got.status.value == want, (seed, defn.check_id)
+
+
+class TestOnePath:
+    """``evaluate_application`` is ``evaluate_check`` over the typology's
+    checks, outcome for outcome and field for field."""
+
+    @staticmethod
+    def _worlds(catalog):
+        from claimcheck.ingest import VALID_TYPOLOGIES
+
+        for tid in VALID_TYPOLOGIES:
+            typology = TypologyId.parse(tid)
+            for variant in ("plain", "unsupported", "second_doc"):
+                rng = random.Random(f"one-path:{tid}:{variant}")
+                world = build_world(f"app_{variant}", typology, catalog, rng,
+                                    consistency=rng.uniform(0.3, 1.0))
+                if variant == "unsupported":
+                    for spec in rng.sample(world.docs, k=3):
+                        spec.unsupported = True
+                elif variant == "second_doc":
+                    # a second invoice whose values disagree with the first
+                    first = world.doc("invoice")
+                    tags = dict(first.tags)
+                    tags["total_value"] = Money(99_999_999)
+                    world.docs.append(dataclasses.replace(
+                        first, filename="fatura_2.pdf", tags=tags))
+                bundle, docs = world_bundle_and_docs(world)
+                yield typology, variant, bundle, docs
+
+    def test_application_equals_each_check_evaluated_alone(self, catalog):
+        from claimcheck.rules import submission_date_of
+
+        settings = EngineSettings()
+        variants = set()
+        for typology, variant, bundle, docs in self._worlds(catalog):
+            if variant == "unsupported":
+                assert bundle.unsupported
+            if variant == "second_doc":
+                assert sum(d.doc.slot is DocumentSlot.INVOICE for d in docs) == 2
+            variants.add(variant)
+            submission = submission_date_of(bundle.form)
+            want = {kind: [] for kind in ReportKind}
+            for defn in catalog.for_typology(typology):
+                want[defn.report].append(evaluate_check(
+                    defn, bundle.form, docs, submission,
+                    unsupported=bundle.unsupported, settings=settings))
+            assert evaluate_application(bundle, docs, catalog.checks, settings) == want
+            assert evaluate_application(bundle, docs, catalog.for_typology(typology),
+                                        settings) == want
+        assert variants == {"plain", "unsupported", "second_doc"}
+
+    def test_application_matches_oracle(self, catalog):
+        from claimcheck.rules import submission_date_of
+
+        by_id = {c.check_id: c for c in catalog.checks}
+        statuses = set()
+        for _typology, _variant, bundle, docs in self._worlds(catalog):
+            submission = submission_date_of(bundle.form)
+            for batch in evaluate_application(bundle, docs, catalog.checks).values():
+                for outcome in batch:
+                    want = oracle_evaluate(by_id[outcome.check_id], bundle.form, docs,
+                                           submission, unsupported=bundle.unsupported)
+                    assert outcome.status.value == want, (bundle.app_id, outcome.check_id)
+                    statuses.add(want)
+        assert statuses == {"auto_verified", "manual_check", "unsupported"}
