@@ -183,6 +183,13 @@ class LoadFailure:
 
 
 @dataclass
+class FormScan:
+    applications: list[tuple[str, Path]]  # (app id, directory), ordered by app id
+    failures: list[LoadFailure]
+    loose_files: list[Path] = field(default_factory=list)  # regular files at the corpus root
+
+
+@dataclass
 class ScanResult:
     bundles: list[ApplicationBundle]
     failures: list[LoadFailure]
@@ -233,16 +240,23 @@ def mandatory_fields(typology: TypologyId) -> tuple[str, ...]:
 
 def infer_slot(path: Path, app_root: Path | None = None) -> DocumentSlot:
     """Slot from upload directory first, then filename keywords, else other."""
+    folders: tuple[str, ...] = ()
     if app_root is not None:
         try:
-            rel = path.relative_to(app_root)
+            folders = path.relative_to(app_root).parts[:-1]
         except ValueError:
-            rel = Path(path.name)
-        for part in rel.parts[:-1]:
-            slot = _SLOT_DIRECTORIES.get(part.lower())
-            if slot is not None:
-                return slot
-    name = path.name.lower()
+            pass
+    return _slot_of(folders, path.name)
+
+
+def _slot_of(folders: tuple[str, ...], name: str) -> DocumentSlot:
+    """``infer_slot`` of the file ``name`` in the ``folders`` below the
+    application root."""
+    for part in folders:
+        slot = _SLOT_DIRECTORIES.get(part.lower())
+        if slot is not None:
+            return slot
+    name = name.lower()
     for keyword, slot in _FILENAME_KEYWORDS:
         if keyword in name:
             return slot
@@ -310,42 +324,86 @@ def admit_file(shown: str, file: PurePath, size: int, slot: DocumentSlot,
     return FileKind(kind_name)
 
 
-def _walk_files(directory: Path):
-    """Yield (path, DirEntry) for every regular file under ``directory``,
-    in ``sorted(Path)`` order. Like ``Path.rglob``, it does not descend into
-    symlinked directories and skips directories it may not read."""
+def _walk_files(directory: Path, folders: tuple[str, ...] = ()):
+    """Yield (path, DirEntry, folders) for every regular file under
+    ``directory``, in ``sorted(Path)`` order, with the names of the folders
+    between ``directory`` and the file. Like ``Path.rglob``, it does not
+    descend into symlinked directories and skips directories it may not
+    read or that are gone."""
     try:
         with os.scandir(directory) as it:
             entries = sorted(it, key=lambda e: e.name)
-    except PermissionError:
+    except (PermissionError, FileNotFoundError, NotADirectoryError):
         return
     for entry in entries:
         path = directory / entry.name
         if entry.is_dir(follow_symlinks=False):
-            yield from _walk_files(path)
+            yield from _walk_files(path, (*folders, entry.name))
         elif entry.is_file():
-            yield path, entry
+            yield path, entry, folders
 
 
-def scan_application(app_dir: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
-                     extensions: dict[str, str] = SUPPORTED_EXTENSIONS) -> ApplicationBundle:
-    """Build one bundle from an application directory, recording every
-    file visited on it. ``extensions`` maps each lower-case suffix that is
-    a document to its FileKind value. Raises FormParseError."""
+def list_files(directory: Path) -> list[Path]:
+    """Every regular file under ``directory``, in ``sorted(Path)`` order."""
+    return [path for path, _, _ in _walk_files(directory)]
+
+
+def _read_form(app_dir: Path) -> tuple[str, TypologyId, FormData]:
+    """The parsed form of an application directory. Raises FormParseError."""
     form_path = app_dir / FORM_FILENAME
     if not form_path.is_file():
         raise FormParseError(f"{FORM_FILENAME} not found")
-    app_id, typology, form = parse_form_xml(form_path.read_bytes())
+    return parse_form_xml(form_path.read_bytes())
+
+
+def scan_forms(root: Path) -> FormScan:
+    """The first phase of a scan: parse the form of every application
+    subdirectory, and visit no other file of one whose form loads.
+
+    An application whose form does not load is recorded as a LoadFailure
+    with every file under its directory, and the scan moves on; only an
+    unreadable corpus root is an error.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        raise NotADirectoryError(f"corpus root not found: {root}")
+    forms = FormScan(applications=[], failures=[])
+    with os.scandir(root) as it:
+        entries = sorted(it, key=lambda e: e.name)
+    for entry in entries:
+        path = root / entry.name
+        if entry.is_dir():
+            try:
+                forms.applications.append((_read_form(path)[0], path))
+            except FormParseError as exc:
+                forms.failures.append(LoadFailure(app_id=entry.name, path=str(path),
+                                                  reason=str(exc), files=list_files(path)))
+        elif entry.is_file():
+            forms.loose_files.append(path)
+    forms.applications.sort(key=lambda app: app[0])
+    return forms
+
+
+def scan_application(app_id: str, app_dir: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
+                     extensions: dict[str, str] = SUPPORTED_EXTENSIONS) -> ApplicationBundle:
+    """The second phase of a scan: build the bundle of the application
+    ``app_id`` from its directory, recording every file visited on it.
+    ``extensions`` maps each lower-case suffix that is a document to its
+    FileKind value. Raises FormParseError, also when the form now names
+    another application."""
+    form_id, typology, form = _read_form(app_dir)
+    if form_id != app_id:
+        raise FormParseError(f"{FORM_FILENAME} now names application {form_id!r}, not {app_id!r}")
 
     cap_bytes = int(max_file_mb * 1_000_000)
     files: list[Path] = []
     documents: list[DocumentRef] = []
     unsupported: list[UnsupportedNotice] = []
-    for path, entry in _walk_files(app_dir):
+    for path, entry, folders in _walk_files(app_dir):
         files.append(path)
-        if path == form_path or path.name.endswith(SIDECAR_SUFFIX):
+        if (entry.name == FORM_FILENAME and not folders) or entry.name.endswith(SIDECAR_SUFFIX):
             continue
-        slot = infer_slot(path, app_dir)
+        slot = _slot_of(folders, entry.name)
         admitted = admit_file(str(path), path, entry.stat().st_size, slot, extensions, cap_bytes)
         if isinstance(admitted, UnsupportedNotice):
             unsupported.append(admitted)
@@ -357,32 +415,16 @@ def scan_application(app_dir: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
 
 def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
                 extensions: dict[str, str] = SUPPORTED_EXTENSIONS) -> ScanResult:
-    """One bundle per application subdirectory, ordered by app id.
-
-    A broken application is recorded as a LoadFailure and the scan moves
-    on; only an unreadable corpus root is an error. Every regular file of
-    the corpus is recorded on its bundle, its failure or in ``loose_files``,
-    so no later stage walks the corpus again.
+    """One bundle per application subdirectory, ordered by app id: both
+    phases of the scan, ``scan_forms`` and then ``scan_application`` on each
+    application, at once. Every regular file of the corpus is recorded on
+    its bundle, its failure or in ``loose_files``. Raises FormParseError when
+    a form changes between the two phases.
     """
-    root = Path(root)
-    if not root.is_dir():
-        raise NotADirectoryError(f"corpus root not found: {root}")
-    result = ScanResult(bundles=[], failures=[])
-    with os.scandir(root) as it:
-        entries = sorted(it, key=lambda e: e.name)
-    for entry in entries:
-        path = root / entry.name
-        if entry.is_dir():
-            try:
-                result.bundles.append(scan_application(path, max_file_mb, extensions))
-            except FormParseError as exc:
-                result.failures.append(LoadFailure(app_id=entry.name, path=str(path),
-                                                   reason=str(exc),
-                                                   files=[p for p, _ in _walk_files(path)]))
-        elif entry.is_file():
-            result.loose_files.append(path)
-    result.bundles.sort(key=lambda b: b.app_id)
-    return result
+    forms = scan_forms(root)
+    bundles = [scan_application(app_id, app_dir, max_file_mb, extensions)
+               for app_id, app_dir in forms.applications]
+    return ScanResult(bundles=bundles, failures=forms.failures, loose_files=forms.loose_files)
 
 
 def _read_archive(doc: DocumentRef, extensions: dict[str, str],

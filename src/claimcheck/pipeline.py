@@ -1,7 +1,8 @@
 """End-to-end batch run: ingest -> extract -> rules -> reports.
 
 Extraction runs on a thread pool that keeps a bounded window of documents
-ahead of the application being finished; rules, rendering and every write
+ahead of the application being finished, and an application's files are
+scanned only when that window reaches it; rules, rendering and every write
 run on the calling thread in app-id order, so a run is byte-reproducible.
 """
 
@@ -14,7 +15,7 @@ from collections import deque
 from contextlib import closing
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePath
 from urllib.parse import urlsplit
 
 from .backends import MockBackend, RemoteBackend, RemoteConfig
@@ -26,7 +27,9 @@ from .ingest import (
     FileKind,
     LoadFailure,
     expand_archives,
-    scan_corpus,
+    list_files,
+    scan_application,
+    scan_forms,
 )
 from .metrics import AppRecord, RunTotals
 from .report import canonical_json_bytes, render_html, report_dict
@@ -120,22 +123,23 @@ class _InlineExecutor(Executor):
         return future
 
 
-def _extract_ahead(bundles, expand, backend, pool: Executor, window: int):
-    """Yield each bundle in order, expanded by ``expand``, with the futures of
-    its extracted documents, once ``window`` documents of later bundles are
-    submitted or none are left. A bundle whose expansion raises is yielded
-    with one future that holds the exception."""
-    ahead: deque[tuple[ApplicationBundle, list[Future]]] = deque()
-    for bundle in bundles:
-        expanded = _InlineExecutor().submit(expand, bundle)
-        if expanded.exception() is None:
-            bundle = expanded.result()
+def _extract_ahead(apps, load, backend, pool: Executor, window: int):
+    """Yield each application of ``apps`` in order with its bundle, built by
+    ``load`` only when the window reaches it, and the futures of its
+    extracted documents, once ``window`` documents of later applications are
+    submitted or none are left. An application whose load raises is yielded
+    with no bundle and one future that holds the exception."""
+    ahead: deque[tuple[object, ApplicationBundle | None, list[Future]]] = deque()
+    for app in apps:
+        loaded = _InlineExecutor().submit(load, app)
+        if loaded.exception() is None:
+            bundle = loaded.result()
             futures = [pool.submit(extract, ref, schema_for(ref.slot, bundle.typology), backend)
                        for ref in bundle.documents]
         else:
-            futures = [expanded]
-        ahead.append((bundle, futures))
-        while sum(len(futures) for _, futures in ahead) - len(ahead[0][1]) >= window:
+            bundle, futures = None, [loaded]
+        ahead.append((app, bundle, futures))
+        while sum(len(futures) for *_, futures in ahead) - len(ahead[0][2]) >= window:
             yield ahead.popleft()
     yield from ahead
 
@@ -188,19 +192,19 @@ def build_manifest(config: RunConfig, catalog: Catalog, totals: RunTotals,
     """Run manifest: config, catalog version, counts, and every corpus
     file the scan visited in exactly one of processed/unsupported/failed.
 
-    ``files`` holds the paths the run filed under each of those three, and
-    under ``members`` the archive-member notice paths, which name no file
-    on disk; ``notices`` counts the notices of processed applications. It
-    reads nothing from the file system: paths are placed relative to the
-    corpus root by path arithmetic alone, and files are listed in the order
-    of ``sorted(Path)``, which compares path parts, not strings.
+    ``files`` holds the corpus-relative paths the run filed under each of
+    those three, and under ``members`` the archive-member notice paths,
+    which name no file on disk; ``notices`` counts the notices of processed
+    applications. It reads nothing from the file system. Files are listed
+    in the order of ``sorted(Path)``, which compares path parts, not
+    strings: ``a/x`` comes before ``a-b/x``, so the sort key maps each
+    separator to a character below any other in a name.
     """
     root = Path(config.corpus_root)
-    prefix = len(str(root / "_")) - 1  # every visited path is root / rel
-    listed = {bucket: [str(path)[prefix:] for path in sorted(files[bucket])]
+    listed = {bucket: sorted(files[bucket], key=lambda rel: rel.replace("/", "\0"))
               for bucket in ("processed", "unsupported", "failed")}
     # archive members only exist virtually; their notices follow the files
-    listed["unsupported"].extend(str(Path(p).relative_to(root)) for p in sorted(files["members"]))
+    listed["unsupported"].extend(str(PurePath(p)) for p in sorted(files["members"]))
     return {
         "config": config.public_dict(),
         "catalog_version": catalog.version,
@@ -228,41 +232,51 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     extensions = {**SUPPORTED_EXTENSIONS, **config.allow_ext}
-    scan = scan_corpus(Path(config.corpus_root), config.max_file_mb, extensions)
-    for failure in scan.failures:
+    root = Path(config.corpus_root)
+    forms = scan_forms(root)
+    for failure in forms.failures:
         log_event("app_load_failed", app_id=failure.app_id, reason=failure.reason)
 
-    # the scan and the archive expansion give every document its slot
-    def expand(bundle: ApplicationBundle) -> ApplicationBundle:
-        return expand_archives(bundle, config.max_file_mb, extensions)
+    # An application's files are walked only when the extraction window
+    # reaches it; the scan and the archive expansion give every document
+    # its slot.
+    def load(app: tuple[str, Path]) -> ApplicationBundle:
+        return expand_archives(scan_application(*app, config.max_file_mb, extensions),
+                               config.max_file_mb, extensions)
 
-    # each application's files are filed once its fate is known
+    # each application's files are filed, relative to the corpus root, once
+    # its fate is known
+    prefix = len(str(root / "_")) - 1  # every visited path is root / rel
     totals = RunTotals()
-    failures = list(scan.failures)
-    files = {"processed": list(scan.loose_files), "unsupported": [], "failed": [], "members": []}
+    failures = list(forms.failures)
+    files = {"processed": [str(p)[prefix:] for p in forms.loose_files], "unsupported": [],
+             "failed": [], "members": []}
     notices = 0
     # The mock backend only reads a local sidecar, so its calls run inline.
     inflight = 1 if config.backend == "mock" else config.parallelism
     pool = _InlineExecutor() if inflight == 1 else ThreadPoolExecutor(inflight)
     # the pool's threads finish before the backend's connections close
     with closing(backend), pool:
-        for bundle, futures in _extract_ahead(scan.bundles, expand, backend, pool, 2 * inflight):
+        apps = _extract_ahead(forms.applications, load, backend, pool, 2 * inflight)
+        for (app_id, app_dir), bundle, futures in apps:
             # one crashing application must never abort the batch
             try:
                 totals.add(_process_application(
                     bundle, [f.result() for f in futures], catalog, settings, out_dir))
             except Exception as exc:  # noqa: BLE001
-                log_event("app_processing_failed", app_id=bundle.app_id, error=str(exc))
-                failures.append(LoadFailure(app_id=bundle.app_id, path=str(bundle.root or ""),
-                                            reason=f"processing failed: {exc}", files=bundle.files))
+                log_event("app_processing_failed", app_id=app_id, error=str(exc))
+                failures.append(LoadFailure(app_id=app_id, path=str(app_dir),
+                                            reason=f"processing failed: {exc}",
+                                            files=list_files(app_dir)))
                 continue
+            visited = [str(path) for path in bundle.files]
             shown = {n.path for n in bundle.unsupported}
-            for path in bundle.files:
-                files["unsupported" if str(path) in shown else "processed"].append(path)
-            files["members"].extend(shown.difference(map(str, bundle.files)))
+            for path in visited:
+                files["unsupported" if path in shown else "processed"].append(path[prefix:])
+            files["members"].extend(p[prefix:] for p in shown.difference(visited))
             notices += len(bundle.unsupported)
     for failure in failures:
-        files["failed"].extend(failure.files)
+        files["failed"].extend(str(path)[prefix:] for path in failure.files)
 
     _write_totals(out_dir, totals)
     manifest = build_manifest(config, catalog, totals, failures, files, notices)

@@ -4,7 +4,7 @@ import socket
 import threading
 import time
 import zipfile
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -296,8 +296,8 @@ class TestRemoteBackend:
         (corpus / "app_x" / "fatura.pdf.fields.json").write_text(json.dumps(sidecar))
         ref = DocumentRef(path=doc, kind=FileKind.PDF, slot=DocumentSlot.INVOICE)
         schema = schema_for(DocumentSlot.INVOICE, T1)
-        with FixtureStubServer(corpus) as server:
-            remote = RemoteBackend(RemoteConfig(endpoint=server.url, backoff_s=0.01))
+        with FixtureStubServer(corpus) as server, \
+                closing(RemoteBackend(RemoteConfig(endpoint=server.url, backoff_s=0.01))) as remote:
             via_stub = extract(ref, schema, remote)
         via_mock = extract(ref, schema, MockBackend())
         assert via_stub.fields == via_mock.fields
@@ -309,11 +309,12 @@ class TestRemoteBackend:
         server = ThreadingHTTPServer(("127.0.0.1", 0), _FailingHandler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
+        url = f"http://127.0.0.1:{server.server_address[1]}"
         try:
-            url = f"http://127.0.0.1:{server.server_address[1]}"
-            remote = RemoteBackend(RemoteConfig(endpoint=url, retries=3, backoff_s=0.01))
-            ref = invoice_ref(tmp_path, {"total_value": "1,00"})
-            result = extract(ref, schema_for(DocumentSlot.INVOICE, T1), remote)
+            with closing(RemoteBackend(RemoteConfig(endpoint=url, retries=3,
+                                                    backoff_s=0.01))) as remote:
+                ref = invoice_ref(tmp_path, {"total_value": "1,00"})
+                result = extract(ref, schema_for(DocumentSlot.INVOICE, T1), remote)
             assert all(v.state is ValueState.UNREADABLE for v in result.fields.values())
             assert all(v.reason == "backend_error" for v in result.fields.values())
             assert _FailingHandler.calls == 3
@@ -324,8 +325,8 @@ class TestRemoteBackend:
     def test_zero_retries_still_attempts_once(self, tmp_path):
         (tmp_path / "app_x").mkdir()
         ref = invoice_ref(tmp_path / "app_x", {"total_value": "150,00"})
-        with FixtureStubServer(tmp_path) as server:
-            remote = RemoteBackend(RemoteConfig(endpoint=server.url, retries=0))
+        with FixtureStubServer(tmp_path) as server, \
+                closing(RemoteBackend(RemoteConfig(endpoint=server.url, retries=0))) as remote:
             result = extract(ref, schema_for(DocumentSlot.INVOICE, T1), remote)
         assert result.fields["total_value"].state is ValueState.PRESENT
         assert result.fields["total_value"].value == Money(15000)
@@ -346,9 +347,9 @@ class TestRemoteBackend:
                                           usegmt=True)
         _ThrottlingHandler.retry_after = retry_after
         ref = invoice_ref(tmp_path)
-        with serving(_ThrottlingHandler) as url:
-            remote = RemoteBackend(RemoteConfig(endpoint=url, retries=3, backoff_s=0.01,
-                                                timeout_s=timeout_s))
+        with serving(_ThrottlingHandler) as url, \
+                closing(RemoteBackend(RemoteConfig(endpoint=url, retries=3, backoff_s=0.01,
+                                                   timeout_s=timeout_s))) as remote:
             started = time.monotonic()
             response = remote.fetch(ref, schema_for(DocumentSlot.INVOICE, T1))
             waited = time.monotonic() - started
@@ -357,25 +358,25 @@ class TestRemoteBackend:
         assert min_wait_s <= waited < max_wait_s
 
     def test_one_session_per_thread(self):
-        remote = RemoteBackend(RemoteConfig(endpoint="http://127.0.0.1:9"))
-        sessions = []
-        threads = [threading.Thread(target=lambda: sessions.append(remote._session()))
-                   for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=5)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len({id(session) for session in sessions}) == 4
-        assert remote._session() is remote._session()
-        assert all(remote._session() is not session for session in sessions)
+        with closing(RemoteBackend(RemoteConfig(endpoint="http://127.0.0.1:9"))) as remote:
+            sessions = []
+            threads = [threading.Thread(target=lambda: sessions.append(remote._session()))
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=5)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len({id(session) for session in sessions}) == 4
+            assert remote._session() is remote._session()
+            assert all(remote._session() is not session for session in sessions)
 
     def test_sequential_fetches_reuse_one_connection(self, tmp_path):
         _KeepAliveHandler.connections = _KeepAliveHandler.requests = 0
         _KeepAliveHandler.close_after_reply = False
         ref = invoice_ref(tmp_path)
-        with serving(_KeepAliveHandler) as url:
-            remote = RemoteBackend(RemoteConfig(endpoint=url, retries=1))
+        with serving(_KeepAliveHandler) as url, \
+                closing(RemoteBackend(RemoteConfig(endpoint=url, retries=1))) as remote:
             for _ in range(5):
                 response = remote.fetch(ref, schema_for(DocumentSlot.INVOICE, T1))
                 assert response.fields == {"total_value": "1,00"}
@@ -411,8 +412,9 @@ class TestRemoteBackend:
         ref = DocumentRef(path=archive, kind=FileKind.PDF, slot=DocumentSlot.INVOICE,
                           origin="archive_member", member="obra/fatura.pdf")
         _KeepAliveHandler.bodies = []
-        with serving(_KeepAliveHandler) as url:
-            RemoteBackend(RemoteConfig(endpoint=url)).fetch(ref, schema_for(ref.slot, T1))
+        with serving(_KeepAliveHandler) as url, \
+                closing(RemoteBackend(RemoteConfig(endpoint=url))) as remote:
+            remote.fetch(ref, schema_for(ref.slot, T1))
         [body] = _KeepAliveHandler.bodies
         posted = base64.b64decode(json.loads(body)["content_b64"])
         assert posted == doc_bytes("app_x", "obra/fatura.pdf")
@@ -422,8 +424,8 @@ class TestRemoteBackend:
         _KeepAliveHandler.close_after_reply = True
         ref = invoice_ref(tmp_path)
         try:
-            with serving(_KeepAliveHandler) as url:
-                remote = RemoteBackend(RemoteConfig(endpoint=url, retries=1))
+            with serving(_KeepAliveHandler) as url, \
+                    closing(RemoteBackend(RemoteConfig(endpoint=url, retries=1))) as remote:
                 for _ in range(3):
                     time.sleep(0.05)  # let the server close the idle connection
                     response = remote.fetch(ref, schema_for(DocumentSlot.INVOICE, T1))
@@ -434,8 +436,9 @@ class TestRemoteBackend:
 
     def test_redirect_is_not_followed(self, tmp_path):
         _RedirectHandler.calls = 0
-        with serving(_RedirectHandler) as url:
-            remote = RemoteBackend(RemoteConfig(endpoint=url, retries=3, backoff_s=0.01))
+        with serving(_RedirectHandler) as url, \
+                closing(RemoteBackend(RemoteConfig(endpoint=url, retries=3,
+                                                   backoff_s=0.01))) as remote:
             with pytest.raises(BackendError, match="returned 307"):
                 remote.fetch(invoice_ref(tmp_path), schema_for(DocumentSlot.INVOICE, T1))
         assert _RedirectHandler.calls == 1
@@ -454,8 +457,9 @@ class TestRemoteBackend:
     def test_http_proxy_carries_requests_to_an_unreachable_endpoint(self, tmp_path, proxy_env):
         monkeypatch, proxy = proxy_env
         monkeypatch.setenv("HTTP_PROXY", proxy)
-        remote = RemoteBackend(RemoteConfig(endpoint="http://127.0.0.1:9/v1", retries=1))
-        response = remote.fetch(invoice_ref(tmp_path), schema_for(DocumentSlot.INVOICE, T1))
+        with closing(RemoteBackend(RemoteConfig(endpoint="http://127.0.0.1:9/v1",
+                                                retries=1))) as remote:
+            response = remote.fetch(invoice_ref(tmp_path), schema_for(DocumentSlot.INVOICE, T1))
         assert response.fields == {"total_value": "1,00"}
         auth = "Basic " + base64.b64encode(b"claims:p@ss").decode()
         assert _ProxyHandler.seen == [("POST", "http://127.0.0.1:9/v1/extract", "127.0.0.1:9",
@@ -465,16 +469,18 @@ class TestRemoteBackend:
         monkeypatch, proxy = proxy_env
         monkeypatch.setenv("HTTP_PROXY", proxy)
         monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
-        remote = RemoteBackend(RemoteConfig(endpoint="http://127.0.0.1:9", retries=1))
-        with pytest.raises(BackendError):
+        with closing(RemoteBackend(RemoteConfig(endpoint="http://127.0.0.1:9",
+                                                retries=1))) as remote, \
+                pytest.raises(BackendError):
             remote.fetch(invoice_ref(tmp_path), schema_for(DocumentSlot.INVOICE, T1))
         assert _ProxyHandler.seen == []
 
     def test_https_goes_through_a_connect_tunnel(self, tmp_path, proxy_env):
         monkeypatch, proxy = proxy_env
         monkeypatch.setenv("HTTPS_PROXY", proxy)
-        remote = RemoteBackend(RemoteConfig(endpoint="https://127.0.0.1:9", retries=1))
-        with pytest.raises(BackendError, match="Tunnel connection failed: 403"):
+        with closing(RemoteBackend(RemoteConfig(endpoint="https://127.0.0.1:9",
+                                                retries=1))) as remote, \
+                pytest.raises(BackendError, match="Tunnel connection failed: 403"):
             remote.fetch(invoice_ref(tmp_path), schema_for(DocumentSlot.INVOICE, T1))
         auth = "Basic " + base64.b64encode(b"claims:p@ss").decode()
         assert _ProxyHandler.seen == [("CONNECT", "127.0.0.1:9", None, auth)]
@@ -508,10 +514,10 @@ class TestRemoteBackend:
         assert response.fields["amount"] == "None"
 
     def test_connection_error_raises_backend_error(self, tmp_path):
-        remote = RemoteBackend(RemoteConfig(endpoint="http://127.0.0.1:9",
-                                            retries=2, backoff_s=0.01, timeout_s=0.2))
         ref = invoice_ref(tmp_path, {})
-        with pytest.raises(BackendError):
+        with closing(RemoteBackend(RemoteConfig(endpoint="http://127.0.0.1:9", retries=2,
+                                                backoff_s=0.01, timeout_s=0.2))) as remote, \
+                pytest.raises(BackendError):
             remote.fetch(ref, schema_for(DocumentSlot.INVOICE, T1))
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shutil
 import sys
 import threading
 import time
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from claimcheck import pipeline
+from claimcheck import ingest, pipeline
 from claimcheck import report as report_module
 from claimcheck.backends import MockBackend, RemoteBackend
 from claimcheck.cli import main
@@ -385,6 +386,84 @@ def test_symlinked_file_is_listed_relative_to_the_corpus(corpus_copy, tmp_path):
     # a symlinked directory is not followed, as Path.rglob does not
     listed = [f for bucket in files.values() for f in bucket]
     assert not any("foto_9" in f or f.startswith("/") for f in listed)
+
+
+def test_manifest_lists_files_in_path_part_order(small_corpus, tmp_path):
+    corpus = tmp_path / "corpus"
+    # sorted(Path) compares parts, so a/x precedes a-b/x; string order is the reverse
+    for app_dir, name in zip(sorted(p for p in small_corpus.iterdir() if p.is_dir()),
+                             ("a-b", "a")):
+        shutil.copytree(app_dir, corpus / name)
+    result = verify_corpus(RunConfig(corpus_root=corpus, out_dir=tmp_path / "out"))
+    processed = result.manifest["files"]["processed"]
+    assert processed == [str(p.relative_to(corpus))
+                         for p in sorted(p for p in corpus.rglob("*") if p.is_file())]
+    assert processed[0].startswith("a/") and processed != sorted(processed)
+
+
+@pytest.mark.parametrize("change", ["vanished", "unparseable", "renamed", "removed"])
+def test_form_changed_after_the_first_scan_phase_fails_only_its_application(
+        corpus_copy, tmp_path, monkeypatch, change):
+    apps = sorted(p for p in corpus_copy.iterdir() if p.is_dir())
+    victim = apps[3]
+    verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=tmp_path / "clean"))
+    real_scan = pipeline.scan_application
+
+    def scan_after_a_change(app_id, app_dir, *args):
+        form = app_dir / "form.xml"
+        if app_dir == victim and change == "vanished":
+            form.unlink()
+        elif app_dir == victim and change == "removed":
+            shutil.rmtree(app_dir)
+        elif app_dir == victim and change == "unparseable":
+            form.write_text("<broken")
+        elif app_dir == victim:
+            form.write_text(form.read_text().replace(f'id="{app_id}"', 'id="app_other"'))
+        return real_scan(app_id, app_dir, *args)
+
+    monkeypatch.setattr(pipeline, "scan_application", scan_after_a_change)
+    out = tmp_path / "out"
+    result = verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=out))
+    assert result.exit_code == 2
+    [failure] = result.manifest["failures"]
+    assert (failure["app_id"], failure["path"]) == (victim.name, victim.name)
+    assert failure["reason"].startswith("processing failed")
+    assert result.manifest["counts"]["applications_processed"] == len(apps) - 1
+    files = result.manifest["files"]
+    assert files["failed"] == [str(p.relative_to(corpus_copy))
+                               for p in sorted(victim.rglob("*")) if p.is_file()]
+    assert files == rewalked_files(corpus_copy, out, result.manifest)
+    # every other application's outputs are those of a run without the change
+    assert {k: v for k, v in output_tree(out).items() if "/" in k} == \
+        {k: v for k, v in output_tree(tmp_path / "clean").items()
+         if "/" in k and not k.startswith(f"{victim.name}/")}
+
+
+def test_each_application_is_scanned_only_when_the_extraction_window_reaches_it(
+        small_corpus, tmp_path, monkeypatch):
+    events = []
+    real_scan = ingest.scan_application
+    real_write = Path.write_bytes
+
+    def scan(*args, **kwargs):
+        events.append(("scanned", next(a.name for a in args if isinstance(a, Path))))
+        return real_scan(*args, **kwargs)
+
+    def write_bytes(self, data):
+        if self.name == "extraction.json":
+            events.append(("written", self.parent.name))
+        return real_write(self, data)
+
+    for owner in (ingest, pipeline):
+        monkeypatch.setattr(owner, "scan_application", scan, raising=False)
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    # the mock backend runs one extraction at a time, two documents ahead
+    result = verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=tmp_path / "out"))
+    assert result.exit_code == 0
+    app_ids = sorted(p.name for p in small_corpus.iterdir() if p.is_dir())
+    assert [app for what, app in events if what == "scanned"] == app_ids
+    for k, app_id in enumerate(app_ids[:-2]):
+        assert events.index(("scanned", app_ids[k + 2])) > events.index(("written", app_id))
 
 
 def test_build_manifest_reads_no_file_system(corpus_copy, tmp_path, monkeypatch):
