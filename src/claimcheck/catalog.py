@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
 from .extract import schema_for
 from .ingest import (
     COMMON_MANDATORY_FIELDS,
@@ -18,11 +16,6 @@ from .ingest import (
     TypologyId,
 )
 from .rules import CheckDefinition, Comparator, ReportKind, Selector, pattern_matches
-
-
-# libyaml's safe loader builds the same data as the pure-Python one, six
-# times faster on the shipped catalog; PyYAML may be built without it.
-_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class CatalogError(ValueError):
@@ -93,30 +86,74 @@ def _parse_comparator(raw: dict) -> Comparator:
         raise CatalogError(f"bad comparator {raw!r}: {exc}") from None
 
 
+_REQUIRED = object()
+
+
+def _field(entry: dict, key: str, parse, default=_REQUIRED):
+    """``parse(entry[key])``, or ``parse(default)`` when the key is absent
+    and a default is given. A missing or malformed key is a CatalogError
+    that names it."""
+    if key not in entry and default is _REQUIRED:
+        raise CatalogError(f"missing key {key!r}")
+    try:
+        return parse(entry.get(key, default))
+    except KeyError as exc:
+        raise CatalogError(f"malformed {key!r}: no {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:  # CatalogError is a ValueError
+        raise CatalogError(f"malformed {key!r}: {exc}") from None
+
+
+def _entries(data: dict, key: str, parse) -> list:
+    """``parse`` of each mapping in the list ``data[key]``; a CatalogError
+    names the entry, by its position and its id."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise CatalogError(f"{key!r} must be a list")
+    parsed = []
+    for index, entry in enumerate(entries):
+        name = f"{key}[{index}]"
+        try:
+            if not isinstance(entry, dict):
+                raise CatalogError("an entry must be a mapping")
+            if "id" in entry:
+                name += f" (id {entry['id']!r})"
+            parsed.append(parse(entry))
+        except CatalogError as exc:
+            raise CatalogError(f"{name}: {exc}") from None
+    return parsed
+
+
+def _parse_check(entry: dict) -> CheckDefinition:
+    return CheckDefinition(
+        check_id=_field(entry, "id", str),
+        report=_field(entry, "report", ReportKind),
+        description=_field(entry, "description", str),
+        applies_to=_field(entry, "applies_to", lambda v: tuple(str(p) for p in v), ["*"]),
+        comparator=_field(entry, "comparator", _parse_comparator),
+        lhs=_field(entry, "lhs", _parse_selector),
+        rhs=_field(entry, "rhs", _parse_selector) if "rhs" in entry else None,
+        note=_field(entry, "note", str, ""),
+    )
+
+
+def _parse_excluded(entry: dict) -> ExcludedCheck:
+    return ExcludedCheck(_field(entry, "id", str), _field(entry, "reason", str),
+                         _field(entry, "description", str, ""))
+
+
 def parse_catalog(data: dict) -> Catalog:
-    checks: list[CheckDefinition] = []
+    """The catalog a parsed YAML document describes. An entry with a key
+    missing or malformed is a CatalogError that names both."""
+    if not isinstance(data, dict):
+        raise CatalogError("a catalog must be a mapping")
+    checks = _entries(data, "checks", _parse_check)
     seen: set[str] = set()
-    for entry in data.get("checks", []):
-        check_id = str(entry["id"])
-        if check_id in seen:
-            raise CatalogError(f"duplicate check id {check_id!r}")
-        seen.add(check_id)
-        rhs = _parse_selector(entry["rhs"]) if "rhs" in entry else None
-        checks.append(CheckDefinition(
-            check_id=check_id,
-            report=ReportKind(entry["report"]),
-            description=str(entry["description"]),
-            applies_to=tuple(str(p) for p in entry.get("applies_to", ["*"])),
-            comparator=_parse_comparator(entry["comparator"]),
-            lhs=_parse_selector(entry["lhs"]),
-            rhs=rhs,
-            note=str(entry.get("note", "")),
-        ))
-    excluded = [
-        ExcludedCheck(str(e["id"]), str(e["reason"]), str(e.get("description", "")))
-        for e in data.get("excluded", [])
-    ]
-    catalog = Catalog(version=str(data.get("version", "0")), checks=checks, excluded=excluded)
+    for check in checks:
+        if check.check_id in seen:
+            raise CatalogError(f"duplicate check id {check.check_id!r}")
+        seen.add(check.check_id)
+    catalog = Catalog(version=str(data.get("version", "0")), checks=checks,
+                      excluded=_entries(data, "excluded", _parse_excluded))
     validate_catalog(catalog)
     return catalog
 
@@ -143,9 +180,24 @@ def validate_catalog(catalog: Catalog) -> None:
 
 
 def load_catalog_file(path: Path | None = None) -> Catalog:
-    """Load the shipped catalog, or an operator-supplied override file."""
+    """Load the shipped catalog, or an operator-supplied override file.
+
+    An override that cannot be read, parsed or validated is a CatalogError
+    that names the file.
+    """
+    import yaml  # only a catalog load needs it
+
+    # libyaml's safe loader builds the same data as the pure-Python one, six
+    # times faster on the shipped catalog; PyYAML may be built without it.
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     if path is None:
         text = resources.files("claimcheck").joinpath("catalog.yaml").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    return parse_catalog(yaml.load(text, Loader=_SAFE_LOADER))
+        return parse_catalog(yaml.load(text, Loader=loader))
+    try:
+        data = yaml.load(Path(path).read_text("utf-8"), Loader=loader)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise CatalogError(f"catalog file {path} cannot be read: {exc}") from None
+    try:
+        return parse_catalog(data)
+    except CatalogError as exc:
+        raise CatalogError(f"catalog file {path}: {exc}") from None

@@ -10,8 +10,7 @@ import sys
 import traceback
 from pathlib import Path
 
-import yaml
-
+from .catalog import CatalogError
 from .metrics import LabelError, read_labels_csv
 from .pipeline import (
     ConfigError,
@@ -95,7 +94,12 @@ def _load_config_file(path: Path | None) -> dict:
         return {}
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    import yaml  # only a run given --config needs it
+
+    try:
+        data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file must hold a mapping of option values: {path}")
     unknown = sorted(str(key) for key in data if key not in CONFIG_KEYS)
@@ -235,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, CatalogError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (MetricsError, LabelError) as exc:

@@ -249,6 +249,9 @@ def read_labels_csv(text: str) -> dict[tuple[str, str], dict]:
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise LabelError("label file must have columns app_id,check_id,real_error[,category]")
     for row in reader:
+        if None in (row["app_id"], row["check_id"], row["real_error"]):  # a short row
+            raise LabelError(f"label line {reader.line_num} lacks a value for app_id, "
+                             f"check_id or real_error")
         key = (row["app_id"], row["check_id"])
         labels[key] = {
             "real_error": row["real_error"].strip().lower() in ("1", "true", "yes"),

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path, PurePath
 from urllib.parse import urlsplit
 
-from .backends import MockBackend, RemoteBackend, RemoteConfig
+from .backends import MockBackend
 from .catalog import Catalog, load_catalog_file
 from .extract import ExtractedDocument, extract, schema_for
 from .ingest import (
@@ -103,6 +103,8 @@ class RunConfig:
 def make_backend(config: RunConfig):
     if config.backend == "mock":
         return MockBackend()
+    from .remote import RemoteBackend, RemoteConfig  # only a remote run needs it
+
     return RemoteBackend(RemoteConfig(
         endpoint=config.endpoint,
         api_key=os.environ.get(config.api_key_env),

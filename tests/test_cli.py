@@ -133,6 +133,13 @@ class TestMetricsCommand:
     def test_missing_outputs_exit_1(self, tmp_path):
         assert run(["metrics", "--out", str(tmp_path / "nothing")]) == 1
 
+    def test_short_label_row_exits_1(self, verified_run, capsys):
+        _, out = verified_run
+        labels = out / "short_labels.csv"
+        labels.write_text("app_id,check_id,real_error\napp_00001,common.receipt_number_found\n")
+        assert run(["metrics", "--out", str(out), "--labels", str(labels)]) == 1
+        assert "label line 2 lacks a value" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command, target", [("verify", "verify_corpus"),
                                              ("metrics", "compute_metrics")])
@@ -244,18 +251,57 @@ class TestConfigFile:
         assert manifest["config"]["endpoint"] == server.url
 
 
+@pytest.mark.parametrize("option, text, named", [
+    ("--config", "backend: [mock\n", "config file"),
+    ("--catalog", None, "cannot be read"),
+    ("--catalog", "checks: [unclosed\n", "cannot be read"),
+    ("--catalog", "checks: [{id: x}]\n", "checks[0] (id 'x'): missing key 'report'"),
+], ids=["config-not-yaml", "catalog-missing", "catalog-not-yaml", "catalog-entry-missing-key"])
+def test_unusable_operator_file_exits_1(tmp_path, capsys, option, text, named):
+    path = tmp_path / "operator.yaml"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    assert run(["verify", "--corpus", str(tmp_path), "--out", str(out), option, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(path) in err and named in err
+    assert not out.exists()
+
+
 SRC = Path(claimcheck.__file__).resolve().parents[1]
+HTTP_CLIENT_MODULES = {"ssl", "http.client", "urllib.request", "email"}
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds once it has run ``code``."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    return set(subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split())
 
 
 def test_cli_import_loads_no_http_library_and_no_other_command():
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, claimcheck.cli; print(*sorted(sys.modules))"],
-        env=env, capture_output=True, text=True, check=True).stdout.split()
+    loaded = modules_after("import claimcheck.cli")
     assert "claimcheck.cli" in loaded
-    for module in ("requests", "claimcheck.gencorpus", "claimcheck.textmetrics"):
+    for module in ("requests", "yaml", "claimcheck.gencorpus", "claimcheck.textmetrics",
+                   *HTTP_CLIENT_MODULES):
         assert module not in loaded
+
+
+def test_mock_verify_and_metrics_load_no_http_client_and_metrics_no_yaml(tmp_path):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert run(["gen-corpus", "--out", str(corpus), "--n", "2", "--seed", "1"]) == 0
+    commands = {
+        "verify": ["verify", "--corpus", str(corpus), "--out", str(out), "--backend", "mock"],
+        "metrics": ["metrics", "--out", str(out), "--labels", str(corpus / "labels.csv")],
+    }
+    loaded = {name: modules_after(f"from claimcheck.cli import main\nassert main({argv!r}) == 0")
+              for name, argv in commands.items()}
+    assert "claimcheck.pipeline" in loaded["verify"]
+    assert not HTTP_CLIENT_MODULES & loaded["verify"]
+    assert not HTTP_CLIENT_MODULES & loaded["metrics"]
+    assert "yaml" not in loaded["metrics"]
 
 
 def test_no_module_under_src_imports_requests():

@@ -295,6 +295,20 @@ class TestCatalog:
         }]}
         assert parse_catalog(data).checks[0].applies_to == ("*", "2", "3.1", "2.1.1")
 
+    @pytest.mark.parametrize("key, value", [
+        ("report", "no_such_report"),
+        ("lhs", {"doc": "invoice"}),
+        ("lhs", {"const": {"value": 1}}),
+        ("comparator", "present"),
+    ])
+    def test_malformed_entry_key_named(self, key, value):
+        entry = {"id": "bad.check", "report": "eligibility", "description": "d",
+                 "lhs": {"form": "invoice_value"}, "comparator": {"kind": "present"}}
+        data = {"version": "x", "checks": [entry | {key: value}]}
+        with pytest.raises(CatalogError, match=rf"^checks\[0\] \(id 'bad.check'\): "
+                                               rf"malformed '{key}'"):
+            parse_catalog(data)
+
     def test_unknown_form_field_rejected(self):
         data = {"version": "x", "checks": [{
             "id": "bad.check", "report": "eligibility", "description": "d",
