@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="remote extraction URL (default: the config file's)")
     verify.add_argument("--api-key-env", type=str, default="CLAIMCHECK_API_KEY")
     verify.add_argument("--parallelism", type=int, default=16,
-                        help="extraction calls in flight (the mock backend runs inline)")
+                        help="extraction calls in flight; with the mock backend, "
+                             "the most worker processes (one per usable CPU)")
     verify.add_argument("--catalog", type=Path, default=None)
     verify.add_argument("--fuzzy-threshold", type=float, default=0.85)
     verify.add_argument("--amount-tolerance-cents", type=int, default=0)

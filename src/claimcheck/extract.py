@@ -27,7 +27,8 @@ class ValueType(str, Enum):
     NUMBER = "number"
 
 
-_TAG_PARSERS = {**VALUE_PARSERS, ValueType.POWER.value: parse_power}
+_TAG_PARSERS = {**{ValueType(name): parse for name, parse in VALUE_PARSERS.items()},
+                ValueType.POWER: parse_power}
 
 
 @dataclass(frozen=True)
@@ -164,11 +165,15 @@ class ExtractedValue:
 
     @classmethod
     def absent(cls) -> "ExtractedValue":
-        return cls(ValueState.ABSENT)
+        return _ABSENT
 
     @classmethod
     def unreadable(cls, reason: str, raw: str | None = None) -> "ExtractedValue":
         return cls(ValueState.UNREADABLE, raw=raw, reason=reason)
+
+
+# frozen, so one value stands for every absent tag
+_ABSENT = ExtractedValue(ValueState.ABSENT)
 
 
 @dataclass(frozen=True)
@@ -189,18 +194,18 @@ class ExtractedDocument:
 def _parse_tag(spec: TagSpec, raw: str) -> ExtractedValue:
     raw = raw.strip()
     if raw == NONE_SENTINEL or raw == "":
-        return ExtractedValue.absent()
+        return _ABSENT
     if spec.value_type is ValueType.ENUM:
         if raw in spec.variants:
-            return ExtractedValue.present(raw, raw)
+            return ExtractedValue(ValueState.PRESENT, raw, raw)
         return ExtractedValue.unreadable("type_mismatch", raw)
     try:
-        value = _TAG_PARSERS[spec.value_type.value](raw)
+        value = _TAG_PARSERS[spec.value_type](raw)
     except ParseError:
         return ExtractedValue.unreadable("type_mismatch", raw)
     if isinstance(value, TaxId) and not value.valid:
         return ExtractedValue.unreadable("type_mismatch", raw)
-    return ExtractedValue.present(value, raw)
+    return ExtractedValue(ValueState.PRESENT, value, raw)
 
 
 def extract(doc: DocumentRef, schema: ExtractionSchema, backend) -> ExtractedDocument:
@@ -223,7 +228,7 @@ def extract(doc: DocumentRef, schema: ExtractionSchema, backend) -> ExtractedDoc
     for spec in schema.tags:
         raw = response.fields.get(spec.name)
         if raw is None:
-            fields[spec.name] = ExtractedValue.absent()
+            fields[spec.name] = _ABSENT
         else:
             fields[spec.name] = _parse_tag(spec, str(raw))
     extracted = ExtractedDocument(

@@ -263,11 +263,11 @@ def _slot_of(folders: tuple[str, ...], name: str) -> DocumentSlot:
     return DocumentSlot.OTHER
 
 
-def parse_form_xml(data: bytes) -> tuple[str, TypologyId, FormData]:
-    """Parse form.xml into (app_id, typology, declared fields).
-
-    Duplicate field ids and malformed XML are load failures; malformed
-    individual values are kept as text with a warning.
+def _form_structure(data: bytes) -> tuple[str, TypologyId, list[ET.Element]]:
+    """The structural check of a form.xml: well-formed XML, an
+    ``application`` root with a plain id and a known typology, and declared
+    fields that are unique and include every mandatory one. Returns
+    (app_id, typology, the declared field elements); raises FormParseError.
     """
     try:
         root = ET.fromstring(data)
@@ -287,20 +287,31 @@ def parse_form_xml(data: bytes) -> tuple[str, TypologyId, FormData]:
     except ValueError as exc:
         raise FormParseError(str(exc)) from None
 
-    form = FormData()
     declared = root.find("declared")
-    if declared is not None:
-        for element in declared:
-            field_id = element.tag
-            if field_id in form.declared:
-                raise FormParseError(f"duplicate declared field {field_id!r}")
-            declared_type = element.get("type", "text")
-            raw = element.text or ""
-            form.declared[field_id] = parse_declared(field_id, declared_type, raw)
-
-    missing = [f for f in mandatory_fields(typology) if f not in form.declared]
+    fields = [] if declared is None else list(declared)
+    seen: set[str] = set()
+    for element in fields:
+        if element.tag in seen:
+            raise FormParseError(f"duplicate declared field {element.tag!r}")
+        seen.add(element.tag)
+    missing = [f for f in mandatory_fields(typology) if f not in seen]
     if missing:
         raise FormParseError(f"missing mandatory fields: {', '.join(sorted(missing))}")
+    return app_id, typology, fields
+
+
+def parse_form_xml(data: bytes) -> tuple[str, TypologyId, FormData]:
+    """Parse form.xml into (app_id, typology, declared fields).
+
+    A form that fails the structural check (malformed XML, a bad root, id
+    or typology, duplicate or missing fields) is a load failure; malformed
+    individual values are kept as text with a warning.
+    """
+    app_id, typology, fields = _form_structure(data)
+    form = FormData()
+    for element in fields:
+        form.declared[element.tag] = parse_declared(element.tag, element.get("type", "text"),
+                                                    element.text or "")
     return app_id, typology, form
 
 
@@ -348,17 +359,18 @@ def list_files(directory: Path) -> list[Path]:
     return [path for path, _, _ in _walk_files(directory)]
 
 
-def _read_form(app_dir: Path) -> tuple[str, TypologyId, FormData]:
-    """The parsed form of an application directory. Raises FormParseError."""
+def _form_bytes(app_dir: Path) -> bytes:
+    """The form of an application directory. Raises FormParseError."""
     form_path = app_dir / FORM_FILENAME
     if not form_path.is_file():
         raise FormParseError(f"{FORM_FILENAME} not found")
-    return parse_form_xml(form_path.read_bytes())
+    return form_path.read_bytes()
 
 
 def scan_forms(root: Path) -> FormScan:
-    """The first phase of a scan: parse the form of every application
-    subdirectory, and visit no other file of one whose form loads.
+    """The first phase of a scan: check the structure of the form of every
+    application subdirectory, and visit no other file of one whose form
+    passes; its values are parsed in the second phase.
 
     An application whose form does not load is recorded as a LoadFailure
     with every file under its directory, and the scan moves on; only an
@@ -374,7 +386,7 @@ def scan_forms(root: Path) -> FormScan:
         path = root / entry.name
         if entry.is_dir():
             try:
-                forms.applications.append((_read_form(path)[0], path))
+                forms.applications.append((_form_structure(_form_bytes(path))[0], path))
             except FormParseError as exc:
                 forms.failures.append(LoadFailure(app_id=entry.name, path=str(path),
                                                   reason=str(exc), files=list_files(path)))
@@ -391,7 +403,7 @@ def scan_application(app_id: str, app_dir: Path, max_file_mb: float = DEFAULT_MA
     ``extensions`` maps each lower-case suffix that is a document to its
     FileKind value. Raises FormParseError, also when the form now names
     another application."""
-    form_id, typology, form = _read_form(app_dir)
+    form_id, typology, form = parse_form_xml(_form_bytes(app_dir))
     if form_id != app_id:
         raise FormParseError(f"{FORM_FILENAME} now names application {form_id!r}, not {app_id!r}")
 

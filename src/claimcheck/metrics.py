@@ -37,7 +37,9 @@ class AppRecord:
 
     app_id: str
     typology: str
-    outcomes: list[dict]  # rendered outcome dicts (check_id, status, lhs/rhs states)
+    # rendered outcome dicts: check_id, status and lhs/rhs states when labels
+    # are folded; a verify run folds none and keeps only each status
+    outcomes: list[dict]
     metas: list[dict] = field(default_factory=list)  # {slot, cost_eur, elapsed_ms}
 
     def bucket_costs(self) -> dict[str, tuple[float, float]]:

@@ -1,9 +1,11 @@
 """End-to-end batch run: ingest -> extract -> rules -> reports.
 
-Extraction runs on a thread pool that keeps a bounded window of documents
-ahead of the application being finished, and an application's files are
-scanned only when that window reaches it; rules, rendering and every write
-run on the calling thread in app-id order, so a run is byte-reproducible.
+A mock run is CPU work: whole applications go to one forked worker process
+per usable CPU, a bounded window of them ahead of the one being folded. A
+run on a backend that waits keeps a bounded window of extraction calls in
+flight on a thread pool, and an application's files are scanned only when
+that window reaches it. Either way the results are folded, and the run's
+own files written, in app-id order, so a run is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import json
 import logging
 import os
+import threading
+import time
 from collections import deque
 from contextlib import closing
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
@@ -125,18 +129,19 @@ class _InlineExecutor(Executor):
         return future
 
 
-def _extract_ahead(apps, load, backend, pool: Executor, window: int):
+def _extract_ahead(apps, load, extract_doc, pool: Executor, window: int):
     """Yield each application of ``apps`` in order with its bundle, built by
     ``load`` only when the window reaches it, and the futures of its
-    extracted documents, once ``window`` documents of later applications are
-    submitted or none are left. An application whose load raises is yielded
-    with no bundle and one future that holds the exception."""
+    documents extracted by ``extract_doc(ref, schema)``, once ``window``
+    documents of later applications are submitted or none are left. An
+    application whose load raises is yielded with no bundle and one future
+    that holds the exception."""
     ahead: deque[tuple[object, ApplicationBundle | None, list[Future]]] = deque()
     for app in apps:
         loaded = _InlineExecutor().submit(load, app)
         if loaded.exception() is None:
             bundle = loaded.result()
-            futures = [pool.submit(extract, ref, schema_for(ref.slot, bundle.typology), backend)
+            futures = [pool.submit(extract_doc, ref, schema_for(ref.slot, bundle.typology))
                        for ref in bundle.documents]
         else:
             bundle, futures = None, [loaded]
@@ -152,22 +157,122 @@ class VerifyResult:
     manifest: dict
 
 
+# the stages of an application's work whose CPU seconds run_complete logs
+STAGES = ("scan", "extract", "rules", "render", "write")
+
+
+class _Applications:
+    """The work on one application, in whichever process runs it: walk and
+    expand it, extract its documents, evaluate it and write its directory,
+    counting the CPU seconds of each stage on the thread that ran it."""
+
+    def __init__(self, config: RunConfig, catalog: Catalog, backend):
+        self.config, self.catalog, self.backend = config, catalog, backend
+        self.settings = EngineSettings(fuzzy_threshold=config.fuzzy_threshold,
+                                       amount_tolerance_cents=config.amount_tolerance_cents)
+        self.extensions = {**SUPPORTED_EXTENSIONS, **config.allow_ext}
+        self.cpu = dict.fromkeys(STAGES, 0.0)
+        self._lock = threading.Lock()  # extraction threads count too
+
+    def spent(self, stage: str, start: float) -> float:
+        now = time.thread_time()
+        with self._lock:
+            self.cpu[stage] += now - start
+        return now
+
+    def load(self, app: tuple[str, Path]) -> ApplicationBundle:
+        # the scan and the archive expansion give every document its slot
+        start = time.thread_time()
+        bundle = expand_archives(scan_application(*app, self.config.max_file_mb, self.extensions),
+                                 self.config.max_file_mb, self.extensions)
+        self.spent("scan", start)
+        return bundle
+
+    def extract(self, ref, schema) -> ExtractedDocument:
+        start = time.thread_time()
+        extracted = extract(ref, schema, self.backend)
+        self.spent("extract", start)
+        return extracted
+
+    def finish(self, app: tuple[str, Path], bundle: ApplicationBundle | None,
+               futures: list[Future]) -> tuple:
+        """``(app, record, error, visited, notices, cpu)``: the AppRecord or,
+        when the application failed, None and why; the paths of its files
+        and of its unsupported notices; the CPU seconds of each stage since
+        the previous result."""
+        # one crashing application must never abort the batch
+        try:
+            record = _process_application(bundle, [f.result() for f in futures], self.catalog,
+                                          self.settings, Path(self.config.out_dir), self.spent)
+            outcome = (record, None, [str(path) for path in bundle.files],
+                       [n.path for n in bundle.unsupported])
+        except Exception as exc:  # noqa: BLE001
+            outcome = (None, str(exc), [], [])
+        with self._lock:
+            cpu, self.cpu = self.cpu, dict.fromkeys(STAGES, 0.0)
+        return (app, *outcome, cpu)
+
+
+def _in_process(apps, applications: _Applications, pool: Executor, window: int):
+    """The result of each application of ``apps``, in order, with its
+    documents extracted on ``pool``, ``window`` documents ahead."""
+    for loaded in _extract_ahead(apps, applications.load, applications.extract, pool, window):
+        yield applications.finish(*loaded)
+
+
+# A task hands a worker this many applications. The pool's machinery costs
+# about a tenth of an application's CPU per task, so one application per
+# task made a 1000-app run cost about a fifth more CPU than one process.
+APPS_PER_TASK = 8
+_worker: _Applications | None = None  # set in each worker process by _start_worker
+
+
+def _start_worker(config: RunConfig, catalog: Catalog) -> None:
+    global _worker
+    _worker = _Applications(config, catalog, make_backend(config))
+
+
+def _verify_in_worker(apps: list[tuple[str, Path]]) -> list[tuple]:
+    return list(_in_process(apps, _worker, _InlineExecutor(), 2))
+
+
+def _forked(apps, pool: Executor, workers: int):
+    """The result of each application of ``apps``, in order, from ``pool``'s
+    worker processes, which take them APPS_PER_TASK at a time, with at most
+    2 x ``workers`` tasks submitted beyond the one whose results are being
+    yielded."""
+    submitted: deque[Future] = deque()
+    for start in range(0, len(apps), APPS_PER_TASK):
+        submitted.append(pool.submit(_verify_in_worker, apps[start:start + APPS_PER_TASK]))
+        if len(submitted) > 2 * workers:
+            yield from submitted.popleft().result()
+    for future in submitted:
+        yield from future.result()
+
+
 def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDocument],
-                         catalog: Catalog, settings: EngineSettings, out_dir: Path) -> AppRecord:
+                         catalog: Catalog, settings: EngineSettings, out_dir: Path,
+                         spent) -> AppRecord:
+    start = time.thread_time()
     outcomes_by_kind = evaluate_application(bundle, extracted,
                                             catalog.for_typology(bundle.typology), settings)
+    start = spent("rules", start)
 
     app_out = out_dir / bundle.app_id
     app_out.mkdir(parents=True, exist_ok=True)
-    all_outcome_dicts: list[dict] = []
-    manual = 0
+    start = spent("write", start)
+    # a run folds no labels, so its record keeps only each outcome's status,
+    # which also keeps the result a worker hands back small
+    statuses: list[dict] = []
     for kind in ReportKind:
         data = report_dict(bundle.app_id, kind, outcomes_by_kind[kind], bundle.unsupported,
                            catalog.version)
-        (app_out / f"{kind.value}.json").write_bytes(canonical_json_bytes(data))
-        (app_out / f"{kind.value}.html").write_bytes(render_html(data))
-        all_outcome_dicts.extend(data["outcomes"])
-        manual += data["status_counts"][CheckStatus.MANUAL_CHECK.value]
+        json_bytes, html_bytes = canonical_json_bytes(data), render_html(data)
+        start = spent("render", start)
+        (app_out / f"{kind.value}.json").write_bytes(json_bytes)
+        (app_out / f"{kind.value}.html").write_bytes(html_bytes)
+        start = spent("write", start)
+        statuses.extend({"status": outcome["status"]} for outcome in data["outcomes"])
 
     metas = [
         {"path": doc.doc.display_path, "slot": doc.doc.slot.value,
@@ -179,13 +284,12 @@ def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDoc
         "typology": str(bundle.typology),
         "docs": metas,
     }
-    (app_out / "extraction.json").write_bytes(canonical_json_bytes(extraction_payload))
-
-    record = AppRecord(app_id=bundle.app_id, typology=str(bundle.typology),
-                       outcomes=all_outcome_dicts, metas=metas)
-    log_event("app_processed", app_id=bundle.app_id, checks=len(all_outcome_dicts),
-              manual_checks=manual, unsupported_files=len(bundle.unsupported))
-    return record
+    extraction_bytes = canonical_json_bytes(extraction_payload)
+    start = spent("render", start)
+    (app_out / "extraction.json").write_bytes(extraction_bytes)
+    spent("write", start)
+    return AppRecord(app_id=bundle.app_id, typology=str(bundle.typology),
+                     outcomes=statuses, metas=metas)
 
 
 def build_manifest(config: RunConfig, catalog: Catalog, totals: RunTotals,
@@ -227,24 +331,17 @@ def build_manifest(config: RunConfig, catalog: Catalog, totals: RunTotals,
 def verify_corpus(config: RunConfig) -> VerifyResult:
     config.validate()
     catalog = load_catalog_file(config.catalog_path)
-    settings = EngineSettings(fuzzy_threshold=config.fuzzy_threshold,
-                              amount_tolerance_cents=config.amount_tolerance_cents)
     backend = make_backend(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    extensions = {**SUPPORTED_EXTENSIONS, **config.allow_ext}
     root = Path(config.corpus_root)
+    start = time.thread_time()
     forms = scan_forms(root)
+    stage_cpu = dict.fromkeys(STAGES, 0.0)
+    stage_cpu["scan"] = time.thread_time() - start
     for failure in forms.failures:
         log_event("app_load_failed", app_id=failure.app_id, reason=failure.reason)
-
-    # An application's files are walked only when the extraction window
-    # reaches it; the scan and the archive expansion give every document
-    # its slot.
-    def load(app: tuple[str, Path]) -> ApplicationBundle:
-        return expand_archives(scan_application(*app, config.max_file_mb, extensions),
-                               config.max_file_mb, extensions)
 
     # each application's files are filed, relative to the corpus root, once
     # its fate is known
@@ -254,29 +351,47 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
     files = {"processed": [str(p)[prefix:] for p in forms.loose_files], "unsupported": [],
              "failed": [], "members": []}
     notices = 0
-    # The mock backend only reads a local sidecar, so its calls run inline.
-    inflight = 1 if config.backend == "mock" else config.parallelism
-    pool = _InlineExecutor() if inflight == 1 else ThreadPoolExecutor(inflight)
-    # the pool's threads finish before the backend's connections close
+    # The mock backend only reads a local sidecar, so a mock run is CPU work:
+    # it takes whole applications to one worker process per usable CPU, up
+    # to --parallelism. A run that waits on a remote backend keeps
+    # --parallelism extraction calls in flight from this process.
+    tasks = -(-len(forms.applications) // APPS_PER_TASK)
+    workers = (min(config.parallelism, len(os.sched_getaffinity(0)), tasks)
+               if config.backend == "mock" else 1)
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                   initializer=_start_worker, initargs=(config, catalog))
+        results = _forked(forms.applications, pool, workers)
+    else:
+        inflight = 1 if config.backend == "mock" else config.parallelism
+        pool = _InlineExecutor() if inflight == 1 else ThreadPoolExecutor(inflight)
+        results = _in_process(forms.applications, _Applications(config, catalog, backend),
+                              pool, 2 * inflight)
+    # the pool's threads and processes finish before the backend's
+    # connections close, also when the fold raises
     with closing(backend), pool:
-        apps = _extract_ahead(forms.applications, load, backend, pool, 2 * inflight)
-        for (app_id, app_dir), bundle, futures in apps:
-            # one crashing application must never abort the batch
-            try:
-                totals.add(_process_application(
-                    bundle, [f.result() for f in futures], catalog, settings, out_dir))
-            except Exception as exc:  # noqa: BLE001
-                log_event("app_processing_failed", app_id=app_id, error=str(exc))
+        for (app_id, app_dir), record, error, visited, app_notices, cpu in results:
+            for stage, seconds in cpu.items():
+                stage_cpu[stage] += seconds
+            if record is None:
+                log_event("app_processing_failed", app_id=app_id, error=error)
                 failures.append(LoadFailure(app_id=app_id, path=str(app_dir),
-                                            reason=f"processing failed: {exc}",
+                                            reason=f"processing failed: {error}",
                                             files=list_files(app_dir)))
                 continue
-            visited = [str(path) for path in bundle.files]
-            shown = {n.path for n in bundle.unsupported}
+            totals.add(record)
+            log_event("app_processed", app_id=app_id, checks=len(record.outcomes),
+                      manual_checks=sum(o["status"] == CheckStatus.MANUAL_CHECK.value
+                                        for o in record.outcomes),
+                      unsupported_files=len(app_notices))
+            shown = set(app_notices)
             for path in visited:
                 files["unsupported" if path in shown else "processed"].append(path[prefix:])
             files["members"].extend(p[prefix:] for p in shown.difference(visited))
-            notices += len(bundle.unsupported)
+            notices += len(app_notices)
     for failure in failures:
         files["failed"].extend(str(path)[prefix:] for path in failure.files)
 
@@ -285,8 +400,10 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
     (out_dir / "manifest.json").write_bytes(canonical_json_bytes(manifest))
 
     exit_code = 2 if failures else 0
+    # per-stage CPU is wall-clock-like data, so it goes to the log only
     log_event("run_complete", applications=totals.total.applications,
-              failures=len(failures), exit_code=exit_code)
+              failures=len(failures), exit_code=exit_code, workers=workers,
+              stage_cpu_s={stage: round(seconds, 3) for stage, seconds in stage_cpu.items()})
     return VerifyResult(exit_code=exit_code, manifest=manifest)
 
 

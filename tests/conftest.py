@@ -1,3 +1,4 @@
+import multiprocessing
 import shutil
 from pathlib import Path
 
@@ -5,6 +6,17 @@ import pytest
 
 from claimcheck.catalog import Catalog, load_catalog_file
 from claimcheck.gencorpus import GenOptions, write_corpus
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a child process running, and end it."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert not left, f"processes left running: {left}"
 
 
 @pytest.fixture(scope="session")

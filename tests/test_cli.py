@@ -304,6 +304,14 @@ def test_mock_verify_and_metrics_load_no_http_client_and_metrics_no_yaml(tmp_pat
     assert "yaml" not in loaded["metrics"]
 
 
+def test_verify_of_an_empty_corpus_loads_no_process_pool(tmp_path):
+    (tmp_path / "corpus").mkdir()
+    argv = ["verify", "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "out")]
+    loaded = modules_after(f"from claimcheck.cli import main\nassert main({argv!r}) == 0")
+    assert "claimcheck.pipeline" in loaded
+    assert not {"multiprocessing", "concurrent.futures.process"} & loaded
+
+
 def test_no_module_under_src_imports_requests():
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -1,10 +1,12 @@
 import io
 import zipfile
+from contextlib import closing
 from pathlib import Path
 
 import pytest
 
-from claimcheck.backends import load_sidecar
+from claimcheck.backends import MockBackend, load_sidecar
+from claimcheck.extract import ExtractionSchema, TagSpec, ValueType
 from claimcheck.ingest import (
     MAX_ARCHIVE_ENTRIES,
     ApplicationBundle,
@@ -293,6 +295,31 @@ class TestExpandArchives:
         assert [d.read_bytes() for d in bundle.documents] == [
             b"a", b"first", b"second", b"up", b"b"]
         assert [load_sidecar(d) for d in bundle.documents] == [{}, {"n": 1}, {"n": 2}, {}, {}]
+
+    def test_mock_backend_opens_each_archive_once_for_its_members(self, tmp_path, monkeypatch):
+        write_app(tmp_path, "app_a", {
+            "a/docs.zip": zip_bytes({"foto.png": b"a"}),
+            "anexos.zip": zip_bytes({
+                "obra1/fatura.pdf": b"1", "obra1/fatura.pdf.fields.json": b'{"n": 1}',
+                "obra2/fatura.pdf": b"2", "obra2/fatura.pdf.fields.json": b'{"n": 2}',
+                "recibo.pdf": b"3", "recibo.pdf.fields.json": b'{"n": 3}'}),
+            "b/docs.zip": zip_bytes({"foto.png": b"b"}),
+        })
+        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        opened = []
+
+        class CountingZipFile(zipfile.ZipFile):
+            def __init__(self, file, *args, **kwargs):
+                opened.append(Path(file).relative_to(tmp_path / "app_a"))
+                super().__init__(file, *args, **kwargs)
+
+        monkeypatch.setattr(zipfile, "ZipFile", CountingZipFile)
+        schema = ExtractionSchema(DocumentSlot.OTHER, (TagSpec("n", ValueType.NUMBER),))
+        backend = MockBackend()
+        with closing(backend):
+            answers = [backend.fetch(d, schema).fields["n"] for d in bundle.documents]
+        assert answers == ["None", "1", "2", "3", "None"]
+        assert opened == [Path("a/docs.zip"), Path("anexos.zip"), Path("b/docs.zip")]
 
 
 class TestParseFormXml:

@@ -457,8 +457,10 @@ def test_each_application_is_scanned_only_when_the_extraction_window_reaches_it(
     for owner in (ingest, pipeline):
         monkeypatch.setattr(owner, "scan_application", scan, raising=False)
     monkeypatch.setattr(Path, "write_bytes", write_bytes)
-    # the mock backend runs one extraction at a time, two documents ahead
-    result = verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=tmp_path / "out"))
+    # in one process the mock backend runs one extraction at a time, two
+    # documents ahead
+    result = verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=tmp_path / "out",
+                                     parallelism=1))
     assert result.exit_code == 0
     app_ids = sorted(p.name for p in small_corpus.iterdir() if p.is_dir())
     assert [app for what, app in events if what == "scanned"] == app_ids
@@ -499,7 +501,9 @@ def test_each_report_dict_is_built_once(small_corpus, tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "report_dict", counted)
     monkeypatch.setattr(report_module, "report_dict", counted)
-    result = verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=tmp_path / "out"))
+    # in one process, where the calls can be counted
+    result = verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=tmp_path / "out",
+                                     parallelism=1))
     monkeypatch.undo()
     assert len(built) == 3 * result.manifest["counts"]["applications_processed"]
     for app_id, kind, *rest in built:
@@ -623,3 +627,96 @@ def test_verify_writes_only_documented_outputs(corpus_copy, tmp_path):
         else:
             assert DOCUMENTED_OUTPUT.fullmatch(rel), rel
     assert not (tmp_path / "fuga").exists()
+
+
+forking = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                             reason="a mock run forks workers only with two usable CPUs")
+
+
+def log_events(caplog, name: str) -> list[dict]:
+    return [json.loads(r.getMessage()) for r in caplog.records if f'"{name}"' in r.getMessage()]
+
+
+@forking
+def test_forked_run_writes_what_a_run_in_one_process_writes(tmp_path, caplog):
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, GenOptions(n_apps=12, consistency=0.76, seed=11, unsupported_rate=0.2))
+    apps = sorted(p for p in corpus.iterdir() if p.is_dir())
+    for app_dir in apps[::3]:
+        zip_app_photos(app_dir)
+    (apps[4] / "anexos.zip").write_bytes(zip_members({"notas.docx": b"d", "foto_9.png": b"p"}))
+    (apps[5] / "form.xml").write_text("<broken")  # fails the first scan phase
+    runs = {}
+    for parallelism in (16, 1):
+        caplog.clear()
+        with caplog.at_level("INFO", logger="claimcheck"):
+            runs[parallelism] = verify_corpus(RunConfig(corpus_root=corpus,
+                                                        out_dir=tmp_path / str(parallelism),
+                                                        parallelism=parallelism))
+        [done] = log_events(caplog, "run_complete")
+        assert done["workers"] == min(parallelism, 2)
+        assert set(done["stage_cpu_s"]) == {"scan", "extract", "rules", "render", "write"}
+        assert done["stage_cpu_s"]["rules"] > 0
+        # the folding process logs each application, in app-id order
+        assert [e["app_id"] for e in log_events(caplog, "app_processed")] == \
+            [a.name for a in apps if a != apps[5]]
+    manifests = [{k: v for k, v in run.manifest.items() if k != "config"}
+                 for run in runs.values()]
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["counts"]["unsupported_notices"] > 0
+    assert [f["app_id"] for f in manifests[0]["failures"]] == [apps[5].name]
+    assert any("!" in path for path in manifests[0]["files"]["unsupported"])
+    assert output_tree(tmp_path / "16") == output_tree(tmp_path / "1")
+    assert not any(b"stage_cpu_s" in data for data in output_tree(tmp_path / "16").values())
+
+
+@forking
+def test_render_raising_in_a_worker_fails_only_its_application(small_corpus, tmp_path,
+                                                               monkeypatch):
+    victim = sorted(p.name for p in small_corpus.iterdir() if p.is_dir())[2]
+    parent = os.getpid()
+
+    def render_in_worker(data):
+        if data["app_id"] == victim and os.getpid() != parent:
+            raise RuntimeError("render crashed in a worker")
+        return render_html(data)
+
+    monkeypatch.setattr(pipeline, "render_html", render_in_worker)
+    out = tmp_path / "out"
+    assert main(["verify", "--corpus", str(small_corpus), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    [failure] = manifest["failures"]
+    assert failure["app_id"] == victim
+    assert failure["reason"] == "processing failed: render crashed in a worker"
+    assert manifest["counts"]["applications_processed"] == 19
+    assert sorted(p.parent.name for p in out.glob("*/extraction.json")) == \
+        sorted(p.name for p in small_corpus.iterdir() if p.is_dir() and p.name != victim)
+
+
+@forking
+def test_forked_run_submits_at_most_two_tasks_per_worker_ahead(small_corpus, tmp_path,
+                                                               monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    events = []
+    real_submit, real_log = ProcessPoolExecutor.submit, pipeline.log_event
+
+    def submit(self, fn, apps):
+        events.extend(["submitted"] * len(apps))
+        return real_submit(self, fn, apps)
+
+    def log_event(event, **fields):
+        if event == "app_processed":
+            events.append("folded")
+        real_log(event, **fields)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    monkeypatch.setattr(pipeline, "log_event", log_event)
+    monkeypatch.setattr(pipeline, "APPS_PER_TASK", 2)
+    result = verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=tmp_path / "out",
+                                     parallelism=2))
+    assert result.exit_code == 0
+    apps = result.manifest["counts"]["applications_processed"]
+    ahead = [events[:i].count("submitted") for i, what in enumerate(events) if what == "folded"]
+    # two workers: the task folded and up to four more, of two applications each
+    assert ahead == [min((k // 2 + 1 + 4) * 2, apps) for k in range(apps)]
