@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 
 from .extract import ExtractionSchema, NONE_SENTINEL
 from .ingest import SIDECAR_SUFFIX, DocumentRef
@@ -74,16 +73,12 @@ def interpret_sidecar(sidecar: dict, schema: ExtractionSchema) -> BackendRespons
     )
 
 
-def load_sidecar(doc: DocumentRef, open_archive=None) -> dict:
+def load_sidecar(doc: DocumentRef) -> dict:
     """The fixture of ``doc``: ``<file>.fields.json`` beside a file, or
-    ``<member>.fields.json`` in the archive that holds a member, which
-    ``open_archive(path)`` opens when it is given; {} when there is none."""
+    ``<member>.fields.json`` in the archive that holds a member; {} when
+    there is none."""
     try:
-        if doc.member is None or open_archive is None:
-            data = doc.read_bytes(SIDECAR_SUFFIX)
-        else:
-            data = open_archive(doc.path).read(doc.member + SIDECAR_SUFFIX)
-        return json.loads(data.decode("utf-8"))
+        return json.loads(doc.read_bytes(SIDECAR_SUFFIX).decode("utf-8"))
     except (FileNotFoundError, KeyError):
         return {}
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
@@ -101,27 +96,15 @@ class MockBackend:
 
     def __init__(self, store: dict[str, dict] | None = None):
         self._store = store
-        # the archive of the last member read: an application's members
-        # follow one another, so each archive is opened once, not per member
-        self._archive: zipfile.ZipFile | None = None
 
     def close(self) -> None:
-        """Close the archive kept open; the mock opens no connection."""
-        if self._archive is not None:
-            self._archive.close()
-            self._archive = None
-
-    def _open_archive(self, path: Path) -> zipfile.ZipFile:
-        if self._archive is None or self._archive.filename != str(path):
-            self.close()
-            self._archive = zipfile.ZipFile(path)
-        return self._archive
+        """Nothing to release: the mock opens no connection."""
 
     def fetch(self, doc: DocumentRef, schema: ExtractionSchema) -> BackendResponse:
         if self._store is not None:
             sidecar = self._store.get(str(doc.path), {})
         else:
-            sidecar = load_sidecar(doc, self._open_archive)
+            sidecar = load_sidecar(doc)
         return interpret_sidecar(sidecar, schema)
 
 

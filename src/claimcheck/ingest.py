@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import xml.etree.ElementTree as ET
 import zipfile
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path, PurePath
@@ -14,8 +15,8 @@ from .normalize import FormData, parse_declared
 
 SUPPORTED_EXTENSIONS = {".pdf": "pdf", ".zip": "zip", ".jpg": "jpg", ".jpeg": "jpg", ".png": "png"}
 DEFAULT_MAX_FILE_MB = 25
-# Every read of a member reopens its archive, which parses each entry of
-# the central directory again, so the entries an archive may list are capped.
+# An archive stays open, with its whole entry list, until its application is
+# done, so the entries an archive may list are capped.
 MAX_ARCHIVE_ENTRIES = 256
 
 # Sidecar fixture files and the form itself are bundle metadata, not
@@ -144,6 +145,8 @@ class DocumentRef:
     slot: DocumentSlot = DocumentSlot.OTHER
     origin: str = "direct_upload"
     member: str | None = None  # the member's name inside the archive at ``path``
+    # the archive at ``path``, opened and checked by expand_archives
+    archive: zipfile.ZipFile | None = field(default=None, compare=False, repr=False)
 
     @property
     def display_path(self) -> str:
@@ -159,8 +162,7 @@ class DocumentRef:
         there is none."""
         if self.member is None:
             return Path(f"{self.path}{suffix}").read_bytes()
-        with zipfile.ZipFile(self.path) as archive:
-            return archive.read(self.member + suffix)
+        return self.archive.read(self.member + suffix)
 
 
 @dataclass
@@ -172,6 +174,8 @@ class ApplicationBundle:
     unsupported: list[UnsupportedNotice] = field(default_factory=list)
     root: Path | None = None
     files: list[Path] = field(default_factory=list)  # every regular file under root
+    # the open archives its documents are read from; closing it closes them
+    archives: ExitStack = field(default_factory=ExitStack, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -439,48 +443,50 @@ def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
     return ScanResult(bundles=bundles, failures=forms.failures, loose_files=forms.loose_files)
 
 
-def _read_archive(doc: DocumentRef, extensions: dict[str, str],
-                  cap_bytes: int) -> tuple[list[DocumentRef], list[UnsupportedNotice]]:
+def _read_archive(doc: DocumentRef, extensions: dict[str, str], cap_bytes: int,
+                  archives: ExitStack) -> tuple[list[DocumentRef], list[UnsupportedNotice]]:
     """The documents and notices of one archive's members, each admitted
     member read once to its end and none written anywhere; one notice
     instead when the archive lists more than MAX_ARCHIVE_ENTRIES entries
-    or cannot be read to its end."""
+    or cannot be read to its end. The archive is opened once, onto
+    ``archives``, and its documents are read through that handle."""
     documents: list[DocumentRef] = []
     notices: list[UnsupportedNotice] = []
     try:
-        with zipfile.ZipFile(doc.path) as archive:
-            entries = archive.infolist()
-            if len(entries) > MAX_ARCHIVE_ENTRIES:
-                return [], [UnsupportedNotice(str(doc.path), "too_many_members", (
-                    f"{doc.path.name} lists {len(entries)} entries, above the "
-                    f"{MAX_ARCHIVE_ENTRIES} cap"), doc.slot)]
-            if len({entry.filename for entry in entries}) < len(entries):
-                raise zipfile.BadZipFile("two entries share a name")  # a member is read by name
-            for member in entries:
-                member_path = Path(member.filename)
-                member_name = member_path.name
-                display = f"{doc.path}!{member.filename}"
-                if member.is_dir() or not member_name or member_name.startswith("."):
-                    continue
-                slot = infer_slot(member_path)
-                if member_path.suffix.lower() == ".zip":
-                    notices.append(UnsupportedNotice(
-                        path=display, reason="archive_depth_exceeded",
-                        message=f"nested archive {member.filename} not expanded; review manually",
-                        slot=slot))
-                    continue
-                if member_name.endswith(SIDECAR_SUFFIX):
-                    continue  # read by the mock backend with its document
-                admitted = admit_file(display, member_path, member.file_size, slot, extensions,
-                                      cap_bytes)
-                if isinstance(admitted, UnsupportedNotice):
-                    notices.append(admitted)
-                    continue
-                with archive.open(member) as stream:  # checks its CRC at the end
-                    while stream.read(1 << 20):
-                        pass
-                documents.append(DocumentRef(path=doc.path, kind=admitted, slot=slot,
-                                             origin="archive_member", member=member.filename))
+        archive = archives.enter_context(zipfile.ZipFile(doc.path))
+        entries = archive.infolist()
+        if len(entries) > MAX_ARCHIVE_ENTRIES:
+            return [], [UnsupportedNotice(str(doc.path), "too_many_members", (
+                f"{doc.path.name} lists {len(entries)} entries, above the "
+                f"{MAX_ARCHIVE_ENTRIES} cap"), doc.slot)]
+        if len({entry.filename for entry in entries}) < len(entries):
+            raise zipfile.BadZipFile("two entries share a name")  # a member is read by name
+        for member in entries:
+            member_path = Path(member.filename)
+            member_name = member_path.name
+            display = f"{doc.path}!{member.filename}"
+            if member.is_dir() or not member_name or member_name.startswith("."):
+                continue
+            slot = infer_slot(member_path)
+            if member_path.suffix.lower() == ".zip":
+                notices.append(UnsupportedNotice(
+                    path=display, reason="archive_depth_exceeded",
+                    message=f"nested archive {member.filename} not expanded; review manually",
+                    slot=slot))
+                continue
+            if member_name.endswith(SIDECAR_SUFFIX):
+                continue  # read by the mock backend with its document
+            admitted = admit_file(display, member_path, member.file_size, slot, extensions,
+                                  cap_bytes)
+            if isinstance(admitted, UnsupportedNotice):
+                notices.append(admitted)
+                continue
+            with archive.open(member) as stream:  # checks its CRC at the end
+                while stream.read(1 << 20):
+                    pass
+            documents.append(DocumentRef(path=doc.path, kind=admitted, slot=slot,
+                                         origin="archive_member", member=member.filename,
+                                         archive=archive))
     except zipfile.BadZipFile:
         return [], [UnsupportedNotice(
             path=str(doc.path), reason="corrupt_archive",
@@ -496,18 +502,24 @@ def expand_archives(bundle: ApplicationBundle, max_file_mb: float = DEFAULT_MAX_
     files. Nesting is limited to one level: a ZIP inside a ZIP becomes an
     archive_depth_exceeded notice. An archive gives all its members or one
     notice.
+
+    Each archive is opened once, and the copy's ``archives`` holds it open
+    until the caller closes them; when expansion raises, every archive it
+    opened is closed.
     """
     cap_bytes = int(max_file_mb * 1_000_000)
     documents: list[DocumentRef] = []
     unsupported = list(bundle.unsupported)
-    for doc in bundle.documents:
-        if doc.kind is not FileKind.ZIP:
-            documents.append(doc)
-            continue
-        members, notices = _read_archive(doc, extensions, cap_bytes)
-        documents.extend(members)
-        unsupported.extend(notices)
-    return replace(bundle, documents=documents, unsupported=unsupported)
+    with ExitStack() as archives:
+        for doc in bundle.documents:
+            if doc.kind is not FileKind.ZIP:
+                documents.append(doc)
+                continue
+            members, notices = _read_archive(doc, extensions, cap_bytes, archives)
+            documents.extend(members)
+            unsupported.extend(notices)
+        return replace(bundle, documents=documents, unsupported=unsupported,
+                       archives=archives.pop_all())
 
 
 def map_documents(bundle: ApplicationBundle) -> ApplicationBundle:

@@ -16,9 +16,10 @@ import os
 import threading
 import time
 from collections import deque
-from contextlib import closing
+from contextlib import closing, nullcontext
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path, PurePath
 from urllib.parse import urlsplit
 
@@ -117,36 +118,25 @@ def make_backend(config: RunConfig):
     ))
 
 
-class _InlineExecutor(Executor):
-    """Runs each call when it is submitted, on the submitting thread."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:  # noqa: BLE001 (raised again by result())
-            future.set_exception(exc)
-        return future
-
-
-def _extract_ahead(apps, load, extract_doc, pool: Executor, window: int):
+def _extract_ahead(apps, load, extract_doc, run, window: int):
     """Yield each application of ``apps`` in order with its bundle, built by
-    ``load`` only when the window reaches it, and the futures of its
-    documents extracted by ``extract_doc(ref, schema)``, once ``window``
-    documents of later applications are submitted or none are left. An
-    application whose load raises is yielded with no bundle and one future
-    that holds the exception."""
-    ahead: deque[tuple[object, ApplicationBundle | None, list[Future]]] = deque()
+    ``load`` only when the window reaches it, and for each of its documents
+    the call that returns it extracted by ``extract_doc(ref, schema)``, once
+    ``window`` documents of later applications are handed to ``run`` or none
+    are left. ``run(fn, *args)`` starts or defers ``fn(*args)`` and returns
+    that call. An application whose load raises is yielded with the
+    exception in place of its bundle and no document."""
+    ahead: deque[tuple[object, ApplicationBundle | Exception, list]] = deque()
     for app in apps:
-        loaded = _InlineExecutor().submit(load, app)
-        if loaded.exception() is None:
-            bundle = loaded.result()
-            futures = [pool.submit(extract_doc, ref, schema_for(ref.slot, bundle.typology))
-                       for ref in bundle.documents]
+        try:
+            bundle = load(app)
+        except Exception as exc:  # noqa: BLE001 (raised again by finish)
+            ahead.append((app, exc, []))
         else:
-            bundle, futures = None, [loaded]
-        ahead.append((app, bundle, futures))
-        while sum(len(futures) for *_, futures in ahead) - len(ahead[0][2]) >= window:
+            ahead.append((app, bundle, [
+                run(extract_doc, ref, schema_for(ref.slot, bundle.typology))
+                for ref in bundle.documents]))
+        while sum(len(calls) for *_, calls in ahead) - len(ahead[0][2]) >= window:
             yield ahead.popleft()
     yield from ahead
 
@@ -194,16 +184,20 @@ class _Applications:
         self.spent("extract", start)
         return extracted
 
-    def finish(self, app: tuple[str, Path], bundle: ApplicationBundle | None,
-               futures: list[Future]) -> tuple:
+    def finish(self, app: tuple[str, Path], bundle: ApplicationBundle | Exception,
+               calls: list) -> tuple:
         """``(app, record, error, visited, notices, cpu)``: the AppRecord or,
         when the application failed, None and why; the paths of its files
         and of its unsupported notices; the CPU seconds of each stage since
-        the previous result."""
+        the previous result. The bundle's archives are closed on return."""
         # one crashing application must never abort the batch
         try:
-            record = _process_application(bundle, [f.result() for f in futures], self.catalog,
-                                          self.settings, Path(self.config.out_dir), self.spent)
+            if isinstance(bundle, Exception):
+                raise bundle
+            with bundle.archives:
+                record = _process_application(bundle, [call() for call in calls], self.catalog,
+                                              self.settings, Path(self.config.out_dir),
+                                              self.spent)
             outcome = (record, None, [str(path) for path in bundle.files],
                        [n.path for n in bundle.unsupported])
         except Exception as exc:  # noqa: BLE001
@@ -213,10 +207,11 @@ class _Applications:
         return (app, *outcome, cpu)
 
 
-def _in_process(apps, applications: _Applications, pool: Executor, window: int):
-    """The result of each application of ``apps``, in order, with its
-    documents extracted on ``pool``, ``window`` documents ahead."""
-    for loaded in _extract_ahead(apps, applications.load, applications.extract, pool, window):
+def _in_process(apps, applications: _Applications, run, window: int):
+    """The result of each application of ``apps``, in order, with each
+    extraction of its documents handed to ``run``, ``window`` documents
+    ahead."""
+    for loaded in _extract_ahead(apps, applications.load, applications.extract, run, window):
         yield applications.finish(*loaded)
 
 
@@ -233,7 +228,7 @@ def _start_worker(config: RunConfig, catalog: Catalog) -> None:
 
 
 def _verify_in_worker(apps: list[tuple[str, Path]]) -> list[tuple]:
-    return list(_in_process(apps, _worker, _InlineExecutor(), 2))
+    return list(_in_process(apps, _worker, partial, 2))
 
 
 def _forked(apps, pool: Executor, workers: int):
@@ -367,9 +362,13 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
         results = _forked(forms.applications, pool, workers)
     else:
         inflight = 1 if config.backend == "mock" else config.parallelism
-        pool = _InlineExecutor() if inflight == 1 else ThreadPoolExecutor(inflight)
+        if inflight == 1:  # each extraction runs when its application is finished
+            pool, run = nullcontext(), partial
+        else:
+            pool = ThreadPoolExecutor(inflight)
+            run = lambda fn, *args: pool.submit(fn, *args).result  # noqa: E731
         results = _in_process(forms.applications, _Applications(config, catalog, backend),
-                              pool, 2 * inflight)
+                              run, 2 * inflight)
     # the pool's threads and processes finish before the backend's
     # connections close, also when the fold raises
     with closing(backend), pool:

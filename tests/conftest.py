@@ -1,5 +1,7 @@
 import multiprocessing
 import shutil
+import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,35 @@ def no_process_left_running():
         child.terminate()
         child.join()
     assert not left, f"processes left running: {left}"
+
+
+@pytest.fixture()
+def opened_archives(monkeypatch) -> list[zipfile.ZipFile]:
+    """Every ZipFile that claimcheck code opens for reading during the test,
+    in the order opened."""
+    opened = []
+
+    class RecordedZipFile(zipfile.ZipFile):
+        def __init__(self, file, mode="r", *args, **kwargs):
+            super().__init__(file, mode, *args, **kwargs)
+            caller = sys._getframe(1).f_globals.get("__name__", "")
+            if mode == "r" and caller.startswith("claimcheck."):
+                opened.append(self)
+
+    monkeypatch.setattr(zipfile, "ZipFile", RecordedZipFile)
+    return opened
+
+
+@pytest.fixture(autouse=True)
+def no_archive_left_open(opened_archives):
+    """Fail a test that leaves open an archive claimcheck opened, and close
+    it. A ZipFile closes itself when it is collected, without a
+    ResourceWarning, so no warnings filter would see the leak."""
+    yield
+    left = [archive.filename for archive in opened_archives if archive.fp is not None]
+    for archive in opened_archives:
+        archive.close()
+    assert not left, f"archives left open: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import base64
 import json
+import os
 import socket
 import threading
 import time
@@ -28,8 +29,15 @@ from claimcheck.extract import (
     schema_for,
 )
 from claimcheck.gencorpus import doc_bytes
-from claimcheck.ingest import DocumentRef, DocumentSlot, FileKind, TypologyId
-from claimcheck.normalize import Money
+from claimcheck.ingest import (
+    ApplicationBundle,
+    DocumentRef,
+    DocumentSlot,
+    FileKind,
+    TypologyId,
+    expand_archives,
+)
+from claimcheck.normalize import FormData, Money
 from claimcheck.stubserver import FixtureStubServer
 
 T4 = TypologyId.parse("4")
@@ -409,15 +417,41 @@ class TestRemoteBackend:
         with zipfile.ZipFile(archive, "w", zipfile.ZIP_DEFLATED) as writer:
             writer.writestr("fatura.pdf", b"the other invoice")
             writer.writestr("obra/fatura.pdf", doc_bytes("app_x", "obra/fatura.pdf"))
-        ref = DocumentRef(path=archive, kind=FileKind.PDF, slot=DocumentSlot.INVOICE,
-                          origin="archive_member", member="obra/fatura.pdf")
         _KeepAliveHandler.bodies = []
-        with serving(_KeepAliveHandler) as url, \
+        with zipfile.ZipFile(archive) as handle, serving(_KeepAliveHandler) as url, \
                 closing(RemoteBackend(RemoteConfig(endpoint=url))) as remote:
+            ref = DocumentRef(path=archive, kind=FileKind.PDF, slot=DocumentSlot.INVOICE,
+                              origin="archive_member", member="obra/fatura.pdf", archive=handle)
             remote.fetch(ref, schema_for(ref.slot, T1))
         [body] = _KeepAliveHandler.bodies
         posted = base64.b64decode(json.loads(body)["content_b64"])
         assert posted == doc_bytes("app_x", "obra/fatura.pdf")
+
+    def test_archive_replaced_after_expansion_is_still_read_as_admitted(self, tmp_path):
+        def write_zip(path: Path, invoice: bytes, sidecar: bytes) -> None:
+            with zipfile.ZipFile(path, "w") as writer:
+                writer.writestr("fatura.pdf", invoice)
+                writer.writestr("fatura.pdf.fields.json", sidecar)
+
+        archive = tmp_path / "anexos.zip"
+        invoice = doc_bytes("app_x", "fatura.pdf")
+        write_zip(archive, invoice, b'{"total_value": "150,00"}')
+        bundle = expand_archives(ApplicationBundle(
+            app_id="app_x", typology=T1, form=FormData(),
+            documents=[DocumentRef(path=archive, kind=FileKind.ZIP)]))
+        # the upload changes on disk after expansion admitted it
+        write_zip(tmp_path / "next.zip", b"another invoice", b'{"total_value": "999,00"}')
+        os.replace(tmp_path / "next.zip", archive)
+        [ref] = bundle.documents
+        schema = schema_for(DocumentSlot.INVOICE, T1)
+        _KeepAliveHandler.bodies = []
+        with bundle.archives, serving(_KeepAliveHandler) as url, \
+                closing(RemoteBackend(RemoteConfig(endpoint=url))) as remote:
+            remote.fetch(ref, schema)
+            mock = MockBackend().fetch(ref, schema)
+        [body] = _KeepAliveHandler.bodies
+        assert base64.b64decode(json.loads(body)["content_b64"]) == invoice
+        assert mock.fields["total_value"] == "150,00"
 
     def test_silently_closed_keep_alive_is_reopened_without_an_attempt(self, tmp_path):
         _KeepAliveHandler.connections = _KeepAliveHandler.requests = 0

@@ -1,11 +1,11 @@
 import io
 import zipfile
-from contextlib import closing
+from contextlib import ExitStack, closing
 from pathlib import Path
 
 import pytest
 
-from claimcheck.backends import MockBackend, load_sidecar
+from claimcheck.backends import MockBackend, RemoteBackend, RemoteConfig, load_sidecar
 from claimcheck.extract import ExtractionSchema, TagSpec, ValueType
 from claimcheck.ingest import (
     MAX_ARCHIVE_ENTRIES,
@@ -21,6 +21,7 @@ from claimcheck.ingest import (
     parse_form_xml,
     scan_corpus,
 )
+from claimcheck.stubserver import FixtureStubServer
 
 MINIMAL_FORM = """<?xml version='1.0' encoding='utf-8'?>
 <application id="{app_id}" typology="1">
@@ -56,6 +57,19 @@ def write_app(root: Path, app_id: str, files: dict[str, bytes] | None = None) ->
     return app_dir
 
 
+@pytest.fixture()
+def expand():
+    """``expand_archives``, with the archives of every bundle it returns
+    closed at the end of the test."""
+    with ExitStack() as stack:
+        def expand(bundle, *args):
+            expanded = expand_archives(bundle, *args)
+            stack.enter_context(expanded.archives)
+            return expanded
+
+        yield expand
+
+
 def zip_bytes(members: dict[str, bytes]) -> bytes:
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as archive:
@@ -83,7 +97,7 @@ class TestClassifyFile:
     def test_zip_supported(self, tmp_path):
         assert self.classify(tmp_path, "photos.zip") is FileKind.ZIP
 
-    def test_docx_unsupported(self, tmp_path):
+    def test_docx_unsupported(self, tmp_path, expand):
         notice = self.classify(tmp_path, "docs.docx")
         assert isinstance(notice, UnsupportedNotice)
         assert notice.path == str(tmp_path / "app_a" / "docs.docx")
@@ -91,7 +105,7 @@ class TestClassifyFile:
         assert notice.message
         # a ZIP member is admitted by the same rule, in the same words
         write_app(tmp_path, "app_b", {"anexos.zip": zip_bytes({"docs.docx": b"x"})})
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[1])
+        bundle = expand(scan_corpus(tmp_path).bundles[1])
         member = bundle.unsupported[0]
         assert member.path == f"{tmp_path / 'app_b' / 'anexos.zip'}!docs.docx"
         assert (member.reason, member.message) == (notice.reason, notice.message)
@@ -177,20 +191,20 @@ class TestScanCorpus:
 
 
 class TestExpandArchives:
-    def test_no_zip_is_identity(self, tmp_path):
+    def test_no_zip_is_identity(self, tmp_path, expand):
         write_app(tmp_path, "app_a", {"fatura.pdf": b"x"})
         bundle = scan_corpus(tmp_path).bundles[0]
         before = list(bundle.documents)
-        after = expand_archives(bundle)
+        after = expand(bundle)
         assert after.documents == before
 
-    def test_members_extracted_and_classified(self, tmp_path):
+    def test_members_extracted_and_classified(self, tmp_path, expand):
         payload = zip_bytes({
             "foto1.png": b"a", "foto2.png": b"b", "foto3.png": b"c", "doc.docx": b"d",
         })
         write_app(tmp_path, "app_a", {"fotos.zip": payload})
         bundle = scan_corpus(tmp_path).bundles[0]
-        bundle = expand_archives(bundle)
+        bundle = expand(bundle)
         kinds = sorted(d.kind for d in bundle.documents)
         assert kinds == [FileKind.PNG, FileKind.PNG, FileKind.PNG]
         assert all(d.origin == "archive_member" for d in bundle.documents)
@@ -198,46 +212,46 @@ class TestExpandArchives:
         # conservation: 3 supported members, no zip left behind
         assert not any(d.kind is FileKind.ZIP for d in bundle.documents)
 
-    def test_nested_zip_flagged(self, tmp_path):
+    def test_nested_zip_flagged(self, tmp_path, expand):
         inner = zip_bytes({"x.png": b"x"})
         payload = zip_bytes({"outer.png": b"a", "inner.zip": inner})
         write_app(tmp_path, "app_a", {"docs.zip": payload})
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        bundle = expand(scan_corpus(tmp_path).bundles[0])
         assert len(bundle.documents) == 1
         assert [n.reason for n in bundle.unsupported] == ["archive_depth_exceeded"]
 
-    def test_corrupt_zip(self, tmp_path):
+    def test_corrupt_zip(self, tmp_path, expand):
         write_app(tmp_path, "app_a", {"broken.zip": b"this is not a zip"})
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        bundle = expand(scan_corpus(tmp_path).bundles[0])
         assert bundle.documents == []
         assert [n.reason for n in bundle.unsupported] == ["corrupt_archive"]
 
-    def test_archive_unreadable_to_its_end_gives_only_its_notice(self, tmp_path):
+    def test_archive_unreadable_to_its_end_gives_only_its_notice(self, tmp_path, expand):
         payload = bytearray(zip_bytes({"foto_01.png": b"first", "foto_02.png": b"second"}))
         at = payload.index(b"second")  # members are stored, so their bytes are verbatim
         payload[at:at + 6] = b"SECOND"  # the second member now fails its CRC check
         write_app(tmp_path, "app_a", {"fotos.zip": bytes(payload)})
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        bundle = expand(scan_corpus(tmp_path).bundles[0])
         assert bundle.documents == []
         assert [n.reason for n in bundle.unsupported] == ["corrupt_archive"]
         assert bundle.unsupported[0].message == "fotos.zip could not be read as a ZIP archive"
 
-    def test_entries_sharing_a_name_make_the_archive_corrupt(self, tmp_path):
+    def test_entries_sharing_a_name_make_the_archive_corrupt(self, tmp_path, expand):
         buffer = io.BytesIO()
         with zipfile.ZipFile(buffer, "w") as archive, pytest.warns(UserWarning, match="Duplicate"):
             archive.writestr("fatura.pdf", b"first")
             archive.writestr("fatura.pdf", b"second")
         write_app(tmp_path, "app_a", {"anexos.zip": buffer.getvalue()})
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        bundle = expand(scan_corpus(tmp_path).bundles[0])
         assert bundle.documents == []
         assert [n.reason for n in bundle.unsupported] == ["corrupt_archive"]
 
     @pytest.mark.parametrize("extra", [0, 1])
-    def test_archive_entries_are_capped(self, tmp_path, extra):
+    def test_archive_entries_are_capped(self, tmp_path, extra, expand):
         count = MAX_ARCHIVE_ENTRIES + extra
         write_app(tmp_path, "app_a", {
             "fotos.zip": zip_bytes({f"foto_{i:03d}.png": b"p" for i in range(count)})})
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        bundle = expand(scan_corpus(tmp_path).bundles[0])
         if not extra:
             assert len(bundle.documents) == count and bundle.unsupported == []
             return
@@ -247,28 +261,28 @@ class TestExpandArchives:
                                                 "too_many_members")
         assert notice.message == f"fotos.zip lists {count} entries, above the 256 cap"
 
-    def test_input_bundle_is_left_unchanged(self, tmp_path):
+    def test_input_bundle_is_left_unchanged(self, tmp_path, expand):
         write_app(tmp_path, "app_a", {
             "notes.docx": b"n", "fotos.zip": zip_bytes({"foto1.png": b"a", "doc.docx": b"d"})})
         bundle = scan_corpus(tmp_path).bundles[0]
         documents, unsupported = list(bundle.documents), list(bundle.unsupported)
-        expanded = expand_archives(bundle)
+        expanded = expand(bundle)
         assert [d.kind for d in bundle.documents] == [FileKind.ZIP]
         assert bundle.documents == documents and bundle.unsupported == unsupported
         assert [d.kind for d in expanded.documents] == [FileKind.PNG]
         assert len(expanded.unsupported) == 2
 
-    def test_sidecars_read_in_place_but_not_listed(self, tmp_path):
+    def test_sidecars_read_in_place_but_not_listed(self, tmp_path, expand):
         payload = zip_bytes({"fatura.pdf": b"x", "fatura.pdf.fields.json": b'{"n": 1}'})
         write_app(tmp_path, "app_a", {"docs.zip": payload})
         before = sorted(tmp_path.rglob("*"))
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        bundle = expand(scan_corpus(tmp_path).bundles[0])
         assert sorted(tmp_path.rglob("*")) == before
         assert [d.name for d in bundle.documents] == ["fatura.pdf"]
         assert bundle.documents[0].read_bytes() == b"x"
         assert load_sidecar(bundle.documents[0]) == {"n": 1}
 
-    def test_members_sharing_a_base_name_stay_apart(self, tmp_path):
+    def test_members_sharing_a_base_name_stay_apart(self, tmp_path, expand):
         invoices = zip_bytes({
             "obra1/fatura.pdf": b"first", "obra1/fatura.pdf.fields.json": b'{"n": 1}',
             "obra2/fatura.pdf": b"second", "obra2/fatura.pdf.fields.json": b'{"n": 2}',
@@ -280,7 +294,7 @@ class TestExpandArchives:
             "b/docs.zip": zip_bytes({"foto.png": b"b"}),
         })
         before = sorted(tmp_path.rglob("*"))
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        bundle = expand(scan_corpus(tmp_path).bundles[0])
         assert sorted(tmp_path.rglob("*")) == before
         app_dir = tmp_path / "app_a"
         assert [d.display_path for d in bundle.documents] == [
@@ -296,8 +310,9 @@ class TestExpandArchives:
             b"a", b"first", b"second", b"up", b"b"]
         assert [load_sidecar(d) for d in bundle.documents] == [{}, {"n": 1}, {"n": 2}, {}, {}]
 
-    def test_mock_backend_opens_each_archive_once_for_its_members(self, tmp_path, monkeypatch):
-        write_app(tmp_path, "app_a", {
+    @staticmethod
+    def write_three_archives(root: Path) -> Path:
+        return write_app(root, "app_a", {
             "a/docs.zip": zip_bytes({"foto.png": b"a"}),
             "anexos.zip": zip_bytes({
                 "obra1/fatura.pdf": b"1", "obra1/fatura.pdf.fields.json": b'{"n": 1}',
@@ -305,21 +320,32 @@ class TestExpandArchives:
                 "recibo.pdf": b"3", "recibo.pdf.fields.json": b'{"n": 3}'}),
             "b/docs.zip": zip_bytes({"foto.png": b"b"}),
         })
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
-        opened = []
 
-        class CountingZipFile(zipfile.ZipFile):
-            def __init__(self, file, *args, **kwargs):
-                opened.append(Path(file).relative_to(tmp_path / "app_a"))
-                super().__init__(file, *args, **kwargs)
-
-        monkeypatch.setattr(zipfile, "ZipFile", CountingZipFile)
+    def test_mock_backend_opens_each_archive_once_for_its_members(self, tmp_path,
+                                                                  opened_archives):
+        app_dir = self.write_three_archives(tmp_path)
         schema = ExtractionSchema(DocumentSlot.OTHER, (TagSpec("n", ValueType.NUMBER),))
-        backend = MockBackend()
-        with closing(backend):
-            answers = [backend.fetch(d, schema).fields["n"] for d in bundle.documents]
+        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        with bundle.archives:
+            answers = [MockBackend().fetch(d, schema).fields["n"] for d in bundle.documents]
         assert answers == ["None", "1", "2", "3", "None"]
-        assert opened == [Path("a/docs.zip"), Path("anexos.zip"), Path("b/docs.zip")]
+        # expansion opens each archive, and every later read goes through that handle
+        assert [Path(a.filename).relative_to(app_dir) for a in opened_archives] == [
+            Path("a/docs.zip"), Path("anexos.zip"), Path("b/docs.zip")]
+        assert all(archive.fp is None for archive in opened_archives)
+
+    def test_remote_backend_opens_each_archive_once_for_its_members(self, tmp_path,
+                                                                    opened_archives):
+        app_dir = self.write_three_archives(tmp_path)
+        schema = ExtractionSchema(DocumentSlot.OTHER, (TagSpec("n", ValueType.NUMBER),))
+        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        with FixtureStubServer(tmp_path) as stub, bundle.archives, \
+                closing(RemoteBackend(RemoteConfig(endpoint=stub.url))) as remote:
+            for doc in bundle.documents:
+                remote.fetch(doc, schema)
+        assert [Path(a.filename).relative_to(app_dir) for a in opened_archives] == [
+            Path("a/docs.zip"), Path("anexos.zip"), Path("b/docs.zip")]
+        assert all(archive.fp is None for archive in opened_archives)
 
 
 class TestParseFormXml:
@@ -406,12 +432,12 @@ class TestTypologyId:
             TypologyId.parse("2.9")
 
 
-def test_scan_expand_and_map_end_to_end(tmp_path):
+def test_scan_expand_and_map_end_to_end(tmp_path, expand):
     write_app(tmp_path, "app_a", {
         "fatura.pdf": b"x",
         "fotos.zip": zip_bytes({"foto1.png": b"a", "leia-me.txt": b"b"}),
     })
-    bundle = map_documents(expand_archives(scan_corpus(tmp_path).bundles[0]))
+    bundle = map_documents(expand(scan_corpus(tmp_path).bundles[0]))
     assert isinstance(bundle, ApplicationBundle)
     slots = sorted(d.slot.value for d in bundle.documents)
     assert slots == ["invoice", "photo"]

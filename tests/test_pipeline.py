@@ -605,6 +605,62 @@ def test_member_failing_mid_archive_leaves_nothing_under_out(tmp_path):
         assert not any(data in output for output in written)
 
 
+def test_each_archive_is_closed_once_its_application_is_done(tmp_path, monkeypatch,
+                                                            opened_archives):
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, GenOptions(n_apps=4, consistency=0.76, seed=5))
+    apps = sorted(p for p in corpus.iterdir() if p.is_dir())
+    for app_dir in (apps[0], apps[2], apps[3]):
+        zip_app_photos(app_dir)
+    # the second archive of apps[3] raises NotImplementedError during expansion
+    (apps[3] / "anexos.zip").write_bytes(zip_members({"foto_9.png": b"p"}))
+    break_photo(apps[3] / "fotos.zip", "unsupported_method")
+
+    def render(data):
+        if data["app_id"] == apps[2].name:
+            raise RuntimeError("render crashed")
+        return render_html(data)
+
+    open_when_done = {}
+    real_log = pipeline.log_event
+
+    def log_event(event, **fields):
+        if event in ("app_processed", "app_processing_failed"):
+            open_when_done[fields["app_id"]] = [
+                a.filename for a in opened_archives
+                if a.fp is not None and Path(a.filename).parent.name == fields["app_id"]]
+        real_log(event, **fields)
+
+    monkeypatch.setattr(pipeline, "render_html", render)
+    monkeypatch.setattr(pipeline, "log_event", log_event)
+    result = verify_corpus(RunConfig(corpus_root=corpus, out_dir=tmp_path / "out",
+                                     parallelism=1))
+    assert [f["app_id"] for f in result.manifest["failures"]] == [apps[2].name, apps[3].name]
+    assert open_when_done == {app.name: [] for app in apps}
+    assert [Path(a.filename).relative_to(corpus) for a in opened_archives] == [
+        Path(apps[0].name, "fotos.zip"), Path(apps[2].name, "fotos.zip"),
+        Path(apps[3].name, "anexos.zip"), Path(apps[3].name, "fotos.zip")]
+    assert all(archive.fp is None for archive in opened_archives)
+
+
+def test_extraction_threads_share_each_archive_handle(tmp_path):
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, GenOptions(n_apps=6, consistency=0.76, seed=5))
+    for app_dir in sorted(p for p in corpus.iterdir() if p.is_dir()):
+        zip_app_photos(app_dir)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often, mid-read included
+    try:
+        with FixtureStubServer(corpus) as stub:
+            for parallelism in ("16", "1"):
+                assert main(["verify", "--corpus", str(corpus), "--out",
+                             str(tmp_path / parallelism), "--backend", "remote",
+                             "--endpoint", stub.url, "--parallelism", parallelism]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert output_tree(tmp_path / "16") == output_tree(tmp_path / "1")
+
+
 DOCUMENTED_OUTPUT = re.compile(
     r"[^/]+/(eligibility|common_core|typology)\.(json|html)|[^/]+/extraction\.json"
     r"|metrics\.json|cost_time\.csv|manifest\.json")
