@@ -813,7 +813,7 @@ def world_bundle_and_docs(world: AppWorld) -> tuple[ApplicationBundle, list[Extr
         if isinstance(admitted, UnsupportedNotice):
             notices.append(admitted)
             continue
-        refs.append(DocumentRef(path=virtual, kind=admitted, slot=slot))
+        refs.append(DocumentRef(path=virtual, kind=admitted, slot=slot, corpus_path=str(virtual)))
         store[str(virtual)] = sidecar_dict(doc)
     bundle = ApplicationBundle(app_id=app_id, typology=typology, form=form,
                                documents=refs, unsupported=notices)

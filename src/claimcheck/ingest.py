@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import xml.etree.ElementTree as ET
 import zipfile
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -130,7 +131,7 @@ class TypologyId:
 
 @dataclass(frozen=True)
 class UnsupportedNotice:
-    path: str
+    path: str  # the file's corpus name (see DocumentRef.display_path)
     # unsupported_extension | oversize | corrupt_archive | too_many_members
     # | archive_depth_exceeded
     reason: str
@@ -140,17 +141,19 @@ class UnsupportedNotice:
 
 @dataclass(frozen=True)
 class DocumentRef:
-    path: Path  # the file, or the archive that holds the member
+    path: Path  # the file, or the archive that holds the member, as it is read
     kind: FileKind
     slot: DocumentSlot = DocumentSlot.OTHER
     origin: str = "direct_upload"
     member: str | None = None  # the member's name inside the archive at ``path``
     # the archive at ``path``, opened and checked by expand_archives
     archive: zipfile.ZipFile | None = field(default=None, compare=False, repr=False)
+    # ``path`` relative to the corpus root, in POSIX form: the name outputs quote
+    corpus_path: str = ""
 
     @property
-    def display_path(self) -> str:
-        return str(self.path) if self.member is None else f"{self.path}!{self.member}"
+    def display_path(self) -> str:  # e.g. app_00001/anexos.zip!foto_09.webp for a member
+        return self.corpus_path if self.member is None else f"{self.corpus_path}!{self.member}"
 
     @property
     def name(self) -> str:
@@ -172,8 +175,7 @@ class ApplicationBundle:
     form: FormData
     documents: list[DocumentRef] = field(default_factory=list)
     unsupported: list[UnsupportedNotice] = field(default_factory=list)
-    root: Path | None = None
-    files: list[Path] = field(default_factory=list)  # every regular file under root
+    files: list[str] = field(default_factory=list)  # the corpus name of each of its files
     # the open archives its documents are read from; closing it closes them
     archives: ExitStack = field(default_factory=ExitStack, compare=False, repr=False)
 
@@ -181,23 +183,23 @@ class ApplicationBundle:
 @dataclass(frozen=True)
 class LoadFailure:
     app_id: str
-    path: str
+    path: str  # the application directory's corpus name
     reason: str
-    files: list[Path]  # every regular file under the application directory
+    files: list[str]  # the corpus name of every regular file under that directory
 
 
 @dataclass
 class FormScan:
     applications: list[tuple[str, Path]]  # (app id, directory), ordered by app id
     failures: list[LoadFailure]
-    loose_files: list[Path] = field(default_factory=list)  # regular files at the corpus root
+    loose_files: list[str] = field(default_factory=list)  # regular files at the corpus root
 
 
 @dataclass
 class ScanResult:
     bundles: list[ApplicationBundle]
     failures: list[LoadFailure]
-    loose_files: list[Path] = field(default_factory=list)  # regular files at the corpus root
+    loose_files: list[str] = field(default_factory=list)  # regular files at the corpus root
 
 
 class FormParseError(ValueError):
@@ -242,20 +244,14 @@ def mandatory_fields(typology: TypologyId) -> tuple[str, ...]:
     return COMMON_MANDATORY_FIELDS + TYPOLOGY_MANDATORY_FIELDS.get(typology.major, ())
 
 
-def infer_slot(path: Path, app_root: Path | None = None) -> DocumentSlot:
-    """Slot from upload directory first, then filename keywords, else other."""
-    folders: tuple[str, ...] = ()
-    if app_root is not None:
-        try:
-            folders = path.relative_to(app_root).parts[:-1]
-        except ValueError:
-            pass
-    return _slot_of(folders, path.name)
+def infer_slot(path: PurePath) -> DocumentSlot:
+    """Slot of a file, outside any upload directory, from its name."""
+    return _slot_of((), path.name)
 
 
 def _slot_of(folders: tuple[str, ...], name: str) -> DocumentSlot:
-    """``infer_slot`` of the file ``name`` in the ``folders`` below the
-    application root."""
+    """Slot of the file ``name`` in the ``folders`` below the application
+    root: from upload directory first, then filename keywords, else other."""
     for part in folders:
         slot = _SLOT_DIRECTORIES.get(part.lower())
         if slot is not None:
@@ -339,28 +335,29 @@ def admit_file(shown: str, file: PurePath, size: int, slot: DocumentSlot,
     return FileKind(kind_name)
 
 
-def _walk_files(directory: Path, folders: tuple[str, ...] = ()):
-    """Yield (path, DirEntry, folders) for every regular file under
-    ``directory``, in ``sorted(Path)`` order, with the names of the folders
-    between ``directory`` and the file. Like ``Path.rglob``, it does not
-    descend into symlinked directories and skips directories it may not
-    read or that are gone."""
+def _walk_files(directory: Path, name: str, folders: tuple[str, ...] = ()):
+    """Yield (path, corpus name, DirEntry, folders) for every regular file
+    under ``directory``, whose corpus name is ``name``, in ``sorted(Path)``
+    order, with the names of the folders between ``directory`` and the file.
+    Like ``Path.rglob``, it does not descend into symlinked directories and
+    skips directories it may not read or that are gone."""
     try:
         with os.scandir(directory) as it:
             entries = sorted(it, key=lambda e: e.name)
     except (PermissionError, FileNotFoundError, NotADirectoryError):
         return
     for entry in entries:
-        path = directory / entry.name
+        path, rel = directory / entry.name, f"{name}/{entry.name}"
         if entry.is_dir(follow_symlinks=False):
-            yield from _walk_files(path, (*folders, entry.name))
+            yield from _walk_files(path, rel, (*folders, entry.name))
         elif entry.is_file():
-            yield path, entry, folders
+            yield path, rel, entry, folders
 
 
-def list_files(directory: Path) -> list[Path]:
-    """Every regular file under ``directory``, in ``sorted(Path)`` order."""
-    return [path for path, _, _ in _walk_files(directory)]
+def list_files(app_dir: Path) -> list[str]:
+    """The corpus name of every regular file under the application
+    directory ``app_dir``, in ``sorted(Path)`` order."""
+    return [rel for _, rel, _, _ in _walk_files(app_dir, app_dir.name)]
 
 
 def _form_bytes(app_dir: Path) -> bytes:
@@ -376,7 +373,8 @@ def scan_forms(root: Path) -> FormScan:
     application subdirectory, and visit no other file of one whose form
     passes; its values are parsed in the second phase.
 
-    An application whose form does not load is recorded as a LoadFailure
+    An application whose form does not load, or declares an id that
+    another directory's form declares too, is recorded as a LoadFailure
     with every file under its directory, and the scan moves on; only an
     unreadable corpus root is an error.
     """
@@ -392,11 +390,18 @@ def scan_forms(root: Path) -> FormScan:
             try:
                 forms.applications.append((_form_structure(_form_bytes(path))[0], path))
             except FormParseError as exc:
-                forms.failures.append(LoadFailure(app_id=entry.name, path=str(path),
+                forms.failures.append(LoadFailure(app_id=entry.name, path=entry.name,
                                                   reason=str(exc), files=list_files(path)))
         elif entry.is_file():
-            forms.loose_files.append(path)
-    forms.applications.sort(key=lambda app: app[0])
+            forms.loose_files.append(entry.name)
+    declared = Counter(app_id for app_id, _ in forms.applications)
+    for app_id, path in forms.applications:
+        if declared[app_id] > 1:
+            forms.failures.append(LoadFailure(
+                app_id=app_id, path=path.name, files=list_files(path),
+                reason=f"application id {app_id!r} declared by {declared[app_id]} directories"))
+    forms.applications = sorted((app for app in forms.applications if declared[app[0]] == 1),
+                                key=lambda app: app[0])
     return forms
 
 
@@ -412,21 +417,21 @@ def scan_application(app_id: str, app_dir: Path, max_file_mb: float = DEFAULT_MA
         raise FormParseError(f"{FORM_FILENAME} now names application {form_id!r}, not {app_id!r}")
 
     cap_bytes = int(max_file_mb * 1_000_000)
-    files: list[Path] = []
+    files: list[str] = []
     documents: list[DocumentRef] = []
     unsupported: list[UnsupportedNotice] = []
-    for path, entry, folders in _walk_files(app_dir):
-        files.append(path)
+    for path, rel, entry, folders in _walk_files(app_dir, app_dir.name):
+        files.append(rel)
         if (entry.name == FORM_FILENAME and not folders) or entry.name.endswith(SIDECAR_SUFFIX):
             continue
         slot = _slot_of(folders, entry.name)
-        admitted = admit_file(str(path), path, entry.stat().st_size, slot, extensions, cap_bytes)
+        admitted = admit_file(rel, path, entry.stat().st_size, slot, extensions, cap_bytes)
         if isinstance(admitted, UnsupportedNotice):
             unsupported.append(admitted)
         else:
-            documents.append(DocumentRef(path=path, kind=admitted, slot=slot))
+            documents.append(DocumentRef(path=path, kind=admitted, slot=slot, corpus_path=rel))
     return ApplicationBundle(app_id=app_id, typology=typology, form=form, documents=documents,
-                             unsupported=unsupported, root=app_dir, files=files)
+                             unsupported=unsupported, files=files)
 
 
 def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
@@ -456,7 +461,7 @@ def _read_archive(doc: DocumentRef, extensions: dict[str, str], cap_bytes: int,
         archive = archives.enter_context(zipfile.ZipFile(doc.path))
         entries = archive.infolist()
         if len(entries) > MAX_ARCHIVE_ENTRIES:
-            return [], [UnsupportedNotice(str(doc.path), "too_many_members", (
+            return [], [UnsupportedNotice(doc.corpus_path, "too_many_members", (
                 f"{doc.path.name} lists {len(entries)} entries, above the "
                 f"{MAX_ARCHIVE_ENTRIES} cap"), doc.slot)]
         if len({entry.filename for entry in entries}) < len(entries):
@@ -464,7 +469,7 @@ def _read_archive(doc: DocumentRef, extensions: dict[str, str], cap_bytes: int,
         for member in entries:
             member_path = Path(member.filename)
             member_name = member_path.name
-            display = f"{doc.path}!{member.filename}"
+            display = f"{doc.corpus_path}!{member.filename}"
             if member.is_dir() or not member_name or member_name.startswith("."):
                 continue
             slot = infer_slot(member_path)
@@ -486,10 +491,10 @@ def _read_archive(doc: DocumentRef, extensions: dict[str, str], cap_bytes: int,
                     pass
             documents.append(DocumentRef(path=doc.path, kind=admitted, slot=slot,
                                          origin="archive_member", member=member.filename,
-                                         archive=archive))
+                                         archive=archive, corpus_path=doc.corpus_path))
     except zipfile.BadZipFile:
         return [], [UnsupportedNotice(
-            path=str(doc.path), reason="corrupt_archive",
+            path=doc.corpus_path, reason="corrupt_archive",
             message=f"{doc.path.name} could not be read as a ZIP archive", slot=doc.slot)]
     return documents, notices
 
@@ -523,13 +528,11 @@ def expand_archives(bundle: ApplicationBundle, max_file_mb: float = DEFAULT_MAX_
 
 
 def map_documents(bundle: ApplicationBundle) -> ApplicationBundle:
-    """Finalize slot assignment relative to the application root."""
-    mapped = []
-    for doc in bundle.documents:
-        if doc.member is None:
-            mapped.append(replace(doc, slot=infer_slot(doc.path, bundle.root)))
-        else:  # folders inside an archive name no upload directory
-            mapped.append(replace(doc, slot=infer_slot(Path(doc.name))))
-    bundle.documents = mapped
+    """Finalize slot assignment from each document's folders below the
+    application root; folders inside an archive name no upload directory."""
+    bundle.documents = [
+        replace(doc, slot=_slot_of(() if doc.member else tuple(doc.corpus_path.split("/")[1:-1]),
+                                   doc.name))
+        for doc in bundle.documents]
     return bundle
 

@@ -62,11 +62,11 @@ class MetricsBlock:
 
     @property
     def suppression_rate(self) -> float | None:
-        actionable = sum(v for k, v in self.status_counts.items()
-                         if k != CheckStatus.NOT_APPLICABLE.value)
-        if actionable == 0:
+        """Auto-verified checks over all checks; None with no check."""
+        checks = sum(self.status_counts.values())
+        if checks == 0:
             return None
-        return self.status_counts[CheckStatus.AUTO_VERIFIED.value] / actionable
+        return self.status_counts[CheckStatus.AUTO_VERIFIED.value] / checks
 
     def add(self, record: AppRecord) -> None:
         self.applications += 1

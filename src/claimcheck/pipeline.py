@@ -20,7 +20,7 @@ from contextlib import closing, nullcontext
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from pathlib import Path, PurePath
+from pathlib import Path
 from urllib.parse import urlsplit
 
 from .backends import MockBackend
@@ -37,7 +37,7 @@ from .ingest import (
     scan_forms,
 )
 from .metrics import AppRecord, RunTotals
-from .report import canonical_json_bytes, render_html, report_dict
+from .report import SCHEMA_VERSION, canonical_json_bytes, render_html, report_dict
 from .rules import CheckStatus, EngineSettings, ReportKind, evaluate_application
 
 logger = logging.getLogger("claimcheck")
@@ -187,9 +187,9 @@ class _Applications:
     def finish(self, app: tuple[str, Path], bundle: ApplicationBundle | Exception,
                calls: list) -> tuple:
         """``(app, record, error, visited, notices, cpu)``: the AppRecord or,
-        when the application failed, None and why; the paths of its files
-        and of its unsupported notices; the CPU seconds of each stage since
-        the previous result. The bundle's archives are closed on return."""
+        when the application failed, None and why; the corpus names of its
+        files and notices; the CPU seconds of each stage since the previous
+        result. The bundle's archives are closed on return."""
         # one crashing application must never abort the batch
         try:
             if isinstance(bundle, Exception):
@@ -198,8 +198,7 @@ class _Applications:
                 record = _process_application(bundle, [call() for call in calls], self.catalog,
                                               self.settings, Path(self.config.out_dir),
                                               self.spent)
-            outcome = (record, None, [str(path) for path in bundle.files],
-                       [n.path for n in bundle.unsupported])
+            outcome = (record, None, bundle.files, [n.path for n in bundle.unsupported])
         except Exception as exc:  # noqa: BLE001
             outcome = (None, str(exc), [], [])
         with self._lock:
@@ -274,12 +273,12 @@ def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDoc
          "cost_eur": doc.meta.cost_eur, "elapsed_ms": doc.meta.elapsed_ms}
         for doc in extracted
     ]
-    extraction_payload = {
+    extraction_bytes = canonical_json_bytes({
+        "schema_version": SCHEMA_VERSION,
         "app_id": bundle.app_id,
         "typology": str(bundle.typology),
         "docs": metas,
-    }
-    extraction_bytes = canonical_json_bytes(extraction_payload)
+    })
     start = spent("render", start)
     (app_out / "extraction.json").write_bytes(extraction_bytes)
     spent("write", start)
@@ -293,20 +292,20 @@ def build_manifest(config: RunConfig, catalog: Catalog, totals: RunTotals,
     """Run manifest: config, catalog version, counts, and every corpus
     file the scan visited in exactly one of processed/unsupported/failed.
 
-    ``files`` holds the corpus-relative paths the run filed under each of
-    those three, and under ``members`` the archive-member notice paths,
+    ``files`` holds the corpus names the run filed under each of those
+    three, and under ``members`` the archive-member notice paths,
     which name no file on disk; ``notices`` counts the notices of processed
     applications. It reads nothing from the file system. Files are listed
     in the order of ``sorted(Path)``, which compares path parts, not
     strings: ``a/x`` comes before ``a-b/x``, so the sort key maps each
     separator to a character below any other in a name.
     """
-    root = Path(config.corpus_root)
     listed = {bucket: sorted(files[bucket], key=lambda rel: rel.replace("/", "\0"))
               for bucket in ("processed", "unsupported", "failed")}
     # archive members only exist virtually; their notices follow the files
-    listed["unsupported"].extend(str(PurePath(p)) for p in sorted(files["members"]))
+    listed["unsupported"].extend(sorted(files["members"]))
     return {
+        "schema_version": SCHEMA_VERSION,
         "config": config.public_dict(),
         "catalog_version": catalog.version,
         "counts": {
@@ -314,11 +313,7 @@ def build_manifest(config: RunConfig, catalog: Catalog, totals: RunTotals,
             "applications_failed": len(failures),
             "unsupported_notices": notices,
         },
-        "failures": [
-            {"app_id": f.app_id, "path": str(Path(f.path).relative_to(root)) if f.path else "",
-             "reason": f.reason}
-            for f in failures
-        ],
+        "failures": [{"app_id": f.app_id, "path": f.path, "reason": f.reason} for f in failures],
         "files": listed,
     }
 
@@ -330,21 +325,18 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    root = Path(config.corpus_root)
     start = time.thread_time()
-    forms = scan_forms(root)
+    forms = scan_forms(Path(config.corpus_root))
     stage_cpu = dict.fromkeys(STAGES, 0.0)
     stage_cpu["scan"] = time.thread_time() - start
     for failure in forms.failures:
         log_event("app_load_failed", app_id=failure.app_id, reason=failure.reason)
 
-    # each application's files are filed, relative to the corpus root, once
-    # its fate is known
-    prefix = len(str(root / "_")) - 1  # every visited path is root / rel
+    # each application's files are filed once its fate is known
     totals = RunTotals()
     failures = list(forms.failures)
-    files = {"processed": [str(p)[prefix:] for p in forms.loose_files], "unsupported": [],
-             "failed": [], "members": []}
+    files = {"processed": list(forms.loose_files), "unsupported": [], "failed": [],
+             "members": []}
     notices = 0
     # The mock backend only reads a local sidecar, so a mock run is CPU work:
     # it takes whole applications to one worker process per usable CPU, up
@@ -377,7 +369,7 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
                 stage_cpu[stage] += seconds
             if record is None:
                 log_event("app_processing_failed", app_id=app_id, error=error)
-                failures.append(LoadFailure(app_id=app_id, path=str(app_dir),
+                failures.append(LoadFailure(app_id=app_id, path=app_dir.name,
                                             reason=f"processing failed: {error}",
                                             files=list_files(app_dir)))
                 continue
@@ -388,11 +380,11 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
                       unsupported_files=len(app_notices))
             shown = set(app_notices)
             for path in visited:
-                files["unsupported" if path in shown else "processed"].append(path[prefix:])
-            files["members"].extend(p[prefix:] for p in shown.difference(visited))
+                files["unsupported" if path in shown else "processed"].append(path)
+            files["members"].extend(shown.difference(visited))
             notices += len(app_notices)
     for failure in failures:
-        files["failed"].extend(str(path)[prefix:] for path in failure.files)
+        files["failed"].extend(failure.files)
 
     _write_totals(out_dir, totals)
     manifest = build_manifest(config, catalog, totals, failures, files, notices)

@@ -14,6 +14,11 @@ import json
 from .ingest import UnsupportedNotice
 from .rules import STATUS_LABELS, CheckOutcome, CheckStatus, ReportKind
 
+# The version of the layout of every report JSON, extraction.json and
+# manifest.json, each of which records it as "schema_version"; a change to
+# their bytes bumps it.
+SCHEMA_VERSION = 2
+
 
 def _outcome_dict(outcome: CheckOutcome) -> dict:
     def side(evidence) -> dict:
@@ -42,6 +47,7 @@ def report_dict(app_id: str, kind: ReportKind, outcomes: list[CheckOutcome],
     for outcome in outcomes:
         counts[outcome.status.value] += 1
     return {
+        "schema_version": SCHEMA_VERSION,
         "app_id": app_id,
         "kind": kind.value,
         "catalog_version": catalog_version,
@@ -76,7 +82,6 @@ tr.unsupported { background: #fff3d6; }
 .badge { font-weight: bold; padding: 2px 6px; border-radius: 4px; white-space: nowrap; }
 .badge.auto_verified { background: #d9f2d9; color: #1e6b1e; }
 .badge.manual_check { background: #c62828; color: #fff; }
-.badge.not_applicable { background: #eee; color: #666; }
 .badge.unsupported { background: #e8a13a; color: #fff; }
 .banner { background: #d9f2d9; color: #1e6b1e; padding: 10px 14px;
           border-radius: 4px; margin-bottom: 1em; font-weight: bold; }
@@ -115,10 +120,9 @@ def render_html(report: dict) -> bytes:
             "</tr>"
         )
 
-    counts = report["status_counts"]
-    actionable = sum(v for k, v in counts.items() if k != CheckStatus.NOT_APPLICABLE.value)
     banner = ""
-    if report["outcomes"] and counts[CheckStatus.AUTO_VERIFIED.value] == actionable:
+    auto = report["status_counts"][CheckStatus.AUTO_VERIFIED.value]
+    if report["outcomes"] and auto == len(report["outcomes"]):
         banner = '<div class="banner">No verification needed for this report.</div>'
 
     notices = ""

@@ -38,15 +38,12 @@ class ReportKind(str, Enum):
 class CheckStatus(str, Enum):
     AUTO_VERIFIED = "auto_verified"
     MANUAL_CHECK = "manual_check"
-    NOT_APPLICABLE = "not_applicable"  # never given; a zero in every status count
     UNSUPPORTED = "unsupported"
 
 
-# Reviewer-facing labels for the two actionable statuses.
 STATUS_LABELS = {
     CheckStatus.AUTO_VERIFIED: "No Verification Needed",
     CheckStatus.MANUAL_CHECK: "Manual Check",
-    CheckStatus.NOT_APPLICABLE: "Not Applicable",
     CheckStatus.UNSUPPORTED: "Unsupported Document",
 }
 

@@ -100,14 +100,14 @@ class TestClassifyFile:
     def test_docx_unsupported(self, tmp_path, expand):
         notice = self.classify(tmp_path, "docs.docx")
         assert isinstance(notice, UnsupportedNotice)
-        assert notice.path == str(tmp_path / "app_a" / "docs.docx")
+        assert notice.path == "app_a/docs.docx"
         assert notice.reason == "unsupported_extension"
         assert notice.message
         # a ZIP member is admitted by the same rule, in the same words
         write_app(tmp_path, "app_b", {"anexos.zip": zip_bytes({"docs.docx": b"x"})})
         bundle = expand(scan_corpus(tmp_path).bundles[1])
         member = bundle.unsupported[0]
-        assert member.path == f"{tmp_path / 'app_b' / 'anexos.zip'}!docs.docx"
+        assert member.path == "app_b/anexos.zip!docs.docx"
         assert (member.reason, member.message) == (notice.reason, notice.message)
 
 
@@ -165,12 +165,13 @@ class TestScanCorpus:
         bundle = result.bundles[0]
         # sorted(Path) order; the symlinked file is visited, the symlinked
         # directory is not followed
-        assert [str(p.relative_to(app_dir)) for p in bundle.files] == [
-            "fatura.pdf", "fatura.pdf.fields.json", "form.xml", "fotos/foto_1.png",
-            "fotos/raw/foto_2.png", "notes.docx", "recibo.pdf"]
+        assert bundle.files == [
+            "app_a/fatura.pdf", "app_a/fatura.pdf.fields.json", "app_a/form.xml",
+            "app_a/fotos/foto_1.png", "app_a/fotos/raw/foto_2.png", "app_a/notes.docx",
+            "app_a/recibo.pdf"]
         assert [d.path.name for d in bundle.documents] == [
             "fatura.pdf", "foto_1.png", "foto_2.png", "recibo.pdf"]
-        assert result.loose_files == [root / "labels.csv"]
+        assert result.loose_files == ["labels.csv"]
 
     def test_failed_application_files_are_recorded(self, tmp_path):
         broken = tmp_path / "app_b"
@@ -179,7 +180,7 @@ class TestScanCorpus:
         (broken / "form.xml").write_text("<broken")
         result = scan_corpus(tmp_path)
         assert [f.app_id for f in result.failures] == ["app_b"]
-        assert result.failures[0].files == [broken / "form.xml", broken / "fotos" / "foto_1.png"]
+        assert result.failures[0].files == ["app_b/form.xml", "app_b/fotos/foto_1.png"]
         assert result.loose_files == []
 
     def test_deterministic(self, tmp_path):
@@ -257,8 +258,7 @@ class TestExpandArchives:
             return
         assert bundle.documents == []
         [notice] = bundle.unsupported
-        assert (notice.path, notice.reason) == (str(tmp_path / "app_a" / "fotos.zip"),
-                                                "too_many_members")
+        assert (notice.path, notice.reason) == ("app_a/fotos.zip", "too_many_members")
         assert notice.message == f"fotos.zip lists {count} entries, above the 256 cap"
 
     def test_input_bundle_is_left_unchanged(self, tmp_path, expand):
@@ -296,13 +296,12 @@ class TestExpandArchives:
         before = sorted(tmp_path.rglob("*"))
         bundle = expand(scan_corpus(tmp_path).bundles[0])
         assert sorted(tmp_path.rglob("*")) == before
-        app_dir = tmp_path / "app_a"
         assert [d.display_path for d in bundle.documents] == [
-            f"{app_dir / 'a/docs.zip'}!foto.png",
-            f"{app_dir / 'anexos.zip'}!obra1/fatura.pdf",
-            f"{app_dir / 'anexos.zip'}!obra2/fatura.pdf",
-            f"{app_dir / 'anexos.zip'}!../../fuga/recibo.pdf",
-            f"{app_dir / 'b/docs.zip'}!foto.png",
+            "app_a/a/docs.zip!foto.png",
+            "app_a/anexos.zip!obra1/fatura.pdf",
+            "app_a/anexos.zip!obra2/fatura.pdf",
+            "app_a/anexos.zip!../../fuga/recibo.pdf",
+            "app_a/b/docs.zip!foto.png",
         ]
         assert [d.name for d in bundle.documents] == [
             "foto.png", "fatura.pdf", "fatura.pdf", "recibo.pdf", "foto.png"]

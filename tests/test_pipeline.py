@@ -20,6 +20,7 @@ from claimcheck.cli import main
 from claimcheck.gencorpus import GenOptions, write_corpus
 from claimcheck.pipeline import ConfigError, RunConfig, verify_corpus
 from claimcheck.report import canonical_json_bytes, render_html, report_dict
+from claimcheck.rules import CheckStatus
 from claimcheck.stubserver import FixtureStubServer
 
 
@@ -129,7 +130,7 @@ def test_allow_ext_covers_archive_members(corpus_copy, tmp_path):
         report = json.loads((out / app_dir.name / "typology.json").read_text())
         outputs[layout] = [(o["check_id"], o["status"]) for o in report["outcomes"]]
     member = [m for m in app_metas(tmp_path / "zipped", app_dir.name) if "webp" in m["path"]]
-    assert [m["path"] for m in member] == [f"{app_dir / 'anexos.zip'}!foto_09.webp"]
+    assert [m["path"] for m in member] == [f"{app_dir.name}/anexos.zip!foto_09.webp"]
     assert outputs["zipped"] == outputs["loose"]
 
 
@@ -300,7 +301,7 @@ def rewalked_files(root: Path, out: Path, manifest: dict) -> dict[str, list[str]
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         if any(parent in failed_dirs for parent in path.resolve().parents):
             files["failed"].append(relpath(path))
-        elif str(path) in unsupported_paths:
+        elif relpath(path) in unsupported_paths:
             files["unsupported"].append(relpath(path))
         else:
             files["processed"].append(relpath(path))
@@ -333,6 +334,7 @@ def test_manifest_files_match_a_corpus_rewalk(corpus_copy, tmp_path, monkeypatch
     for name in members:
         (apps[4] / name).unlink()
     members["leia-me.docx"] = b"d"
+    members["notas/./leia.docx"] = b"d"  # listed as the reports quote it
     members["interior.zip"] = zip_members({"foto_9.png": b"p"})
     (apps[4] / "fotos.zip").write_bytes(zip_members(members))
     (corpus_copy / f"{apps[5].name}.txt").write_text("stray")
@@ -362,8 +364,8 @@ def test_manifest_files_match_a_corpus_rewalk(corpus_copy, tmp_path, monkeypatch
                    for r in out.glob("*/eligibility.json"))
     assert result.manifest["counts"]["unsupported_notices"] == reported
     assert f"{apps[2].name}/fotos/foto_01.png" in files["processed"]
-    assert {f"{apps[4].name}/fotos.zip!leia-me.docx",
-            f"{apps[4].name}/fotos.zip!interior.zip"} <= set(files["unsupported"])
+    assert {f"{apps[4].name}/fotos.zip!leia-me.docx", f"{apps[4].name}/fotos.zip!interior.zip",
+            f"{apps[4].name}/fotos.zip!notas/./leia.docx"} <= set(files["unsupported"])
     assert f"{apps[3].name}/notas/rascunho/leia-me.txt" in files["unsupported"]
     processed = files["processed"]
     assert {"labels.csv", "corpus_manifest.json"} <= set(processed)
@@ -523,7 +525,7 @@ def test_each_html_report_is_rendered_from_its_json(corpus_copy, tmp_path):
     reports = [p for p in sorted(out.glob("*/*.json")) if p.name != "extraction.json"]
     assert len(reports) == 3 * result.manifest["counts"]["applications_processed"] == 60
     notices = json.loads((out / app_dir.name / "typology.json").read_text())["unsupported"]
-    assert [n["path"] for n in notices] == [f"{app_dir / 'anexos.zip'}!notas.docx"]
+    assert [n["path"] for n in notices] == [f"{app_dir.name}/anexos.zip!notas.docx"]
     for path in reports:
         report = json.loads(path.read_text(encoding="utf-8"))
         assert render_html(report) == path.with_suffix(".html").read_bytes(), path
@@ -776,3 +778,66 @@ def test_forked_run_submits_at_most_two_tasks_per_worker_ahead(small_corpus, tmp
     ahead = [events[:i].count("submitted") for i, what in enumerate(events) if what == "folded"]
     # two workers: the task folded and up to four more, of two applications each
     assert ahead == [min((k // 2 + 1 + 4) * 2, apps) for k in range(apps)]
+
+
+@pytest.mark.parametrize("parallelism", [1, pytest.param(2, marks=forking)])
+def test_directories_that_declare_one_id_fail_and_write_no_report(corpus_copy, tmp_path,
+                                                                  parallelism):
+    apps = sorted(p for p in corpus_copy.iterdir() if p.is_dir())
+    held, twin = apps[1], apps[12]  # in different tasks of a forked run
+    form = twin / "form.xml"
+    form.write_text(form.read_text().replace(f'id="{twin.name}"', f'id="{held.name}"'))
+    out = tmp_path / "out"
+    result = verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=out,
+                                     parallelism=parallelism))
+    assert result.exit_code == 2
+    reason = f"application id '{held.name}' declared by 2 directories"
+    assert [(f["app_id"], f["path"], f["reason"]) for f in result.manifest["failures"]] == [
+        (held.name, held.name, reason), (held.name, twin.name, reason)]
+    assert not (out / held.name).exists() and not (out / twin.name).exists()
+    assert result.manifest["counts"]["applications_processed"] == len(apps) - 2
+    assert result.manifest["files"]["failed"] == sorted(
+        (str(p.relative_to(corpus_copy)) for app in (held, twin)
+         for p in app.rglob("*") if p.is_file()), key=lambda rel: rel.replace("/", "\0"))
+    assert result.manifest["files"] == rewalked_files(corpus_copy, out, result.manifest)
+
+
+@pytest.mark.parametrize("parallelism", [1, pytest.param(2, marks=forking)])
+def test_outputs_do_not_depend_on_where_the_corpus_lies(tmp_path, parallelism):
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, GenOptions(n_apps=10, consistency=0.76, seed=5, unsupported_rate=0.1))
+    apps = sorted(p for p in corpus.iterdir() if p.is_dir())
+    zip_app_photos(apps[0])
+    (apps[1] / "anexos.zip").write_bytes(zip_members({"notas.docx": b"d"}))
+    moved = tmp_path / "elsewhere" / "a" / "copy"
+    shutil.copytree(corpus, moved)
+    trees = []
+    for root, out in ((corpus, tmp_path / "out"), (moved, tmp_path / "moved-out")):
+        result = verify_corpus(RunConfig(corpus_root=root, out_dir=out,
+                                         parallelism=parallelism))
+        assert result.exit_code == 0
+        trees.append(output_tree(out))
+    assert trees[0] == trees[1]
+    assert not any(str(corpus).encode() in data for data in trees[0].values())
+    notices = json.loads(trees[0][f"{apps[1].name}/typology.json"])["unsupported"]
+    assert f"{apps[1].name}/anexos.zip!notas.docx" in [n["path"] for n in notices]
+
+
+def test_every_output_record_carries_the_schema_version(corpus_copy, tmp_path):
+    app_dir = sorted(p for p in corpus_copy.iterdir() if p.is_dir())[0]
+    (app_dir / "notas.docx").write_bytes(b"d")
+    out = tmp_path / "out"
+    assert main(["verify", "--corpus", str(corpus_copy), "--out", str(out)]) == 0
+    records = sorted(out.glob("*/*.json"))
+    assert len(records) == 4 * 20
+    for path in [*records, out / "manifest.json"]:
+        assert json.loads(path.read_text())["schema_version"] == 2, path
+
+
+def test_every_check_status_is_given(tmp_path):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["gen-corpus", "--out", str(corpus), "--n", "20", "--seed", "13",
+                 "--unsupported-rate", "0.1"]) == 0
+    assert main(["verify", "--corpus", str(corpus), "--out", str(out)]) == 0
+    counts = json.loads((out / "metrics.json").read_text())["total"]["status_counts"]
+    assert [status.value for status in CheckStatus if not counts.get(status.value)] == []

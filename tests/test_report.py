@@ -77,6 +77,9 @@ class TestRenderHtml:
         html = render_html(sample_report(SAMPLE_OUTCOMES[:3])).decode()
         assert "No verification needed for this report." in html
         assert html.count("No Verification Needed") == 3
+        unsupported = outcome("elig.u", CheckStatus.UNSUPPORTED, rhs_state="unsupported")
+        html = render_html(sample_report([*SAMPLE_OUTCOMES[:3], unsupported])).decode()
+        assert "No verification needed for this report." not in html
 
     def test_zero_checks_valid_page(self):
         html = render_html(report_dict("a", ReportKind.COMMON_CORE, [], [], "0")).decode()
@@ -119,13 +122,12 @@ def record(app_id: str, typology: str, statuses: list[str],
 class TestAggregateMetrics:
     def test_count_conservation(self):
         records = [record("a", "1", ["auto_verified"] * 3 + ["manual_check"]),
-                   record("b", "4", ["auto_verified", "unsupported", "not_applicable"])]
+                   record("b", "4", ["auto_verified", "unsupported", "manual_check"])]
         summary = RunTotals.of(records).metrics()
         counts = summary["total"]["status_counts"]
-        assert counts == {"auto_verified": 4, "manual_check": 1,
-                          "unsupported": 1, "not_applicable": 1}
+        assert counts == {"auto_verified": 4, "manual_check": 2, "unsupported": 1}
         assert summary["total"]["checks_total"] == 7
-        assert summary["total"]["suppression_rate"] == pytest.approx(4 / 6)
+        assert summary["total"]["suppression_rate"] == pytest.approx(4 / 7)
 
     def test_per_typology_split(self):
         records = [record("a", "1", ["auto_verified"]),

@@ -371,11 +371,11 @@ class TestEvaluateApplication:
 
 
 def test_suppression_rate_definition():
-    # 3 auto / (3 auto + 1 manual) = 0.75; not_applicable excluded
+    # auto-verified over all checks: 3 / (3 auto + 2 manual + 1 unsupported) = 0.5
     counts = {s.value: 0 for s in CheckStatus}
     assert MetricsBlock(status_counts=dict(counts)).suppression_rate is None
-    counts.update(auto_verified=3, manual_check=1, not_applicable=1)
-    assert MetricsBlock(status_counts=counts).suppression_rate == 0.75
+    counts.update(auto_verified=3, manual_check=2, unsupported=1)
+    assert MetricsBlock(status_counts=counts).suppression_rate == 0.5
 
 
 class TestOracleAgreement:
