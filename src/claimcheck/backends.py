@@ -50,10 +50,8 @@ def interpret_sidecar(sidecar: dict, schema: ExtractionSchema) -> BackendRespons
     Fault modes: ``drop`` removes a tag from the response, ``corrupt``
     alters one digit of its value, ``fail`` aborts the whole call.
     """
-    fields: dict[str, str] = {}
-    for name in schema.tag_names():
-        raw = sidecar.get(name)
-        fields[name] = NONE_SENTINEL if raw is None else str(raw)
+    fields = {name: NONE_SENTINEL if (raw := sidecar.get(name)) is None else str(raw)
+              for name in schema.tag_names()}
     for fault in sidecar.get("__faults__", []):
         mode = fault.get("mode")
         tag = fault.get("tag")

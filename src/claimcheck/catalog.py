@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import html
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -15,7 +16,15 @@ from .ingest import (
     DocumentSlot,
     TypologyId,
 )
-from .rules import CheckDefinition, Comparator, ReportKind, Selector, pattern_matches
+from .rules import (
+    STATUS_LABELS,
+    CheckDefinition,
+    CheckPlan,
+    Comparator,
+    ReportKind,
+    Selector,
+    pattern_matches,
+)
 
 
 class CatalogError(ValueError):
@@ -34,17 +43,29 @@ class Catalog:
     version: str
     checks: list[CheckDefinition]
     excluded: list[ExcludedCheck]
-    # one filtered tuple per typology asked for: at most one per valid typology
-    _by_typology: dict[str, tuple[CheckDefinition, ...]] = field(
+    # one plan per typology asked for: at most one per valid typology
+    _by_typology: dict[str, CheckPlan] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _escaped: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def for_typology(self, typology: TypologyId) -> tuple[CheckDefinition, ...]:
-        """The checks that apply to ``typology``, in catalog order."""
+    def for_typology(self, typology: TypologyId) -> CheckPlan:
+        """The checks that apply to ``typology``, in catalog order, planned
+        once for every application of that typology."""
         tid = str(typology)
-        checks = self._by_typology.get(tid)
-        if checks is None:
-            checks = self._by_typology[tid] = tuple(c for c in self.checks if c.applicable(tid))
-        return checks
+        plan = self._by_typology.get(tid)
+        if plan is None:
+            plan = self._by_typology[tid] = CheckPlan(
+                (c for c in self.checks if c.applicable(tid)), tid)
+        return plan
+
+    def escaped_texts(self) -> dict[str, str]:
+        """The HTML escape of each check description and status label: the
+        strings its reports show whatever the application. Built on first
+        use."""
+        if not self._escaped:
+            self._escaped.update((text, html.escape(text)) for text in (
+                *STATUS_LABELS.values(), *(check.description for check in self.checks)))
+        return self._escaped
 
 
 KNOWN_FORM_FIELDS = frozenset(COMMON_MANDATORY_FIELDS) | frozenset(

@@ -42,9 +42,13 @@ class TagSpec:
 class ExtractionSchema:
     slot: DocumentSlot
     tags: tuple[TagSpec, ...]
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_names", tuple(t.name for t in self.tags))
 
     def tag_names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.tags)
+        return self._names
 
 
 MCP_CATEGORIES = ("1", "2", "3", "4", "5")
@@ -62,7 +66,7 @@ def _tags(*specs: tuple) -> tuple[TagSpec, ...]:
     return tuple(out)
 
 
-_SCHEMAS: dict[DocumentSlot, tuple[TagSpec, ...]] = {
+_TAGS: dict[DocumentSlot, tuple[TagSpec, ...]] = {
     DocumentSlot.PRIOR_COMMUNICATION: _tags(
         ("mcp_type", "enum", MCP_CATEGORIES),
         ("ID_energy_producer", "text"),
@@ -134,6 +138,8 @@ _SCHEMAS: dict[DocumentSlot, tuple[TagSpec, ...]] = {
     DocumentSlot.PHOTO: (),
     DocumentSlot.OTHER: (),
 }
+# one schema per slot, shared by every document of that slot
+_SCHEMAS = {slot: ExtractionSchema(slot=slot, tags=tags) for slot, tags in _TAGS.items()}
 
 
 def schema_for(slot: DocumentSlot, typology: TypologyId) -> ExtractionSchema:
@@ -143,7 +149,7 @@ def schema_for(slot: DocumentSlot, typology: TypologyId) -> ExtractionSchema:
     so schemas can specialize without breaking callers.
     """
     del typology
-    return ExtractionSchema(slot=slot, tags=_SCHEMAS[slot])
+    return _SCHEMAS[slot]
 
 
 class ValueState(str, Enum):
@@ -214,11 +220,14 @@ def extract(doc: DocumentRef, schema: ExtractionSchema, backend) -> ExtractedDoc
     A backend failure never aborts the batch: all tags come back
     unreadable(backend_error) and the pipeline moves on.
     """
-    from .backends import BackendError  # local import to avoid a cycle
-
     try:
         response = backend.fetch(doc, schema)
-    except BackendError as exc:
+    except Exception as exc:
+        # imported here, to avoid a cycle, and only when a fetch raises
+        from .backends import BackendError
+
+        if not isinstance(exc, BackendError):
+            raise
         fields = {t.name: ExtractedValue.unreadable("backend_error", str(exc))
                   for t in schema.tags}
         return ExtractedDocument(doc=doc, fields=fields,

@@ -163,8 +163,9 @@ class DocumentRef:
         """Its bytes; with ``suffix``, those of the file or member whose name
         adds it. Raises FileNotFoundError, or KeyError in an archive, when
         there is none."""
-        if self.member is None:
-            return Path(f"{self.path}{suffix}").read_bytes()
+        if self.member is None:  # by string and unbuffered: read whole, at once
+            with open(f"{self.path}{suffix}", "rb", buffering=0) as file:
+                return file.read()
         return self.archive.read(self.member + suffix)
 
 
@@ -193,6 +194,8 @@ class FormScan:
     applications: list[tuple[str, Path]]  # (app id, directory), ordered by app id
     failures: list[LoadFailure]
     loose_files: list[str] = field(default_factory=list)  # regular files at the corpus root
+    # symlinks at the corpus root to a directory, which is not followed
+    skipped_links: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -336,22 +339,23 @@ def admit_file(shown: str, file: PurePath, size: int, slot: DocumentSlot,
 
 
 def _walk_files(directory: Path, name: str, folders: tuple[str, ...] = ()):
-    """Yield (path, corpus name, DirEntry, folders) for every regular file
-    under ``directory``, whose corpus name is ``name``, in ``sorted(Path)``
-    order, with the names of the folders between ``directory`` and the file.
-    Like ``Path.rglob``, it does not descend into symlinked directories and
-    skips directories it may not read or that are gone."""
+    """Yield (its directory, corpus name, DirEntry, folders) for every
+    regular file under ``directory``, whose corpus name is ``name``, in
+    ``sorted(Path)`` order, with the names of the folders between
+    ``directory`` and the file. Like ``Path.rglob``, it does not descend
+    into symlinked directories and skips directories it may not read or
+    that are gone."""
     try:
         with os.scandir(directory) as it:
             entries = sorted(it, key=lambda e: e.name)
     except (PermissionError, FileNotFoundError, NotADirectoryError):
         return
     for entry in entries:
-        path, rel = directory / entry.name, f"{name}/{entry.name}"
+        rel = f"{name}/{entry.name}"
         if entry.is_dir(follow_symlinks=False):
-            yield from _walk_files(path, rel, (*folders, entry.name))
+            yield from _walk_files(directory / entry.name, rel, (*folders, entry.name))
         elif entry.is_file():
-            yield path, rel, entry, folders
+            yield directory, rel, entry, folders
 
 
 def list_files(app_dir: Path) -> list[str]:
@@ -365,7 +369,8 @@ def _form_bytes(app_dir: Path) -> bytes:
     form_path = app_dir / FORM_FILENAME
     if not form_path.is_file():
         raise FormParseError(f"{FORM_FILENAME} not found")
-    return form_path.read_bytes()
+    with open(form_path, "rb", buffering=0) as file:
+        return file.read()
 
 
 def scan_forms(root: Path) -> FormScan:
@@ -376,7 +381,8 @@ def scan_forms(root: Path) -> FormScan:
     An application whose form does not load, or declares an id that
     another directory's form declares too, is recorded as a LoadFailure
     with every file under its directory, and the scan moves on; only an
-    unreadable corpus root is an error.
+    unreadable corpus root is an error. A symlink to a directory is not
+    followed: it is named in ``skipped_links``.
     """
     root = Path(root)
     if not root.is_dir():
@@ -386,12 +392,14 @@ def scan_forms(root: Path) -> FormScan:
         entries = sorted(it, key=lambda e: e.name)
     for entry in entries:
         path = root / entry.name
-        if entry.is_dir():
+        if entry.is_dir(follow_symlinks=False):
             try:
                 forms.applications.append((_form_structure(_form_bytes(path))[0], path))
             except FormParseError as exc:
                 forms.failures.append(LoadFailure(app_id=entry.name, path=entry.name,
                                                   reason=str(exc), files=list_files(path)))
+        elif entry.is_dir():  # a symlink to a directory
+            forms.skipped_links.append(entry.name)
         elif entry.is_file():
             forms.loose_files.append(entry.name)
     declared = Counter(app_id for app_id, _ in forms.applications)
@@ -420,10 +428,11 @@ def scan_application(app_id: str, app_dir: Path, max_file_mb: float = DEFAULT_MA
     files: list[str] = []
     documents: list[DocumentRef] = []
     unsupported: list[UnsupportedNotice] = []
-    for path, rel, entry, folders in _walk_files(app_dir, app_dir.name):
+    for directory, rel, entry, folders in _walk_files(app_dir, app_dir.name):
         files.append(rel)
         if (entry.name == FORM_FILENAME and not folders) or entry.name.endswith(SIDECAR_SUFFIX):
             continue
+        path = directory / entry.name
         slot = _slot_of(folders, entry.name)
         admitted = admit_file(rel, path, entry.stat().st_size, slot, extensions, cap_bytes)
         if isinstance(admitted, UnsupportedNotice):

@@ -211,11 +211,18 @@ VALUE_PARSERS = {
 }
 
 
+# every ASCII character that is not alphanumeric, to a space
+_ASCII_NON_ALNUM = {code: " " for code in range(128) if not chr(code).isalnum()}
+
+
 def normalize_name(text: str) -> CanonicalName:
     """Uppercase, strip diacritics, drop punctuation, collapse whitespace."""
     decomposed = unicodedata.normalize("NFKD", text)
-    stripped = "".join(c for c in decomposed if not unicodedata.combining(c))
-    cleaned = "".join(c if c.isalnum() else " " for c in stripped)
+    if decomposed.isascii():  # no combining mark, and one table says what is alphanumeric
+        cleaned = decomposed.translate(_ASCII_NON_ALNUM)
+    else:
+        stripped = "".join(c for c in decomposed if not unicodedata.combining(c))
+        cleaned = "".join(c if c.isalnum() else " " for c in stripped)
     canonical = " ".join(cleaned.upper().split())
     return CanonicalName(canonical=canonical, original=text)
 

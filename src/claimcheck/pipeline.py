@@ -37,7 +37,7 @@ from .ingest import (
     scan_forms,
 )
 from .metrics import AppRecord, RunTotals
-from .report import SCHEMA_VERSION, canonical_json_bytes, render_html, report_dict
+from .report import SCHEMA_VERSION, HtmlEscapes, canonical_json_bytes, render_html, report_dict
 from .rules import CheckStatus, EngineSettings, ReportKind, evaluate_application
 
 logger = logging.getLogger("claimcheck")
@@ -244,6 +244,19 @@ def _forked(apps, pool: Executor, workers: int):
         yield from future.result()
 
 
+def _write_file(path: str, data: bytes) -> None:
+    """Write ``data`` to the file at ``path``, created with mode 0o666 less
+    the umask, or truncated: what ``Path.write_bytes`` does, with no Path
+    and no buffered file object."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDocument],
                          catalog: Catalog, settings: EngineSettings, out_dir: Path,
                          spent) -> AppRecord:
@@ -254,17 +267,19 @@ def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDoc
 
     app_out = out_dir / bundle.app_id
     app_out.mkdir(parents=True, exist_ok=True)
+    prefix = f"{app_out}{os.sep}"
     start = spent("write", start)
+    escapes = HtmlEscapes(catalog.escaped_texts())
     # a run folds no labels, so its record keeps only each outcome's status,
     # which also keeps the result a worker hands back small
     statuses: list[dict] = []
     for kind in ReportKind:
         data = report_dict(bundle.app_id, kind, outcomes_by_kind[kind], bundle.unsupported,
                            catalog.version)
-        json_bytes, html_bytes = canonical_json_bytes(data), render_html(data)
+        json_bytes, html_bytes = canonical_json_bytes(data), render_html(data, escapes)
         start = spent("render", start)
-        (app_out / f"{kind.value}.json").write_bytes(json_bytes)
-        (app_out / f"{kind.value}.html").write_bytes(html_bytes)
+        _write_file(f"{prefix}{kind.value}.json", json_bytes)
+        _write_file(f"{prefix}{kind.value}.html", html_bytes)
         start = spent("write", start)
         statuses.extend({"status": outcome["status"]} for outcome in data["outcomes"])
 
@@ -280,7 +295,7 @@ def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDoc
         "docs": metas,
     })
     start = spent("render", start)
-    (app_out / "extraction.json").write_bytes(extraction_bytes)
+    _write_file(f"{prefix}extraction.json", extraction_bytes)
     spent("write", start)
     return AppRecord(app_id=bundle.app_id, typology=str(bundle.typology),
                      outcomes=statuses, metas=metas)
@@ -329,6 +344,8 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
     forms = scan_forms(Path(config.corpus_root))
     stage_cpu = dict.fromkeys(STAGES, 0.0)
     stage_cpu["scan"] = time.thread_time() - start
+    for name in forms.skipped_links:
+        log_event("entry_skipped", path=name, reason="symlinked directory not followed")
     for failure in forms.failures:
         log_event("app_load_failed", app_id=failure.app_id, reason=failure.reason)
 
@@ -361,6 +378,7 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
             run = lambda fn, *args: pool.submit(fn, *args).result  # noqa: E731
         results = _in_process(forms.applications, _Applications(config, catalog, backend),
                               run, 2 * inflight)
+    manual = CheckStatus.MANUAL_CHECK.value
     # the pool's threads and processes finish before the backend's
     # connections close, also when the fold raises
     with closing(backend), pool:
@@ -375,8 +393,7 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
                 continue
             totals.add(record)
             log_event("app_processed", app_id=app_id, checks=len(record.outcomes),
-                      manual_checks=sum(o["status"] == CheckStatus.MANUAL_CHECK.value
-                                        for o in record.outcomes),
+                      manual_checks=sum(o["status"] == manual for o in record.outcomes),
                       unsupported_files=len(app_notices))
             shown = set(app_notices)
             for path in visited:

@@ -12,7 +12,7 @@ import html
 import json
 
 from .ingest import UnsupportedNotice
-from .rules import STATUS_LABELS, CheckOutcome, CheckStatus, ReportKind
+from .rules import STATUS_LABELS, CheckOutcome, CheckStatus, Evidence, ReportKind
 
 # The version of the layout of every report JSON, extraction.json and
 # manifest.json, each of which records it as "schema_version"; a change to
@@ -20,38 +20,55 @@ from .rules import STATUS_LABELS, CheckOutcome, CheckStatus, ReportKind
 SCHEMA_VERSION = 2
 
 
-def _outcome_dict(outcome: CheckOutcome) -> dict:
-    def side(evidence) -> dict:
-        return {
-            "source": evidence.source,
-            "state": evidence.state,
-            "rendered": evidence.rendered,
-            "detail": evidence.detail,
-        }
+class HtmlEscapes(dict):
+    """The HTML escape of each string looked up, each escaped once: one per
+    application, for its three pages, starting from a copy of the escapes
+    given, such as ``Catalog.escaped_texts``."""
 
+    def __missing__(self, text: str) -> str:
+        escaped = self[text] = html.escape(text)
+        return escaped
+
+
+def _side(evidence: Evidence) -> dict:
+    return {
+        "source": evidence.source,
+        "state": evidence.state,
+        "rendered": evidence.rendered,
+        "detail": evidence.detail,
+    }
+
+
+# what a report records of each status: its value and its label
+_STATUS_FIELDS = {status: (status.value, label) for status, label in STATUS_LABELS.items()}
+
+
+def _outcome_dict(outcome: CheckOutcome) -> dict:
+    status, label = _STATUS_FIELDS[outcome.status]
     return {
         "check_id": outcome.check_id,
         "description": outcome.description,
-        "status": outcome.status.value,
-        "label": STATUS_LABELS[outcome.status],
+        "status": status,
+        "label": label,
         "message": outcome.message,
-        "lhs": side(outcome.lhs),
-        "rhs": side(outcome.rhs),
+        "lhs": _side(outcome.lhs),
+        "rhs": _side(outcome.rhs),
     }
 
 
 def report_dict(app_id: str, kind: ReportKind, outcomes: list[CheckOutcome],
                 notices: list[UnsupportedNotice], catalog_version: str) -> dict:
     """The one record of a report: written as JSON and rendered as HTML."""
-    counts = {status.value: 0 for status in CheckStatus}
-    for outcome in outcomes:
-        counts[outcome.status.value] += 1
+    records = [_outcome_dict(o) for o in outcomes]
+    counts = {status: 0 for status, _ in _STATUS_FIELDS.values()}
+    for record in records:
+        counts[record["status"]] += 1
     return {
         "schema_version": SCHEMA_VERSION,
         "app_id": app_id,
         "kind": kind.value,
         "catalog_version": catalog_version,
-        "outcomes": [_outcome_dict(o) for o in outcomes],
+        "outcomes": records,
         "unsupported": [
             {"path": n.path, "reason": n.reason, "message": n.message, "slot": n.slot.value}
             for n in notices
@@ -90,35 +107,35 @@ footer { margin-top: 2em; color: #888; font-size: 0.8em; }
 """
 
 
-def _evidence_cell(side: dict) -> str:
-    value = side["rendered"] if side["rendered"] is not None else f"({side['state']})"
-    parts = [html.escape(value), f'<div class="src">{html.escape(side["source"])}</div>']
-    if side["detail"]:
-        parts.append(f'<div class="src">{html.escape(side["detail"])}</div>')
-    return "".join(parts)
-
-
 _ROW_CLASSES = {
     CheckStatus.MANUAL_CHECK.value: ' class="manual"',
     CheckStatus.UNSUPPORTED.value: ' class="unsupported"',
 }
 
 
-def render_html(report: dict) -> bytes:
+def render_html(report: dict, escape: HtmlEscapes | None = None) -> bytes:
     """Self-contained reviewer page of a ``report_dict``; manual checks
-    highlighted in red."""
-    rows = []
-    for outcome in report["outcomes"]:
-        status = outcome["status"]
-        rows.append(
-            f"<tr{_ROW_CLASSES.get(status, '')}>"
-            f"<td>{html.escape(outcome['description'])}</td>"
-            f'<td><span class="badge {status}">{html.escape(outcome["label"])}</span></td>'
-            f"<td>{_evidence_cell(outcome['lhs'])}</td>"
-            f"<td>{_evidence_cell(outcome['rhs'])}</td>"
-            f"<td>{html.escape(outcome['message'])}</td>"
-            "</tr>"
-        )
+    highlighted in red. The pages of one application may share ``escape``."""
+    if escape is None:
+        escape = HtmlEscapes()
+
+    def cell(side: dict) -> str:
+        value = side["rendered"] if side["rendered"] is not None else f"({side['state']})"
+        if side["detail"]:
+            return (f'{escape[value]}<div class="src">{escape[side["source"]]}</div>'
+                    f'<div class="src">{escape[side["detail"]]}</div>')
+        return f'{escape[value]}<div class="src">{escape[side["source"]]}</div>'
+
+    rows = [
+        f"<tr{_ROW_CLASSES.get(outcome['status'], '')}>"
+        f"<td>{escape[outcome['description']]}</td>"
+        f'<td><span class="badge {outcome["status"]}">{escape[outcome["label"]]}</span></td>'
+        f"<td>{cell(outcome['lhs'])}</td>"
+        f"<td>{cell(outcome['rhs'])}</td>"
+        f"<td>{escape[outcome['message']]}</td>"
+        "</tr>"
+        for outcome in report["outcomes"]
+    ]
 
     banner = ""
     auto = report["status_counts"][CheckStatus.AUTO_VERIFIED.value]
@@ -128,14 +145,14 @@ def render_html(report: dict) -> bytes:
     notices = ""
     if report["unsupported"]:
         items = "".join(
-            f"<li><b>{html.escape(n['path'])}</b> [{html.escape(n['reason'])}]: "
-            f"{html.escape(n['message'])}</li>"
+            f"<li><b>{escape[n['path']]}</b> [{escape[n['reason']]}]: "
+            f"{escape[n['message']]}</li>"
             for n in report["unsupported"]
         )
         notices = f"<h2>Unsupported files</h2><ul>{items}</ul>"
 
-    title = html.escape(_REPORT_TITLES[ReportKind(report["kind"])])
-    app_id = html.escape(report["app_id"])
+    title = escape[_REPORT_TITLES[ReportKind(report["kind"])]]
+    app_id = escape[report["app_id"]]
     page = f"""<!DOCTYPE html>
 <html lang="en">
 <head>
@@ -154,7 +171,7 @@ def render_html(report: dict) -> bytes:
 </tbody>
 </table>
 {notices}
-<footer>catalog version {html.escape(report["catalog_version"])}</footer>
+<footer>catalog version {escape[report["catalog_version"]]}</footer>
 </body>
 </html>
 """

@@ -12,7 +12,7 @@ handed to a human.
 from __future__ import annotations
 
 import datetime as dt
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -251,28 +251,85 @@ def _compare(comp: Comparator, lhs: object, rhs: object, settings: EngineSetting
     raise _TypeMismatch(f"comparator {comp.kind} not applicable here")
 
 
+def _source(selector: Selector) -> str:
+    """The source an operand's evidence names; a document tag's adds the
+    name of the document it was read from."""
+    if selector.kind == "const":
+        return "constant"
+    if selector.kind == "submission":
+        return "form:submission_date"
+    if selector.kind == "form":
+        return f"form:{selector.form_field}"
+    return f"{selector.slot.value}:{selector.tag}"
+
+
+class CheckPlan(tuple):
+    """Checks in the order they are evaluated, with what evaluating them
+    needs that no application changes: the distinct selectors they read,
+    each check's indices into those, each selector's source and each
+    constant's operand. ``typology`` is the typology whose checks these
+    are, or None when they were not filtered by one.
+    ``Catalog.for_typology`` builds one per typology and keeps it."""
+
+    typology: str | None
+    selectors: tuple[Selector | None, ...]
+    sources: tuple[str, ...]
+    steps: tuple[tuple[CheckDefinition, int, int], ...]
+    # the operand of each selector that every application reads alike,
+    # None for the others
+    fixed: tuple[_Operand | None, ...]
+
+    def __new__(cls, checks: Iterable[CheckDefinition], typology: str | None = None):
+        plan = super().__new__(cls, checks)
+        plan.typology = typology
+        # a missing rhs is one more selector, read as _NO_OPERAND
+        index: dict[Selector | None, int] = {None: 0}
+        selectors: list[Selector | None] = [None]
+        steps = []
+        for defn in plan:
+            sides = []
+            for selector in (defn.lhs, defn.rhs):
+                at = index.get(selector)
+                if at is None:
+                    at = index[selector] = len(selectors)
+                    selectors.append(selector)
+                sides.append(at)
+            steps.append((defn, *sides))
+        plan.selectors, plan.steps = tuple(selectors), tuple(steps)
+        plan.sources = ("-", *(_source(selector) for selector in selectors[1:]))
+        plan.fixed = (_NO_OPERAND, *(
+            (Evidence(source="constant", state="present",
+                      rendered=render_value(selector.const_value)), selector.const_value)
+            if selector.kind == "const" else None
+            for selector in selectors[1:]))
+        return plan
+
+
 class _Operands:
     """One application's operands as its checks read them: each selector
-    is resolved once, and each text operand normalised once. It lives as
-    long as the evaluation of that application."""
+    of the plan is resolved once, and each text operand normalised once.
+    It lives as long as the evaluation of that application."""
 
-    def __init__(self, form: FormData, docs: list[ExtractedDocument],
+    def __init__(self, plan: CheckPlan, form: FormData, docs: list[ExtractedDocument],
                  submission_date: dt.date | None, unsupported: list[UnsupportedNotice]):
+        self.plan = plan
         self.form = form
         self.submission_date = submission_date
-        self.docs_by_slot: dict[DocumentSlot, ExtractedDocument] = {}
+        # the document each slot is read from, and the name its evidence shows
+        self.docs_by_slot: dict[DocumentSlot, tuple[ExtractedDocument, str]] = {}
         for doc in docs:
-            self.docs_by_slot.setdefault(doc.doc.slot, doc)
+            if doc.doc.slot not in self.docs_by_slot:
+                self.docs_by_slot[doc.doc.slot] = doc, doc.doc.name
         self.unsupported_slots = {n.slot: n for n in unsupported}
-        self._resolved: dict[Selector, _Operand] = {}
+        self._resolved = list(plan.fixed)
         self._canonical: dict[str, str] = {}
 
-    def resolve(self, selector: Selector | None) -> _Operand:
-        if selector is None:
-            return _NO_OPERAND
-        resolved = self._resolved.get(selector)
+    def resolve(self, at: int) -> _Operand:
+        """The operand of the plan's selector at index ``at``."""
+        resolved = self._resolved[at]
         if resolved is None:
-            resolved = self._resolved[selector] = self._read(selector)
+            resolved = self._resolved[at] = self._read(self.plan.selectors[at],
+                                                       self.plan.sources[at])
         return resolved
 
     def text(self, value: object) -> str | None:
@@ -285,13 +342,8 @@ class _Operands:
             return value.digits
         return None
 
-    def _read(self, selector: Selector) -> _Operand:
-        if selector.kind == "const":
-            value = selector.const_value
-            return Evidence(source="constant", state="present", rendered=render_value(value)), value
-
+    def _read(self, selector: Selector, source: str) -> _Operand:
         if selector.kind == "submission":
-            source = "form:submission_date"
             submission_date = self.submission_date
             if submission_date is None:
                 return Evidence(source=source, state="absent",
@@ -300,7 +352,6 @@ class _Operands:
                             rendered=submission_date.isoformat()), submission_date
 
         if selector.kind == "form":
-            source = f"form:{selector.form_field}"
             declared = self.form.get(selector.form_field)
             if declared is None:
                 return Evidence(source=source, state="absent",
@@ -312,16 +363,16 @@ class _Operands:
                             rendered=render_value(declared.value)), declared.value
 
         # document tag
-        doc = self.docs_by_slot.get(selector.slot)
-        if doc is None:
-            source = f"{selector.slot.value}:{selector.tag}"
+        found = self.docs_by_slot.get(selector.slot)
+        if found is None:
             notice = self.unsupported_slots.get(selector.slot)
             if notice is not None:
                 return Evidence(source=source, state="unsupported", detail=(
                     f"document only available as unsupported file: {notice.message}")), None
             return Evidence(source=source, state="absent",
                             detail=f"no {selector.slot.value} document in the bundle"), None
-        source = f"{selector.slot.value}:{selector.tag} ({doc.doc.name})"
+        doc, name = found
+        source = f"{source} ({name})"
         extracted = doc.fields.get(selector.tag)
         if extracted is None or extracted.state is ValueState.ABSENT:
             return Evidence(source=source, state="absent",
@@ -335,12 +386,15 @@ class _Operands:
         return Evidence(source=source, state="present", rendered=render_value(extracted.value),
                         detail=warning), extracted.value
 
-    def evaluate(self, defn: CheckDefinition, settings: EngineSettings) -> CheckOutcome:
-        lhs, lhs_value = self.resolve(defn.lhs)
-        rhs, rhs_value = self.resolve(defn.rhs)
-        status, message = self._verdict(defn.comparator, lhs, lhs_value, rhs, rhs_value,
-                                        settings)
-        return CheckOutcome(defn.check_id, defn.description, status, lhs, rhs, message)
+    def outcomes(self, settings: EngineSettings):
+        """The outcome of each check of the plan, in its order."""
+        resolve = self.resolve
+        for defn, lhs_at, rhs_at in self.plan.steps:
+            lhs, lhs_value = resolve(lhs_at)
+            rhs, rhs_value = resolve(rhs_at)
+            status, message = self._verdict(defn.comparator, lhs, lhs_value, rhs, rhs_value,
+                                            settings)
+            yield CheckOutcome(defn.check_id, defn.description, status, lhs, rhs, message)
 
     def _verdict(self, comp: Comparator, lhs: Evidence, lhs_value: object,
                  rhs: Evidence, rhs_value: object,
@@ -368,19 +422,21 @@ class _Operands:
             return (CheckStatus.MANUAL_CHECK,
                     f"required above {format_money(Money(threshold))} but {lhs.state}")
 
-        for side in (lhs, rhs):
-            if side.state == "unsupported":
-                return (CheckStatus.UNSUPPORTED,
-                        "supporting document exists only as an unsupported file")
-        for side, label in ((lhs, "left"), (rhs, "right")):
-            if side.state == "unreadable":
-                return CheckStatus.MANUAL_CHECK, f"{label} value unreadable: {side.detail}"
-        for side, label in ((lhs, "left"), (rhs, "right")):
-            if side.state == "absent":
-                return CheckStatus.MANUAL_CHECK, f"{label} value missing: {side.detail}"
-        for side in (lhs, rhs):
-            if side.detail:  # both are present: a detail warns about the value
-                return CheckStatus.MANUAL_CHECK, side.detail
+        # the usual case, two present values without a warning, skips these
+        if lhs.detail or rhs.detail or lhs.state != "present" or rhs.state != "present":
+            for side in (lhs, rhs):
+                if side.state == "unsupported":
+                    return (CheckStatus.UNSUPPORTED,
+                            "supporting document exists only as an unsupported file")
+            for side, label in ((lhs, "left"), (rhs, "right")):
+                if side.state == "unreadable":
+                    return CheckStatus.MANUAL_CHECK, f"{label} value unreadable: {side.detail}"
+            for side, label in ((lhs, "left"), (rhs, "right")):
+                if side.state == "absent":
+                    return CheckStatus.MANUAL_CHECK, f"{label} value missing: {side.detail}"
+            for side in (lhs, rhs):
+                if side.detail:  # both are present: a detail warns about the value
+                    return CheckStatus.MANUAL_CHECK, side.detail
 
         try:
             holds = _compare(comp, lhs_value, rhs_value, settings, self.text)
@@ -396,7 +452,8 @@ def evaluate_check(defn: CheckDefinition, form: FormData,
                    unsupported: list[UnsupportedNotice] = (),
                    settings: EngineSettings = DEFAULT_SETTINGS) -> CheckOutcome:
     """Evaluate one check. Pure function; all failure modes are statuses."""
-    return _Operands(form, docs, submission_date, unsupported).evaluate(defn, settings)
+    operands = _Operands(CheckPlan((defn,)), form, docs, submission_date, unsupported)
+    return next(operands.outcomes(settings))
 
 
 def submission_date_of(form: FormData) -> dt.date | None:
@@ -412,11 +469,15 @@ def evaluate_application(bundle: ApplicationBundle, docs: list[ExtractedDocument
                          ) -> dict[ReportKind, list[CheckOutcome]]:
     """Evaluate every applicable check of ``catalog`` once, grouped by
     report, preserving catalog order. ``catalog`` may be a whole catalog's
-    checks or, cheaper, ``Catalog.for_typology`` of the bundle's typology."""
-    operands = _Operands(bundle.form, docs, submission_date_of(bundle.form), bundle.unsupported)
+    checks or, cheaper, ``Catalog.for_typology`` of the bundle's typology,
+    whose plan is already filtered and kept."""
     tid = str(bundle.typology)
+    plan = catalog
+    if not (isinstance(plan, CheckPlan) and plan.typology == tid):
+        plan = CheckPlan((defn for defn in catalog if defn.applicable(tid)), tid)
+    operands = _Operands(plan, bundle.form, docs, submission_date_of(bundle.form),
+                         bundle.unsupported)
     results: dict[ReportKind, list[CheckOutcome]] = {kind: [] for kind in ReportKind}
-    for defn in catalog:
-        if defn.applicable(tid):
-            results[defn.report].append(operands.evaluate(defn, settings))
+    for defn, outcome in zip(plan, operands.outcomes(settings)):
+        results[defn.report].append(outcome)
     return results

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import unicodedata
 from decimal import Decimal
 
 import pytest
@@ -173,6 +174,26 @@ class TestNames:
     def test_idempotent(self, text):
         once = normalize_name(text).canonical
         assert normalize_name(once).canonical == once
+
+    @staticmethod
+    def reference_canonical(text: str) -> str:
+        """The canonical form by its definition, character by character, as
+        normalize_name computed it before its ASCII path."""
+        decomposed = unicodedata.normalize("NFKD", text)
+        stripped = "".join(c for c in decomposed if not unicodedata.combining(c))
+        cleaned = "".join(c if c.isalnum() else " " for c in stripped)
+        return " ".join(cleaned.upper().split())
+
+    @given(st.one_of(
+        st.text(max_size=40),
+        # mostly ASCII: letters, digits, punctuation, controls, and a few
+        # characters whose NFKD form is ASCII or holds a combining mark
+        st.text(alphabet=st.one_of(st.characters(max_codepoint=127),
+                                   st.sampled_from("ãçéÉøßﬁ²Å\u0301\u00a0\u2126")),
+                max_size=40)))
+    @settings(max_examples=500)
+    def test_equals_the_reference(self, text):
+        assert normalize_name(text).canonical == self.reference_canonical(text)
 
 
 def _just_above(x: float) -> float:

@@ -1,4 +1,5 @@
 import gc
+import html
 import io
 import json
 import os
@@ -445,20 +446,20 @@ def test_each_application_is_scanned_only_when_the_extraction_window_reaches_it(
         small_corpus, tmp_path, monkeypatch):
     events = []
     real_scan = ingest.scan_application
-    real_write = Path.write_bytes
+    real_write = pipeline._write_file
 
     def scan(*args, **kwargs):
         events.append(("scanned", next(a.name for a in args if isinstance(a, Path))))
         return real_scan(*args, **kwargs)
 
-    def write_bytes(self, data):
-        if self.name == "extraction.json":
-            events.append(("written", self.parent.name))
-        return real_write(self, data)
+    def write_file(path, data):
+        if Path(path).name == "extraction.json":
+            events.append(("written", Path(path).parent.name))
+        return real_write(path, data)
 
     for owner in (ingest, pipeline):
         monkeypatch.setattr(owner, "scan_application", scan, raising=False)
-    monkeypatch.setattr(Path, "write_bytes", write_bytes)
+    monkeypatch.setattr(pipeline, "_write_file", write_file)
     # in one process the mock backend runs one extraction at a time, two
     # documents ahead
     result = verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=tmp_path / "out",
@@ -618,10 +619,10 @@ def test_each_archive_is_closed_once_its_application_is_done(tmp_path, monkeypat
     (apps[3] / "anexos.zip").write_bytes(zip_members({"foto_9.png": b"p"}))
     break_photo(apps[3] / "fotos.zip", "unsupported_method")
 
-    def render(data):
+    def render(data, escape=None):
         if data["app_id"] == apps[2].name:
             raise RuntimeError("render crashed")
-        return render_html(data)
+        return render_html(data, escape)
 
     open_when_done = {}
     real_log = pipeline.log_event
@@ -734,10 +735,10 @@ def test_render_raising_in_a_worker_fails_only_its_application(small_corpus, tmp
     victim = sorted(p.name for p in small_corpus.iterdir() if p.is_dir())[2]
     parent = os.getpid()
 
-    def render_in_worker(data):
+    def render_in_worker(data, escape=None):
         if data["app_id"] == victim and os.getpid() != parent:
             raise RuntimeError("render crashed in a worker")
-        return render_html(data)
+        return render_html(data, escape)
 
     monkeypatch.setattr(pipeline, "render_html", render_in_worker)
     out = tmp_path / "out"
@@ -841,3 +842,72 @@ def test_every_check_status_is_given(tmp_path):
     assert main(["verify", "--corpus", str(corpus), "--out", str(out)]) == 0
     counts = json.loads((out / "metrics.json").read_text())["total"]["status_counts"]
     assert [status.value for status in CheckStatus if not counts.get(status.value)] == []
+
+
+def test_a_symlinked_application_directory_is_not_followed(tmp_path, caplog):
+    corpus, outside = tmp_path / "corpus", tmp_path / "outside"
+    write_corpus(corpus, GenOptions(n_apps=2, consistency=0.76, seed=3))
+    linked = sorted(p for p in corpus.iterdir() if p.is_dir())[1]
+    shutil.move(linked, outside)
+    linked.symlink_to(outside, target_is_directory=True)
+    out = tmp_path / "out"
+    with caplog.at_level("INFO", logger="claimcheck"):
+        result = verify_corpus(RunConfig(corpus_root=corpus, out_dir=out))
+    assert result.exit_code == 0
+    assert result.manifest["counts"]["applications_processed"] == 1
+    assert not (out / linked.name).exists()
+    assert not any(path.startswith(f"{linked.name}/")
+                   for paths in result.manifest["files"].values() for path in paths)
+    assert log_events(caplog, "entry_skipped") == [{
+        "event": "entry_skipped", "path": linked.name,
+        "reason": "symlinked directory not followed"}]
+
+
+def test_reports_show_the_descriptions_of_their_own_catalog(small_corpus, tmp_path):
+    import yaml
+    from importlib import resources
+
+    shipped = yaml.safe_load(resources.files("claimcheck").joinpath("catalog.yaml")
+                             .read_text("utf-8"))
+    check = next(c for c in shipped["checks"] if c.get("applies_to", ["*"]) == ["*"])
+    texts = {"one": "Catalog <one> & its \"text\"", "two": "Catalog 'two' & <its> text"}
+    pages = {}
+    for name, text in texts.items():
+        check["description"] = text
+        catalog_file = tmp_path / f"{name}.yaml"
+        catalog_file.write_text(yaml.safe_dump(shipped), encoding="utf-8")
+        out = tmp_path / name
+        # both runs in this process, one after the other
+        assert verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=out,
+                                       catalog_path=catalog_file,
+                                       parallelism=1)).exit_code == 0
+        kind = check["report"]
+        pages[name] = [(json.loads(p.read_text())["outcomes"], p.with_suffix(".html").read_text())
+                       for p in sorted(out.glob(f"*/{kind}.json"))]
+    for name, text in texts.items():
+        other = texts["two" if name == "one" else "one"]
+        for outcomes, page in pages[name]:
+            [outcome] = [o for o in outcomes if o["check_id"] == check["id"]]
+            assert outcome["description"] == text
+            assert html.escape(text) in page
+            assert html.escape(other) not in page
+
+
+def test_a_rerun_truncates_each_report_and_creates_files_with_the_umask(small_corpus,
+                                                                        tmp_path):
+    app_id = sorted(p.name for p in small_corpus.iterdir() if p.is_dir())[0]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    (reused / app_id).mkdir(parents=True)
+    stale = reused / app_id / "eligibility.json"
+    stale.write_bytes(b"x" * 1_000_000)
+    umask = os.umask(0o027)
+    try:
+        for out in (fresh, reused):
+            assert verify_corpus(RunConfig(corpus_root=small_corpus, out_dir=out)).exit_code == 0
+    finally:
+        os.umask(umask)
+    assert stale.read_bytes() == (fresh / app_id / "eligibility.json").read_bytes()
+    assert output_tree(reused) == output_tree(fresh)
+    written = [p for p in fresh.rglob("*") if p.is_file()]
+    assert len(written) == 7 * 20 + 3
+    assert {p.stat().st_mode & 0o777 for p in written} == {0o666 & ~0o027}

@@ -1,4 +1,5 @@
 import gc
+import html
 import os
 import weakref
 from pathlib import Path
@@ -14,7 +15,7 @@ from claimcheck.metrics import (
     read_labels_csv,
     slot_bucket,
 )
-from claimcheck.report import canonical_json_bytes, render_html, report_dict
+from claimcheck.report import HtmlEscapes, canonical_json_bytes, render_html, report_dict
 from claimcheck.rules import CheckOutcome, CheckStatus, Evidence, ReportKind
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -94,11 +95,27 @@ class TestRenderHtml:
         html = render_html(sample_report()).decode()
         assert "http://" not in html and "https://" not in html
 
-    def test_html_escaping(self):
-        report = sample_report([outcome("elig.x", CheckStatus.AUTO_VERIFIED,
-                                        lhs_rendered="<script>alert(1)</script>")])
-        html = render_html(report).decode()
-        assert "<script>alert(1)" not in html
+    @pytest.mark.parametrize("field", [
+        "description", "label", "rendered", "source", "detail", "message",
+        "notice path", "notice reason", "notice message", "app_id", "catalog_version"])
+    def test_html_escaping(self, field):
+        value = f"<script>{field}</script> & \"{field}\" '{field}'"
+        report = sample_report([outcome("elig.x", CheckStatus.MANUAL_CHECK)])
+        entry = report["outcomes"][0]
+        if field in ("description", "label", "message"):
+            entry[field] = value
+        elif field in ("rendered", "source", "detail"):
+            entry["rhs"][field] = value
+        elif field.startswith("notice "):
+            report["unsupported"][0][field.removeprefix("notice ")] = value
+        else:
+            report[field] = value
+        # the pages of one application share one escape memo
+        escapes = HtmlEscapes()
+        for _ in range(2):
+            page = render_html(report, escapes).decode()
+            assert page.count(html.escape(value)) == 1 + (field == "app_id")  # title and h1
+            assert value not in page and "<script>" not in page
 
     def test_golden_html(self):
         golden_path = GOLDEN_DIR / "eligibility.html"
