@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .base import CatalogError
 from .extract import schema_for
 from .ingest import (
     COMMON_MANDATORY_FIELDS,
@@ -25,10 +26,6 @@ from .rules import (
     Selector,
     pattern_matches,
 )
-
-
-class CatalogError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,8 @@ import sys
 import traceback
 from pathlib import Path
 
-from .catalog import CatalogError
-from .metrics import LabelError, read_labels_csv
-from .pipeline import (
-    ConfigError,
-    MetricsError,
-    RunConfig,
-    compute_metrics,
-    log_event,
-    verify_corpus,
-)
+from .base import CatalogError, ConfigError, log_event
+from .metrics import LabelError, MetricsError, compute_metrics, read_labels_csv
 
 
 def _add_shared(parser: argparse.ArgumentParser) -> None:
@@ -158,6 +150,8 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .pipeline import RunConfig, verify_corpus  # only this command needs it
+
     defaults = _load_config_file(args.config)
     config = RunConfig(
         corpus_root=args.corpus,
@@ -184,7 +178,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         if not args.labels.is_file():
             print(f"labels file not found: {args.labels}", file=sys.stderr)
             return 1
-        labels = read_labels_csv(args.labels.read_text(encoding="utf-8"))
+        # spreadsheet tools put a byte order mark before the CSV they export
+        labels = read_labels_csv(args.labels.read_text(encoding="utf-8-sig"))
     summary = compute_metrics(args.out, labels)
     suppression = summary["total"]["suppression_rate"]
     log_event("metrics_written", out=str(args.out), suppression=suppression)

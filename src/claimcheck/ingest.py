@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path, PurePath
 
+from .base import VALID_TYPOLOGIES
 from .normalize import FormData, parse_declared
 
 SUPPORTED_EXTENSIONS = {".pdf": "pdf", ".zip": "zip", ".jpg": "jpg", ".jpeg": "jpg", ".png": "png"}
@@ -24,18 +25,6 @@ MAX_ARCHIVE_ENTRIES = 256
 # user documents; they are excluded from the document/unsupported split.
 FORM_FILENAME = "form.xml"
 SIDECAR_SUFFIX = ".fields.json"
-
-# Intervention catalog. The identifiers mirror the production cost
-# accounting rows; the program's category overview counts solar/water
-# sub-typologies differently, and that discrepancy is deliberately left
-# visible here rather than silently reconciled.
-VALID_TYPOLOGIES = (
-    "1",
-    "2.1.1", "2.1.2", "2.2.1", "2.2.2",
-    "3.1", "3.2", "3.3",
-    "4",
-    "5.1", "5.2",
-)
 
 TYPOLOGY_NAMES = {
     1: "window_replacement",

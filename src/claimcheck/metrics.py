@@ -4,16 +4,22 @@ error-taxonomy counts against externally supplied ground-truth labels.
 The pipeline never labels its own correctness; taxonomy buckets only
 exist when a reviewer (or the synthetic-corpus generator) provides a
 label file.
+
+``compute_metrics`` folds a finished run's report files again; this
+module imports none of the verify machinery, so neither does the ``metrics``
+command.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from .ingest import VALID_TYPOLOGIES
-from .rules import CheckStatus
+from .base import VALID_TYPOLOGIES, CheckStatus, ReportKind, canonical_json_bytes
 
 # Extraction cost is attributed to the report a document chiefly feeds:
 # registry/certificate pages back the eligibility report, invoice and
@@ -42,15 +48,10 @@ class AppRecord:
     outcomes: list[dict]
     metas: list[dict] = field(default_factory=list)  # {slot, cost_eur, elapsed_ms}
 
-    def bucket_costs(self) -> dict[str, tuple[float, float]]:
-        sums: dict[str, list[float]] = {"eligibility": [0.0, 0.0],
-                                        "common_core": [0.0, 0.0],
-                                        "typology": [0.0, 0.0]}
-        for meta in self.metas:
-            bucket = slot_bucket(str(meta.get("slot", "")))
-            sums[bucket][0] += float(meta.get("cost_eur", 0.0))
-            sums[bucket][1] += float(meta.get("elapsed_ms", 0)) / 1000.0
-        return {k: (v[0], v[1]) for k, v in sums.items()}
+    def document_costs(self) -> list[tuple[str, float, float]]:
+        """The report bucket, cost in EUR and seconds of each document."""
+        return [(slot_bucket(str(meta.get("slot", ""))), float(meta.get("cost_eur", 0.0)),
+                 float(meta.get("elapsed_ms", 0)) / 1000.0) for meta in self.metas]
 
 
 @dataclass
@@ -68,13 +69,16 @@ class MetricsBlock:
             return None
         return self.status_counts[CheckStatus.AUTO_VERIFIED.value] / checks
 
-    def add(self, record: AppRecord) -> None:
+    def add(self, statuses: dict[str, int], costs: list[tuple[str, float, float]]) -> None:
+        """Count one application: how many of its checks got each status,
+        and each of its documents' ``AppRecord.document_costs``."""
         self.applications += 1
-        for outcome in record.outcomes:
-            self.status_counts[outcome["status"]] += 1
-        for meta in record.metas:
-            self.cost_total_eur += float(meta.get("cost_eur", 0.0))
-            self.time_total_s += float(meta.get("elapsed_ms", 0)) / 1000.0
+        counts = self.status_counts
+        for status, n in statuses.items():
+            counts[status] += n
+        for _, cost, time_s in costs:
+            self.cost_total_eur += cost
+            self.time_total_s += time_s
 
     def to_dict(self) -> dict:
         apps = self.applications or 1
@@ -94,21 +98,23 @@ class LabelError(ValueError):
     pass
 
 
-def _classify_labeled(outcome: dict, real_error: bool, category: str | None) -> str:
-    """Error-taxonomy bucket for one labeled verification field.
+_AUTO_VERIFIED = CheckStatus.AUTO_VERIFIED.value
+
+
+def _classify_labeled(outcome: dict, status: str, label: dict) -> str:
+    """Error-taxonomy bucket for one labeled verification field, whose
+    outcome has ``status``.
 
     False positive: the pipeline auto-verified a field that was actually
     wrong. False negative: it flagged a field that was fine. Reading
     errors are detected from the evidence itself.
     """
-    states = (outcome["lhs"]["state"], outcome["rhs"]["state"])
-    if "unreadable" in states:
+    if "unreadable" in (outcome["lhs"]["state"], outcome["rhs"]["state"]):
         return "reading_error"
-    status = outcome["status"]
-    auto = status == CheckStatus.AUTO_VERIFIED.value
-    if auto:
+    real_error = bool(label.get("real_error"))
+    if status == _AUTO_VERIFIED:
         return "false_positive" if real_error else "correct"
-    if category == "minor_error":
+    if label.get("category") == "minor_error":
         return "minor_error"
     return "correct" if real_error else "false_negative"
 
@@ -162,23 +168,37 @@ class RunTotals:
         return totals
 
     def add(self, record: AppRecord) -> None:
-        self.total.add(record)
-        self.per_typology.setdefault(record.typology, MetricsBlock()).add(record)
-        self.documents += len(record.metas)
-        costs = record.bucket_costs()
-        for bucket, (cost, time_s) in costs.items():
+        """Fold in one application: one pass over its outcomes counts their
+        statuses and classifies the labelled ones, and one over its
+        documents converts their costs."""
+        statuses = dict.fromkeys(self.total.status_counts, 0)
+        labels, labelled, app_id = self.labels, self.labelled, record.app_id
+        for outcome in record.outcomes:
+            status = outcome["status"]
+            statuses[status] += 1
+            if labels is not None:
+                key = (app_id, outcome["check_id"])
+                label = labels.get(key)
+                if label is not None:
+                    labelled[key] = _classify_labeled(outcome, status, label)
+        costs = record.document_costs()
+        self.total.add(statuses, costs)
+        block = self.per_typology.get(record.typology)
+        if block is None:
+            block = self.per_typology[record.typology] = MetricsBlock()
+        block.add(statuses, costs)
+        self.documents += len(costs)
+        app = {bucket: [0.0, 0.0] for bucket in self.buckets}
+        for bucket, cost, time_s in costs:
+            sums = app[bucket]
+            sums[0] += cost
+            sums[1] += time_s
+        for bucket, (cost, time_s) in app.items():
             self.buckets[bucket][0] += cost
             self.buckets[bucket][1] += time_s
         typology = self.typology_costs.setdefault(record.typology, [0.0, 0.0])
-        typology[0] += costs["typology"][0]
-        typology[1] += costs["typology"][1]
-        if self.labels is not None:
-            for outcome in record.outcomes:
-                key = (record.app_id, outcome["check_id"])
-                label = self.labels.get(key)
-                if label is not None:
-                    self.labelled[key] = _classify_labeled(
-                        outcome, bool(label.get("real_error")), label.get("category"))
+        typology[0] += app["typology"][0]
+        typology[1] += app["typology"][1]
 
     def metrics(self) -> dict:
         """The corpus metrics summary of ``metrics.json`` (per typology and total)."""
@@ -244,19 +264,96 @@ def cost_time_summary(records: list[AppRecord]) -> CostTimeTable:
 
 
 def read_labels_csv(text: str) -> dict[tuple[str, str], dict]:
-    """Parse `app_id,check_id,real_error[,category]` ground-truth labels."""
-    labels: dict[tuple[str, str], dict] = {}
-    reader = csv.DictReader(io.StringIO(text))
-    required = {"app_id", "check_id", "real_error"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    """Parse `app_id,check_id,real_error[,category]` ground-truth labels.
+    A short row, or a second label for the same check, is a LabelError."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    # a column named twice is read from its last place, as csv.DictReader does
+    columns = {name: index for index, name in enumerate(header or ())}
+    if not {"app_id", "check_id", "real_error"}.issubset(columns):
         raise LabelError("label file must have columns app_id,check_id,real_error[,category]")
+    app_col, check_col, error_col = columns["app_id"], columns["check_id"], columns["real_error"]
+    category_col = columns.get("category", -1)
+    needed = max(app_col, check_col, error_col)
+    labels: dict[tuple[str, str], dict] = {}
+    lines: dict[tuple[str, str], int] = {}
     for row in reader:
-        if None in (row["app_id"], row["check_id"], row["real_error"]):  # a short row
+        if not row:  # a blank line
+            continue
+        if len(row) <= needed:
             raise LabelError(f"label line {reader.line_num} lacks a value for app_id, "
                              f"check_id or real_error")
-        key = (row["app_id"], row["check_id"])
+        key = (row[app_col], row[check_col])
+        if key in labels:
+            raise LabelError(f"label lines {lines[key]} and {reader.line_num} both label "
+                             f"{key[0]}/{key[1]}")
+        lines[key] = reader.line_num
+        category = row[category_col].strip() if 0 <= category_col < len(row) else ""
         labels[key] = {
-            "real_error": row["real_error"].strip().lower() in ("1", "true", "yes"),
-            "category": (row.get("category") or "").strip() or None,
+            "real_error": row[error_col].strip().lower() in ("1", "true", "yes"),
+            "category": category or None,
         }
     return labels
+
+
+class MetricsError(ValueError):
+    pass
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb", buffering=0) as file:
+        return file.read()
+
+
+def load_records_from_outputs(out_dir: Path):
+    """Yield per-application records rebuilt from a previous verify run,
+    one at a time, in app-id order.
+
+    ``out_dir`` is listed once. Each directory in it is read as one
+    application: its ``extraction.json`` and each of its three reports,
+    each read once, whole. A directory with no ``extraction.json`` is
+    skipped, and a missing report adds no outcome.
+    """
+    try:
+        with os.scandir(out_dir) as entries:
+            names = sorted(entry.name for entry in entries if entry.is_dir())
+    except (FileNotFoundError, NotADirectoryError):
+        raise MetricsError(f"outputs directory not found: {out_dir}") from None
+    root = os.path.join(out_dir, "")
+    reports = [f"{kind.value}.json" for kind in ReportKind]
+    for name in names:
+        prefix = f"{root}{name}{os.sep}"
+        try:
+            extraction = json.loads(_read(f"{prefix}extraction.json"))
+        except (FileNotFoundError, IsADirectoryError):
+            continue
+        outcomes: list[dict] = []
+        for report in reports:
+            try:
+                data = _read(f"{prefix}{report}")
+            except (FileNotFoundError, IsADirectoryError):
+                continue
+            outcomes.extend(json.loads(data)["outcomes"])
+        yield AppRecord(
+            app_id=extraction["app_id"],
+            typology=extraction["typology"],
+            outcomes=outcomes,
+            metas=extraction["docs"],
+        )
+
+
+def _write_totals(out_dir: Path, totals: RunTotals) -> dict:
+    """Write ``metrics.json`` and ``cost_time.csv``; return the metrics."""
+    summary = totals.metrics()
+    (out_dir / "metrics.json").write_bytes(canonical_json_bytes(summary))
+    (out_dir / "cost_time.csv").write_text(totals.cost_time().to_csv(), encoding="utf-8")
+    return summary
+
+
+def compute_metrics(out_dir: Path, labels: dict | None = None) -> dict:
+    """Fold the reports of the verify run in ``out_dir``, with ``labels``
+    when given, and write its ``metrics.json`` and ``cost_time.csv``."""
+    totals = RunTotals.of(load_records_from_outputs(out_dir), labels)
+    if not totals.total.applications:
+        raise MetricsError(f"no verify outputs under {out_dir}")
+    return _write_totals(Path(out_dir), totals)

@@ -10,8 +10,6 @@ own files written, in app-id order, so a run is byte-reproducible.
 
 from __future__ import annotations
 
-import json
-import logging
 import os
 import threading
 import time
@@ -24,6 +22,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from .backends import MockBackend
+from .base import CheckStatus, ConfigError, ReportKind, canonical_json_bytes, log_event
 from .catalog import Catalog, load_catalog_file
 from .extract import ExtractedDocument, extract, schema_for
 from .ingest import (
@@ -36,19 +35,18 @@ from .ingest import (
     scan_application,
     scan_forms,
 )
-from .metrics import AppRecord, RunTotals
-from .report import SCHEMA_VERSION, HtmlEscapes, canonical_json_bytes, render_html, report_dict
-from .rules import CheckStatus, EngineSettings, ReportKind, evaluate_application
-
-logger = logging.getLogger("claimcheck")
-
-
-def log_event(event: str, **fields) -> None:
-    logger.info(json.dumps({"event": event, **fields}, sort_keys=True, default=str))
-
-
-class ConfigError(ValueError):
-    pass
+# compute_metrics, load_records_from_outputs and MetricsError stay importable
+# from this module
+from .metrics import (  # noqa: F401
+    AppRecord,
+    MetricsError,
+    RunTotals,
+    _write_totals,
+    compute_metrics,
+    load_records_from_outputs,
+)
+from .report import SCHEMA_VERSION, HtmlEscapes, render_html, report_dict
+from .rules import EngineSettings, evaluate_application
 
 
 def _is_http_url(url: str) -> bool:
@@ -413,46 +411,3 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
               failures=len(failures), exit_code=exit_code, workers=workers,
               stage_cpu_s={stage: round(seconds, 3) for stage, seconds in stage_cpu.items()})
     return VerifyResult(exit_code=exit_code, manifest=manifest)
-
-
-def _write_totals(out_dir: Path, totals: RunTotals) -> dict:
-    """Write ``metrics.json`` and ``cost_time.csv``; return the metrics."""
-    summary = totals.metrics()
-    (out_dir / "metrics.json").write_bytes(canonical_json_bytes(summary))
-    (out_dir / "cost_time.csv").write_text(totals.cost_time().to_csv(), encoding="utf-8")
-    return summary
-
-
-class MetricsError(ValueError):
-    pass
-
-
-def load_records_from_outputs(out_dir: Path):
-    """Yield per-application records rebuilt from a previous verify run,
-    one at a time, in app-id order."""
-    out_dir = Path(out_dir)
-    if not out_dir.is_dir():
-        raise MetricsError(f"outputs directory not found: {out_dir}")
-    for app_dir in sorted(p for p in out_dir.iterdir() if p.is_dir()):
-        extraction_path = app_dir / "extraction.json"
-        if not extraction_path.is_file():
-            continue
-        extraction = json.loads(extraction_path.read_text(encoding="utf-8"))
-        outcomes: list[dict] = []
-        for kind in ReportKind:
-            report_path = app_dir / f"{kind.value}.json"
-            if report_path.is_file():
-                outcomes.extend(json.loads(report_path.read_text(encoding="utf-8"))["outcomes"])
-        yield AppRecord(
-            app_id=extraction["app_id"],
-            typology=extraction["typology"],
-            outcomes=outcomes,
-            metas=extraction["docs"],
-        )
-
-
-def compute_metrics(out_dir: Path, labels: dict | None = None) -> dict:
-    totals = RunTotals.of(load_records_from_outputs(out_dir), labels)
-    if not totals.total.applications:
-        raise MetricsError(f"no verify outputs under {out_dir}")
-    return _write_totals(Path(out_dir), totals)

@@ -9,10 +9,10 @@ timestamp.
 from __future__ import annotations
 
 import html
-import json
 
+from .base import CheckStatus, ReportKind, canonical_json_bytes
 from .ingest import UnsupportedNotice
-from .rules import STATUS_LABELS, CheckOutcome, CheckStatus, Evidence, ReportKind
+from .rules import STATUS_LABELS, CheckOutcome, Evidence
 
 # The version of the layout of every report JSON, extraction.json and
 # manifest.json, each of which records it as "schema_version"; a change to
@@ -75,11 +75,6 @@ def report_dict(app_id: str, kind: ReportKind, outcomes: list[CheckOutcome],
         ],
         "status_counts": counts,
     }
-
-
-def canonical_json_bytes(payload: object) -> bytes:
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False,
-                      separators=(",", ":")).encode("utf-8") + b"\n"
 
 
 _REPORT_TITLES = {

@@ -14,8 +14,8 @@ from __future__ import annotations
 import datetime as dt
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from enum import Enum
 
+from .base import CheckStatus, ReportKind
 from .extract import ExtractedDocument, ValueState
 from .ingest import ApplicationBundle, DocumentSlot, TypologyId, UnsupportedNotice
 from .normalize import (
@@ -27,18 +27,6 @@ from .normalize import (
     fuzzy_match,
     normalize_name,
 )
-
-
-class ReportKind(str, Enum):
-    ELIGIBILITY = "eligibility"
-    COMMON_CORE = "common_core"
-    TYPOLOGY = "typology"
-
-
-class CheckStatus(str, Enum):
-    AUTO_VERIFIED = "auto_verified"
-    MANUAL_CHECK = "manual_check"
-    UNSUPPORTED = "unsupported"
 
 
 STATUS_LABELS = {

@@ -140,15 +140,39 @@ class TestMetricsCommand:
         assert run(["metrics", "--out", str(out), "--labels", str(labels)]) == 1
         assert "label line 2 lacks a value" in capsys.readouterr().err
 
+    def test_label_file_with_a_byte_order_mark_is_read(self, verified_run):
+        corpus, out = verified_run
+        header, first = (corpus / "labels.csv").read_text().splitlines()[:2]
+        labels = out / "bom_labels.csv"
+        labels.write_text(f"{header}\n{first}\n", encoding="utf-8-sig")
+        assert labels.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert run(["metrics", "--out", str(out), "--labels", str(labels)]) == 0
+        assert json.loads((out / "metrics.json").read_text())["taxonomy"]["labeled_total"] == 1
 
-@pytest.mark.parametrize("command, target", [("verify", "verify_corpus"),
-                                             ("metrics", "compute_metrics")])
+    def test_a_check_labelled_twice_exits_1_naming_both_lines(self, verified_run, capsys):
+        _, out = verified_run
+        labels = out / "twice_labels.csv"
+        labels.write_text("app_id,check_id,real_error\n"
+                          "app_00001,common.company_tax_id_matches_invoice,false\n"
+                          "app_00001,common.declared_expense_matches_invoice,false\n"
+                          "app_00001,common.company_tax_id_matches_invoice,true\n")
+        assert run(["metrics", "--out", str(out), "--labels", str(labels)]) == 1
+        err = capsys.readouterr().err
+        assert "label lines 2 and 4" in err
+        assert "app_00001/common.company_tax_id_matches_invoice" in err
+
+
+# cli imports verify_corpus only when verify runs, so it is patched where it lives
+@pytest.mark.parametrize("command, target", [
+    pytest.param("verify", "claimcheck.pipeline.verify_corpus", id="verify-verify_corpus"),
+    pytest.param("metrics", "claimcheck.cli.compute_metrics", id="metrics-compute_metrics"),
+])
 def test_internal_error_exits_3_and_logs_its_traceback(tmp_path, monkeypatch, caplog,
                                                         command, target):
     def crash(*args, **kwargs):
         raise ZeroDivisionError("a defect")
 
-    monkeypatch.setattr(f"claimcheck.cli.{target}", crash)
+    monkeypatch.setattr(target, crash)
     argv = {"verify": ["verify", "--corpus", str(tmp_path), "--out", str(tmp_path / "out")],
             "metrics": ["metrics", "--out", str(tmp_path)]}[command]
     with caplog.at_level("INFO", logger="claimcheck"):
@@ -270,6 +294,10 @@ def test_unusable_operator_file_exits_1(tmp_path, capsys, option, text, named):
 
 SRC = Path(claimcheck.__file__).resolve().parents[1]
 HTTP_CLIENT_MODULES = {"ssl", "http.client", "urllib.request", "email"}
+# what only verify (and gen-corpus) need: metrics reads finished reports
+VERIFY_MODULES = {"claimcheck.pipeline", "claimcheck.rules", "claimcheck.ingest",
+                  "claimcheck.extract", "claimcheck.normalize", "claimcheck.catalog",
+                  "claimcheck.report", "xml.etree.ElementTree", "yaml"}
 
 
 def modules_after(code: str) -> set[str]:
@@ -285,7 +313,7 @@ def test_cli_import_loads_no_http_library_and_no_other_command():
     loaded = modules_after("import claimcheck.cli")
     assert "claimcheck.cli" in loaded
     for module in ("requests", "yaml", "claimcheck.gencorpus", "claimcheck.textmetrics",
-                   *HTTP_CLIENT_MODULES):
+                   *HTTP_CLIENT_MODULES, *VERIFY_MODULES):
         assert module not in loaded
 
 
@@ -301,7 +329,7 @@ def test_mock_verify_and_metrics_load_no_http_client_and_metrics_no_yaml(tmp_pat
     assert "claimcheck.pipeline" in loaded["verify"]
     assert not HTTP_CLIENT_MODULES & loaded["verify"]
     assert not HTTP_CLIENT_MODULES & loaded["metrics"]
-    assert "yaml" not in loaded["metrics"]
+    assert not VERIFY_MODULES & loaded["metrics"]
 
 
 def test_verify_of_an_empty_corpus_loads_no_process_pool(tmp_path):

@@ -152,6 +152,49 @@ def test_metrics_from_disk_match_live_run(corpus_copy, tmp_path):
     assert taxonomy["false_positive"] == 0
 
 
+def test_metrics_folds_each_application_directory_with_extraction_json(tmp_path):
+    """A hand-built output directory: an application directory with no
+    extraction.json is skipped, one missing a report still folds the
+    others, and loose files at the top level are ignored."""
+    out = tmp_path / "out"
+
+    def write(rel: str, payload: dict) -> None:
+        path = out / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+    def outcomes(*statuses: str) -> dict:
+        state = {"state": "present"}
+        return {"outcomes": [{"check_id": f"c{i}", "status": status, "lhs": state, "rhs": state}
+                             for i, status in enumerate(statuses)]}
+
+    def extraction(app_id: str, typology: str, cost: float) -> dict:
+        return {"app_id": app_id, "typology": typology,
+                "docs": [{"path": f"{app_id}/fatura.pdf", "slot": "invoice",
+                          "cost_eur": cost, "elapsed_ms": 2000}]}
+
+    write("app_a/extraction.json", extraction("app_a", "1", 0.5))
+    write("app_a/eligibility.json", outcomes("auto_verified", "manual_check"))
+    write("app_a/common_core.json", outcomes("auto_verified"))
+    write("app_a/typology.json", outcomes("unsupported"))
+    write("app_b/eligibility.json", outcomes("manual_check"))  # no extraction.json
+    write("app_c/extraction.json", extraction("app_c", "4", 0.25))
+    write("app_c/eligibility.json", outcomes("auto_verified"))
+    write("app_c/typology.json", outcomes("manual_check", "manual_check"))  # no common_core
+    write("manifest.json", {"counts": {"applications_processed": 3}})
+    (out / "stray.txt").write_text("not an application\n")
+
+    assert main(["metrics", "--out", str(out)]) == 0
+    summary = json.loads((out / "metrics.json").read_text())
+    assert summary["total"]["applications"] == 2
+    assert summary["total"]["status_counts"] == {"auto_verified": 3, "manual_check": 3,
+                                                 "unsupported": 1}
+    assert summary["total"]["cost_eur"]["total"] == 0.75
+    assert {tid: block["checks_total"] for tid, block in summary["per_typology"].items()} \
+        == {"1": 4, "4": 3}
+    assert (out / "cost_time.csv").read_text().splitlines()[-1] == "Total,0.38,2.00"
+
+
 def test_garbage_sidecar_contained_as_backend_error(corpus_copy, tmp_path):
     app_dir = sorted(p for p in corpus_copy.iterdir() if p.is_dir())[0]
     sidecar = app_dir / "fatura.pdf.fields.json"

@@ -277,3 +277,9 @@ def test_read_labels_csv():
 def test_read_labels_csv_requires_columns():
     with pytest.raises(LabelError):
         read_labels_csv("foo,bar\n1,2\n")
+
+
+def test_read_labels_csv_skips_blank_lines_and_reads_a_missing_category_as_none():
+    text = "app_id,check_id,real_error,category\n\na,c1,YES\n\na,c2,0,minor_error\n"
+    assert read_labels_csv(text) == {("a", "c1"): {"real_error": True, "category": None},
+                                     ("a", "c2"): {"real_error": False, "category": "minor_error"}}
