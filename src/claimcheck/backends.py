@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .extract import ExtractionSchema, NONE_SENTINEL
 from .ingest import SIDECAR_SUFFIX, DocumentRef
@@ -29,8 +29,7 @@ class BackendError(RuntimeError):
     """Extraction backend failed after retries."""
 
 
-@dataclass(frozen=True)
-class BackendResponse:
+class BackendResponse(NamedTuple):
     fields: dict[str, str]
     cost_eur: float = 0.0
     elapsed_ms: int = 0
@@ -64,11 +63,8 @@ def interpret_sidecar(sidecar: dict, schema: ExtractionSchema) -> BackendRespons
         elif mode == "corrupt":
             fields[tag] = _corrupt_digit(fields[tag])
     meta = sidecar.get("__meta__", {})
-    return BackendResponse(
-        fields=fields,
-        cost_eur=float(meta.get("cost_eur", 0.0)),
-        elapsed_ms=int(meta.get("elapsed_ms", 0)),
-    )
+    return BackendResponse(fields, float(meta.get("cost_eur", 0.0)),
+                           int(meta.get("elapsed_ms", 0)))
 
 
 def load_sidecar(doc: DocumentRef) -> dict:

@@ -6,11 +6,12 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 import traceback
 from pathlib import Path
 
-from .base import CatalogError, ConfigError, log_event
+from .base import VALID_TYPOLOGIES, CatalogError, ConfigError, log_event
 from .metrics import LabelError, MetricsError, compute_metrics, read_labels_csv
 
 
@@ -120,12 +121,25 @@ def _parse_allow_ext(spec: str | None) -> dict[str, str]:
 
 
 def _parse_typology_mix(spec: str | None) -> dict[int, float] | None:
+    """The weights of ``major:weight,...``; a ConfigError unless each major
+    is a typology's and each weight a number >= 0, and they sum above 0."""
     if not spec:
         return None
+    majors = {int(tid.split(".")[0]) for tid in VALID_TYPOLOGIES}
     mix = {}
     for item in spec.split(","):
         major, _, weight = item.partition(":")
-        mix[int(major)] = float(weight)
+        try:
+            number, share = int(major), float(weight)
+        except ValueError:
+            raise ConfigError(f"--typology-mix item {item!r} is not major:weight") from None
+        if number not in majors or not 0.0 <= share < math.inf:
+            raise ConfigError(f"--typology-mix item {item!r}: the major must be one of "
+                              f"{', '.join(map(str, sorted(majors)))} and the weight "
+                              f"a number >= 0")
+        mix[number] = share
+    if not sum(mix.values()) > 0:
+        raise ConfigError(f"--typology-mix {spec!r} gives no typology a weight above 0")
     return mix
 
 

@@ -809,11 +809,13 @@ def world_bundle_and_docs(world: AppWorld) -> tuple[ApplicationBundle, list[Extr
     for doc in world.docs:
         virtual = Path(app_id) / doc.written_name
         slot = infer_slot(virtual)
-        admitted = admit_file(str(virtual), virtual, 0, slot, SUPPORTED_EXTENSIONS, cap_bytes)
+        admitted = admit_file(str(virtual), virtual.name, 0, slot, SUPPORTED_EXTENSIONS,
+                              cap_bytes)
         if isinstance(admitted, UnsupportedNotice):
             notices.append(admitted)
             continue
-        refs.append(DocumentRef(path=virtual, kind=admitted, slot=slot, corpus_path=str(virtual)))
+        refs.append(DocumentRef(path=str(virtual), kind=admitted, slot=slot,
+                                corpus_path=str(virtual)))
         store[str(virtual)] = sidecar_dict(doc)
     bundle = ApplicationBundle(app_id=app_id, typology=typology, form=form,
                                documents=refs, unsupported=notices)

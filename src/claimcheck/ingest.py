@@ -15,7 +15,6 @@ from pathlib import Path, PurePath
 from .base import VALID_TYPOLOGIES
 from .normalize import FormData, parse_declared
 
-SUPPORTED_EXTENSIONS = {".pdf": "pdf", ".zip": "zip", ".jpg": "jpg", ".jpeg": "jpg", ".png": "png"}
 DEFAULT_MAX_FILE_MB = 25
 # An archive stays open, with its whole entry list, until its application is
 # done, so the entries an archive may list are capped.
@@ -40,6 +39,12 @@ class FileKind(str, Enum):
     ZIP = "zip"
     JPG = "jpg"
     PNG = "png"
+
+
+# The kind of each lower-case suffix that is a document; a run adds those of
+# --allow-ext.
+SUPPORTED_EXTENSIONS = {".pdf": FileKind.PDF, ".zip": FileKind.ZIP, ".jpg": FileKind.JPG,
+                        ".jpeg": FileKind.JPG, ".png": FileKind.PNG}
 
 
 class DocumentSlot(str, Enum):
@@ -130,7 +135,9 @@ class UnsupportedNotice:
 
 @dataclass(frozen=True)
 class DocumentRef:
-    path: Path  # the file, or the archive that holds the member, as it is read
+    # the file, or the archive that holds the member, as it is opened; the
+    # scan gives the path string ``os.scandir`` made, and parses no Path
+    path: str
     kind: FileKind
     slot: DocumentSlot = DocumentSlot.OTHER
     origin: str = "direct_upload"
@@ -146,7 +153,7 @@ class DocumentRef:
 
     @property
     def name(self) -> str:
-        return self.path.name if self.member is None else PurePath(self.member).name
+        return os.path.basename(self.path) if self.member is None else PurePath(self.member).name
 
     def read_bytes(self, suffix: str = "") -> bytes:
         """Its bytes; with ``suffix``, those of the file or member whose name
@@ -307,33 +314,40 @@ def parse_form_xml(data: bytes) -> tuple[str, TypologyId, FormData]:
     return app_id, typology, form
 
 
-def admit_file(shown: str, file: PurePath, size: int, slot: DocumentSlot,
-               extensions: dict[str, str], cap_bytes: int) -> FileKind | UnsupportedNotice:
+def _suffix(name: str) -> str:
+    """``PurePath(name).suffix`` of a file name, with no PurePath."""
+    at = name.rfind(".")
+    return name[at:] if 0 < at < len(name) - 1 else ""
+
+
+def admit_file(shown: str, name: str, size: int, slot: DocumentSlot,
+               extensions: dict[str, FileKind], cap_bytes: int) -> FileKind | UnsupportedNotice:
     """The one rule for every submitted file, loose or inside an archive:
-    its FileKind when ``extensions`` names its suffix and it is at most
-    ``cap_bytes`` long, else the notice, shown as ``shown``, that sends it
-    to a human."""
-    kind_name = extensions.get(file.suffix.lower())
-    if kind_name is None:
+    its FileKind when ``extensions`` names the suffix of its file name
+    ``name`` and it is at most ``cap_bytes`` long, else the notice, shown
+    as ``shown``, that sends it to a human."""
+    suffix = _suffix(name)
+    kind = extensions.get(suffix.lower())
+    if kind is None:
         return UnsupportedNotice(
             path=shown, reason="unsupported_extension",
-            message=f"unsupported file type {file.suffix!r}: {file.name} requires manual review",
+            message=f"unsupported file type {suffix!r}: {name} requires manual review",
             slot=slot)
     if size > cap_bytes:
         return UnsupportedNotice(
             path=shown, reason="oversize",
-            message=f"{file.name} is {size / 1e6:.1f} MB, above the {cap_bytes / 1e6:.0f} MB cap",
+            message=f"{name} is {size / 1e6:.1f} MB, above the {cap_bytes / 1e6:.0f} MB cap",
             slot=slot)
-    return FileKind(kind_name)
+    return kind
 
 
-def _walk_files(directory: Path, name: str, folders: tuple[str, ...] = ()):
-    """Yield (its directory, corpus name, DirEntry, folders) for every
-    regular file under ``directory``, whose corpus name is ``name``, in
-    ``sorted(Path)`` order, with the names of the folders between
-    ``directory`` and the file. Like ``Path.rglob``, it does not descend
-    into symlinked directories and skips directories it may not read or
-    that are gone."""
+def _walk_files(directory: str, name: str, folders: tuple[str, ...] = ()):
+    """Yield (corpus name, DirEntry, folders) for every regular file under
+    ``directory``, whose corpus name is ``name``, in ``sorted(Path)``
+    order, with the names of the folders between ``directory`` and the
+    file; an entry's ``path`` is ``directory`` joined with its name. Like
+    ``Path.rglob``, it does not descend into symlinked directories and
+    skips directories it may not read or that are gone."""
     try:
         with os.scandir(directory) as it:
             entries = sorted(it, key=lambda e: e.name)
@@ -342,21 +356,21 @@ def _walk_files(directory: Path, name: str, folders: tuple[str, ...] = ()):
     for entry in entries:
         rel = f"{name}/{entry.name}"
         if entry.is_dir(follow_symlinks=False):
-            yield from _walk_files(directory / entry.name, rel, (*folders, entry.name))
+            yield from _walk_files(entry.path, rel, (*folders, entry.name))
         elif entry.is_file():
-            yield directory, rel, entry, folders
+            yield rel, entry, folders
 
 
 def list_files(app_dir: Path) -> list[str]:
     """The corpus name of every regular file under the application
     directory ``app_dir``, in ``sorted(Path)`` order."""
-    return [rel for _, rel, _, _ in _walk_files(app_dir, app_dir.name)]
+    return [rel for rel, _, _ in _walk_files(os.fspath(app_dir), app_dir.name)]
 
 
 def _form_bytes(app_dir: Path) -> bytes:
     """The form of an application directory. Raises FormParseError."""
-    form_path = app_dir / FORM_FILENAME
-    if not form_path.is_file():
+    form_path = os.path.join(app_dir, FORM_FILENAME)
+    if not os.path.isfile(form_path):
         raise FormParseError(f"{FORM_FILENAME} not found")
     with open(form_path, "rb", buffering=0) as file:
         return file.read()
@@ -403,11 +417,11 @@ def scan_forms(root: Path) -> FormScan:
 
 
 def scan_application(app_id: str, app_dir: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
-                     extensions: dict[str, str] = SUPPORTED_EXTENSIONS) -> ApplicationBundle:
+                     extensions: dict[str, FileKind] = SUPPORTED_EXTENSIONS) -> ApplicationBundle:
     """The second phase of a scan: build the bundle of the application
     ``app_id`` from its directory, recording every file visited on it.
     ``extensions`` maps each lower-case suffix that is a document to its
-    FileKind value. Raises FormParseError, also when the form now names
+    FileKind. Raises FormParseError, also when the form now names
     another application."""
     form_id, typology, form = parse_form_xml(_form_bytes(app_dir))
     if form_id != app_id:
@@ -417,23 +431,23 @@ def scan_application(app_id: str, app_dir: Path, max_file_mb: float = DEFAULT_MA
     files: list[str] = []
     documents: list[DocumentRef] = []
     unsupported: list[UnsupportedNotice] = []
-    for directory, rel, entry, folders in _walk_files(app_dir, app_dir.name):
+    for rel, entry, folders in _walk_files(os.fspath(app_dir), app_dir.name):
         files.append(rel)
-        if (entry.name == FORM_FILENAME and not folders) or entry.name.endswith(SIDECAR_SUFFIX):
+        name = entry.name
+        if (name == FORM_FILENAME and not folders) or name.endswith(SIDECAR_SUFFIX):
             continue
-        path = directory / entry.name
-        slot = _slot_of(folders, entry.name)
-        admitted = admit_file(rel, path, entry.stat().st_size, slot, extensions, cap_bytes)
+        slot = _slot_of(folders, name)
+        admitted = admit_file(rel, name, entry.stat().st_size, slot, extensions, cap_bytes)
         if isinstance(admitted, UnsupportedNotice):
             unsupported.append(admitted)
         else:
-            documents.append(DocumentRef(path=path, kind=admitted, slot=slot, corpus_path=rel))
+            documents.append(DocumentRef(entry.path, admitted, slot, corpus_path=rel))
     return ApplicationBundle(app_id=app_id, typology=typology, form=form, documents=documents,
                              unsupported=unsupported, files=files)
 
 
 def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
-                extensions: dict[str, str] = SUPPORTED_EXTENSIONS) -> ScanResult:
+                extensions: dict[str, FileKind] = SUPPORTED_EXTENSIONS) -> ScanResult:
     """One bundle per application subdirectory, ordered by app id: both
     phases of the scan, ``scan_forms`` and then ``scan_application`` on each
     application, at once. Every regular file of the corpus is recorded on
@@ -446,7 +460,7 @@ def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
     return ScanResult(bundles=bundles, failures=forms.failures, loose_files=forms.loose_files)
 
 
-def _read_archive(doc: DocumentRef, extensions: dict[str, str], cap_bytes: int,
+def _read_archive(doc: DocumentRef, extensions: dict[str, FileKind], cap_bytes: int,
                   archives: ExitStack) -> tuple[list[DocumentRef], list[UnsupportedNotice]]:
     """The documents and notices of one archive's members, each admitted
     member read once to its end and none written anywhere; one notice
@@ -460,18 +474,18 @@ def _read_archive(doc: DocumentRef, extensions: dict[str, str], cap_bytes: int,
         entries = archive.infolist()
         if len(entries) > MAX_ARCHIVE_ENTRIES:
             return [], [UnsupportedNotice(doc.corpus_path, "too_many_members", (
-                f"{doc.path.name} lists {len(entries)} entries, above the "
+                f"{doc.name} lists {len(entries)} entries, above the "
                 f"{MAX_ARCHIVE_ENTRIES} cap"), doc.slot)]
         if len({entry.filename for entry in entries}) < len(entries):
             raise zipfile.BadZipFile("two entries share a name")  # a member is read by name
         for member in entries:
-            member_path = Path(member.filename)
+            member_path = PurePath(member.filename)
             member_name = member_path.name
             display = f"{doc.corpus_path}!{member.filename}"
             if member.is_dir() or not member_name or member_name.startswith("."):
                 continue
             slot = infer_slot(member_path)
-            if member_path.suffix.lower() == ".zip":
+            if _suffix(member_name).lower() == ".zip":
                 notices.append(UnsupportedNotice(
                     path=display, reason="archive_depth_exceeded",
                     message=f"nested archive {member.filename} not expanded; review manually",
@@ -479,7 +493,7 @@ def _read_archive(doc: DocumentRef, extensions: dict[str, str], cap_bytes: int,
                 continue
             if member_name.endswith(SIDECAR_SUFFIX):
                 continue  # read by the mock backend with its document
-            admitted = admit_file(display, member_path, member.file_size, slot, extensions,
+            admitted = admit_file(display, member_name, member.file_size, slot, extensions,
                                   cap_bytes)
             if isinstance(admitted, UnsupportedNotice):
                 notices.append(admitted)
@@ -493,12 +507,12 @@ def _read_archive(doc: DocumentRef, extensions: dict[str, str], cap_bytes: int,
     except zipfile.BadZipFile:
         return [], [UnsupportedNotice(
             path=doc.corpus_path, reason="corrupt_archive",
-            message=f"{doc.path.name} could not be read as a ZIP archive", slot=doc.slot)]
+            message=f"{doc.name} could not be read as a ZIP archive", slot=doc.slot)]
     return documents, notices
 
 
 def expand_archives(bundle: ApplicationBundle, max_file_mb: float = DEFAULT_MAX_FILE_MB,
-                    extensions: dict[str, str] = SUPPORTED_EXTENSIONS) -> ApplicationBundle:
+                    extensions: dict[str, FileKind] = SUPPORTED_EXTENSIONS) -> ApplicationBundle:
     """A copy of ``bundle`` with each ZIP ref replaced by its members,
     which stay in the archive and are read from it. Members are admitted by
     the rule, and with the ``extensions``, that the scan applied to loose

@@ -263,9 +263,15 @@ def cost_time_summary(records: list[AppRecord]) -> CostTimeTable:
     return RunTotals.of(records).cost_time()
 
 
+# what a real_error value may say, in any case: a value that says neither
+# must not count a real error as none
+_REAL_ERROR = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def read_labels_csv(text: str) -> dict[tuple[str, str], dict]:
     """Parse `app_id,check_id,real_error[,category]` ground-truth labels.
-    A short row, or a second label for the same check, is a LabelError."""
+    A short row, a real_error that is none of true/false, 1/0 or yes/no,
+    or a second label for the same check, is a LabelError."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     # a column named twice is read from its last place, as csv.DictReader does
@@ -288,11 +294,12 @@ def read_labels_csv(text: str) -> dict[tuple[str, str], dict]:
             raise LabelError(f"label lines {lines[key]} and {reader.line_num} both label "
                              f"{key[0]}/{key[1]}")
         lines[key] = reader.line_num
+        real_error = _REAL_ERROR.get(row[error_col].strip().lower())
+        if real_error is None:
+            raise LabelError(f"label line {reader.line_num}: real_error {row[error_col]!r} is "
+                             f"none of true, false, 1, 0, yes, no")
         category = row[category_col].strip() if 0 <= category_col < len(row) else ""
-        labels[key] = {
-            "real_error": row[error_col].strip().lower() in ("1", "true", "yes"),
-            "category": category or None,
-        }
+        labels[key] = {"real_error": real_error, "category": category or None}
     return labels
 
 

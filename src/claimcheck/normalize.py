@@ -9,10 +9,12 @@ as a bogus auto-verification.
 from __future__ import annotations
 
 import datetime as dt
+import operator
 import re
 import unicodedata
 from dataclasses import dataclass, field
 from decimal import Decimal
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -53,8 +55,7 @@ class TaxId:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class CanonicalName:
+class CanonicalName(NamedTuple):
     canonical: str
     original: str
 
@@ -164,6 +165,7 @@ def parse_power(text: str) -> PowerValue:
 
 
 _TAX_STRIP_RE = re.compile(r"[\s.\-/]+")
+_TAX_WEIGHTS = (9, 8, 7, 6, 5, 4, 3, 2)  # of the first eight digits
 
 
 def validate_tax_id(text: str) -> TaxId:
@@ -178,7 +180,7 @@ def validate_tax_id(text: str) -> TaxId:
         return TaxId(digits, False, "non_numeric")
     if len(digits) != 9:
         return TaxId(digits, False, "wrong_length")
-    total = sum(int(d) * w for d, w in zip(digits[:8], range(9, 1, -1)))
+    total = sum(map(operator.mul, map(int, digits[:8]), _TAX_WEIGHTS))
     check = 11 - (total % 11)
     if check >= 10:
         check = 0
@@ -223,8 +225,7 @@ def normalize_name(text: str) -> CanonicalName:
     else:
         stripped = "".join(c for c in decomposed if not unicodedata.combining(c))
         cleaned = "".join(c if c.isalnum() else " " for c in stripped)
-    canonical = " ".join(cleaned.upper().split())
-    return CanonicalName(canonical=canonical, original=text)
+    return CanonicalName(" ".join(cleaned.upper().split()), text)
 
 
 def fuzzy_match(a: str, b: str, threshold: float) -> bool:
@@ -271,8 +272,7 @@ def fuzzy_match(a: str, b: str, threshold: float) -> bool:
     return prev[m] <= k
 
 
-@dataclass(frozen=True)
-class DeclaredValue:
+class DeclaredValue(NamedTuple):
     """One applicant-declared form field.
 
     Malformed typed values keep their raw text and carry ``warning`` so
@@ -290,17 +290,17 @@ def parse_declared(field_id: str, declared_type: str, raw: str) -> DeclaredValue
     """Build a DeclaredValue, downgrading parse failures to warnings."""
     parse = VALUE_PARSERS.get(declared_type)
     if parse is None:
-        return DeclaredValue(field_id, declared_type, raw, value=raw.strip(),
-                             warning=f"unknown declared type {declared_type!r}")
+        return DeclaredValue(field_id, declared_type, raw, raw.strip(),
+                             f"unknown declared type {declared_type!r}")
     try:
         value = parse(raw)
     except ParseError as exc:
-        return DeclaredValue(field_id, declared_type, raw, value=raw.strip(),
-                             warning=f"unparseable {declared_type}: {exc.reason}")
+        return DeclaredValue(field_id, declared_type, raw, raw.strip(),
+                             f"unparseable {declared_type}: {exc.reason}")
     if isinstance(value, TaxId) and not value.valid:
-        return DeclaredValue(field_id, declared_type, raw, value=value,
-                             warning=f"tax id failed validation ({value.reason})")
-    return DeclaredValue(field_id, declared_type, raw, value=value)
+        return DeclaredValue(field_id, declared_type, raw, value,
+                             f"tax id failed validation ({value.reason})")
+    return DeclaredValue(field_id, declared_type, raw, value)
 
 
 @dataclass

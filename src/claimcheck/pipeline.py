@@ -10,6 +10,7 @@ own files written, in app-id order, so a run is byte-reproducible.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -89,6 +90,14 @@ class RunConfig:
             raise ConfigError("retries must be >= 0")
         if not (0.0 <= self.fuzzy_threshold <= 1.0):
             raise ConfigError("fuzzy threshold must be in [0, 1]")
+        # a negative tolerance, a cap of no bytes or a timeout of no time
+        # would send checks to a human, or fail documents, without a word
+        if self.amount_tolerance_cents < 0:
+            raise ConfigError("amount tolerance must be >= 0 cents")
+        if not (0.0 < self.max_file_mb < math.inf):
+            raise ConfigError("max file size must be a number of MB above 0")
+        if not (0.0 < self.timeout_s < math.inf):
+            raise ConfigError("timeout must be a number of seconds above 0")
         kinds = {k.value for k in FileKind}
         for ext, kind in self.allow_ext.items():
             if kind not in kinds:
@@ -152,13 +161,18 @@ STAGES = ("scan", "extract", "rules", "render", "write")
 class _Applications:
     """The work on one application, in whichever process runs it: walk and
     expand it, extract its documents, evaluate it and write its directory,
-    counting the CPU seconds of each stage on the thread that ran it."""
+    counting the CPU seconds of each stage on the thread that ran it. The
+    escape of each string that recurs across applications is kept for
+    every application it renders."""
 
     def __init__(self, config: RunConfig, catalog: Catalog, backend):
         self.config, self.catalog, self.backend = config, catalog, backend
         self.settings = EngineSettings(fuzzy_threshold=config.fuzzy_threshold,
                                        amount_tolerance_cents=config.amount_tolerance_cents)
-        self.extensions = {**SUPPORTED_EXTENSIONS, **config.allow_ext}
+        # each suffix's FileKind member, looked up by the scan of every file
+        self.extensions = {**SUPPORTED_EXTENSIONS,
+                           **{ext: FileKind(kind) for ext, kind in config.allow_ext.items()}}
+        self.escapes = HtmlEscapes(catalog.escaped_texts())
         self.cpu = dict.fromkeys(STAGES, 0.0)
         self._lock = threading.Lock()  # extraction threads count too
 
@@ -177,6 +191,11 @@ class _Applications:
         return bundle
 
     def extract(self, ref, schema) -> ExtractedDocument:
+        return extract(ref, schema, self.backend)
+
+    def extract_on_thread(self, ref, schema) -> ExtractedDocument:
+        """``extract``, counting its CPU seconds: for a call that runs on a
+        thread of its own, which ``finish`` does not time."""
         start = time.thread_time()
         extracted = extract(ref, schema, self.backend)
         self.spent("extract", start)
@@ -193,9 +212,12 @@ class _Applications:
             if isinstance(bundle, Exception):
                 raise bundle
             with bundle.archives:
-                record = _process_application(bundle, [call() for call in calls], self.catalog,
-                                              self.settings, Path(self.config.out_dir),
-                                              self.spent)
+                # the calls run here, or wait here for a thread that runs them
+                start = time.thread_time()
+                extracted = [call() for call in calls]
+                self.spent("extract", start)
+                record = _process_application(bundle, extracted, self.catalog, self.settings,
+                                              Path(self.config.out_dir), self.spent, self.escapes)
             outcome = (record, None, bundle.files, [n.path for n in bundle.unsupported])
         except Exception as exc:  # noqa: BLE001
             outcome = (None, str(exc), [], [])
@@ -204,11 +226,17 @@ class _Applications:
         return (app, *outcome, cpu)
 
 
-def _in_process(apps, applications: _Applications, run, window: int):
+def _in_process(apps, applications: _Applications, window: int,
+                pool: ThreadPoolExecutor | None = None):
     """The result of each application of ``apps``, in order, with each
-    extraction of its documents handed to ``run``, ``window`` documents
-    ahead."""
-    for loaded in _extract_ahead(apps, applications.load, applications.extract, run, window):
+    extraction of its documents run when its application is finished or,
+    given a ``pool``, submitted to it ``window`` documents ahead."""
+    if pool is None:
+        run, extract_doc = partial, applications.extract
+    else:
+        run = lambda fn, *args: pool.submit(fn, *args).result  # noqa: E731
+        extract_doc = applications.extract_on_thread
+    for loaded in _extract_ahead(apps, applications.load, extract_doc, run, window):
         yield applications.finish(*loaded)
 
 
@@ -225,7 +253,7 @@ def _start_worker(config: RunConfig, catalog: Catalog) -> None:
 
 
 def _verify_in_worker(apps: list[tuple[str, Path]]) -> list[tuple]:
-    return list(_in_process(apps, _worker, partial, 2))
+    return list(_in_process(apps, _worker, 2))
 
 
 def _forked(apps, pool: Executor, workers: int):
@@ -255,9 +283,14 @@ def _write_file(path: str, data: bytes) -> None:
         os.close(fd)
 
 
+# The record of an outcome that a run keeps, one per status and shared by
+# every outcome, so a worker's results pickle each once. Nothing writes to them.
+_STATUS_RECORDS = {status.value: {"status": status.value} for status in CheckStatus}
+
+
 def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDocument],
                          catalog: Catalog, settings: EngineSettings, out_dir: Path,
-                         spent) -> AppRecord:
+                         spent, escapes: HtmlEscapes) -> AppRecord:
     start = time.thread_time()
     outcomes_by_kind = evaluate_application(bundle, extracted,
                                             catalog.for_typology(bundle.typology), settings)
@@ -267,7 +300,6 @@ def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDoc
     app_out.mkdir(parents=True, exist_ok=True)
     prefix = f"{app_out}{os.sep}"
     start = spent("write", start)
-    escapes = HtmlEscapes(catalog.escaped_texts())
     # a run folds no labels, so its record keeps only each outcome's status,
     # which also keeps the result a worker hands back small
     statuses: list[dict] = []
@@ -279,7 +311,7 @@ def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDoc
         _write_file(f"{prefix}{kind.value}.json", json_bytes)
         _write_file(f"{prefix}{kind.value}.html", html_bytes)
         start = spent("write", start)
-        statuses.extend({"status": outcome["status"]} for outcome in data["outcomes"])
+        statuses.extend(_STATUS_RECORDS[outcome["status"]] for outcome in data["outcomes"])
 
     metas = [
         {"path": doc.doc.display_path, "slot": doc.doc.slot.value,
@@ -369,13 +401,11 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
         results = _forked(forms.applications, pool, workers)
     else:
         inflight = 1 if config.backend == "mock" else config.parallelism
-        if inflight == 1:  # each extraction runs when its application is finished
-            pool, run = nullcontext(), partial
-        else:
-            pool = ThreadPoolExecutor(inflight)
-            run = lambda fn, *args: pool.submit(fn, *args).result  # noqa: E731
+        # at 1, each extraction runs when its application is finished
+        threads = ThreadPoolExecutor(inflight) if inflight > 1 else None
         results = _in_process(forms.applications, _Applications(config, catalog, backend),
-                              run, 2 * inflight)
+                              2 * inflight, threads)
+        pool = nullcontext() if threads is None else threads
     manual = CheckStatus.MANUAL_CHECK.value
     # the pool's threads and processes finish before the backend's
     # connections close, also when the fold raises

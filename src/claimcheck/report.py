@@ -21,13 +21,29 @@ SCHEMA_VERSION = 2
 
 
 class HtmlEscapes(dict):
-    """The HTML escape of each string looked up, each escaped once: one per
-    application, for its three pages, starting from a copy of the escapes
-    given, such as ``Catalog.escaped_texts``."""
+    """The HTML escape of each string looked up that recurs across
+    applications: descriptions, labels, sources, states, details and
+    messages. A process keeps one for each catalog it renders with,
+    starting from a copy of the escapes given, such as
+    ``Catalog.escaped_texts``. It keeps at most MAX_ENTRIES strings, so
+    its size does not grow with the applications: once it is full, a
+    string it lacks is escaped and not kept."""
+
+    MAX_ENTRIES = 4096
 
     def __missing__(self, text: str) -> str:
-        escaped = self[text] = html.escape(text)
+        escaped = html.escape(text)
+        if len(self) < self.MAX_ENTRIES:
+            self[text] = escaped
         return escaped
+
+
+def _escape_value(text: str) -> str:
+    """``html.escape(text)``; most values need no escape, and this finds
+    out at less than half its cost."""
+    if "&" in text or "<" in text or ">" in text or '"' in text or "'" in text:
+        return html.escape(text)
+    return text
 
 
 def _side(evidence: Evidence) -> dict:
@@ -102,6 +118,7 @@ footer { margin-top: 2em; color: #888; font-size: 0.8em; }
 """
 
 
+_AUTO_VERIFIED = CheckStatus.AUTO_VERIFIED.value
 _ROW_CLASSES = {
     CheckStatus.MANUAL_CHECK.value: ' class="manual"',
     CheckStatus.UNSUPPORTED.value: ' class="unsupported"',
@@ -110,16 +127,20 @@ _ROW_CLASSES = {
 
 def render_html(report: dict, escape: HtmlEscapes | None = None) -> bytes:
     """Self-contained reviewer page of a ``report_dict``; manual checks
-    highlighted in red. The pages of one application may share ``escape``."""
+    highlighted in red. The pages of every application rendered with one
+    catalog may share ``escape``; what an application's own data gives,
+    rendered values, its id and its notices' paths and messages, is
+    escaped anew."""
     if escape is None:
         escape = HtmlEscapes()
 
     def cell(side: dict) -> str:
-        value = side["rendered"] if side["rendered"] is not None else f"({side['state']})"
+        rendered = side["rendered"]
+        value = escape[f"({side['state']})"] if rendered is None else _escape_value(rendered)
         if side["detail"]:
-            return (f'{escape[value]}<div class="src">{escape[side["source"]]}</div>'
+            return (f'{value}<div class="src">{escape[side["source"]]}</div>'
                     f'<div class="src">{escape[side["detail"]]}</div>')
-        return f'{escape[value]}<div class="src">{escape[side["source"]]}</div>'
+        return f'{value}<div class="src">{escape[side["source"]]}</div>'
 
     rows = [
         f"<tr{_ROW_CLASSES.get(outcome['status'], '')}>"
@@ -133,21 +154,21 @@ def render_html(report: dict, escape: HtmlEscapes | None = None) -> bytes:
     ]
 
     banner = ""
-    auto = report["status_counts"][CheckStatus.AUTO_VERIFIED.value]
+    auto = report["status_counts"][_AUTO_VERIFIED]
     if report["outcomes"] and auto == len(report["outcomes"]):
         banner = '<div class="banner">No verification needed for this report.</div>'
 
     notices = ""
     if report["unsupported"]:
         items = "".join(
-            f"<li><b>{escape[n['path']]}</b> [{escape[n['reason']]}]: "
-            f"{escape[n['message']]}</li>"
+            f"<li><b>{_escape_value(n['path'])}</b> [{escape[n['reason']]}]: "
+            f"{_escape_value(n['message'])}</li>"
             for n in report["unsupported"]
         )
         notices = f"<h2>Unsupported files</h2><ul>{items}</ul>"
 
-    title = escape[_REPORT_TITLES[ReportKind(report["kind"])]]
-    app_id = escape[report["app_id"]]
+    title = escape[_REPORT_TITLES[report["kind"]]]  # a ReportKind is its value's str
+    app_id = _escape_value(report["app_id"])
     page = f"""<!DOCTYPE html>
 <html lang="en">
 <head>

@@ -14,6 +14,7 @@ from __future__ import annotations
 import datetime as dt
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .base import CheckStatus, ReportKind
 from .extract import ExtractedDocument, ValueState
@@ -123,16 +124,17 @@ class CheckDefinition:
         return False
 
 
-@dataclass(frozen=True)
-class Evidence:
+# Evidence and CheckOutcome are built for every check of every application,
+# so they are named tuples: immutable, and about half as costly to build as
+# a frozen dataclass.
+class Evidence(NamedTuple):
     source: str
     state: str  # present | absent | unreadable | unsupported
     rendered: str | None = None
     detail: str | None = None
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     check_id: str
     description: str
     status: CheckStatus
@@ -156,7 +158,19 @@ DEFAULT_SETTINGS = EngineSettings()
 _Operand = tuple[Evidence, object]
 
 # the rhs of a check that reads one operand only
-_NO_OPERAND: _Operand = (Evidence(source="-", state="present"), None)
+_NO_OPERAND: _Operand = (Evidence("-", "present"), None)
+
+# The members read for every check and every tag, looked up once: reading
+# a member off its Enum class costs several times a plain name.
+_AUTO_VERIFIED = CheckStatus.AUTO_VERIFIED
+_MANUAL_CHECK = CheckStatus.MANUAL_CHECK
+_UNSUPPORTED = CheckStatus.UNSUPPORTED
+_ABSENT = ValueState.ABSENT
+_UNREADABLE = ValueState.UNREADABLE
+# the verdicts that no operand changes
+_ALWAYS_MANUAL = (_MANUAL_CHECK, "always requires manual review")
+_CONSISTENT = (_AUTO_VERIFIED, "values consistent")
+_INCONSISTENT = (_MANUAL_CHECK, "values inconsistent")
 
 
 def render_value(value: object) -> str:
@@ -286,8 +300,8 @@ class CheckPlan(tuple):
         plan.selectors, plan.steps = tuple(selectors), tuple(steps)
         plan.sources = ("-", *(_source(selector) for selector in selectors[1:]))
         plan.fixed = (_NO_OPERAND, *(
-            (Evidence(source="constant", state="present",
-                      rendered=render_value(selector.const_value)), selector.const_value)
+            (Evidence("constant", "present", render_value(selector.const_value)),
+             selector.const_value)
             if selector.kind == "const" else None
             for selector in selectors[1:]))
         return plan
@@ -334,105 +348,95 @@ class _Operands:
         if selector.kind == "submission":
             submission_date = self.submission_date
             if submission_date is None:
-                return Evidence(source=source, state="absent",
-                                detail="submission date not declared or unparseable"), None
-            return Evidence(source=source, state="present",
-                            rendered=submission_date.isoformat()), submission_date
+                return Evidence(source, "absent", None,
+                                "submission date not declared or unparseable"), None
+            return Evidence(source, "present", submission_date.isoformat()), submission_date
 
         if selector.kind == "form":
             declared = self.form.get(selector.form_field)
             if declared is None:
-                return Evidence(source=source, state="absent",
-                                detail="form field not declared"), None
+                return Evidence(source, "absent", None, "form field not declared"), None
             if declared.warning:
-                return Evidence(source=source, state="unreadable", rendered=declared.raw,
-                                detail=declared.warning), None
-            return Evidence(source=source, state="present",
-                            rendered=render_value(declared.value)), declared.value
+                return Evidence(source, "unreadable", declared.raw, declared.warning), None
+            return Evidence(source, "present", render_value(declared.value)), declared.value
 
         # document tag
         found = self.docs_by_slot.get(selector.slot)
         if found is None:
             notice = self.unsupported_slots.get(selector.slot)
             if notice is not None:
-                return Evidence(source=source, state="unsupported", detail=(
+                return Evidence(source, "unsupported", None, (
                     f"document only available as unsupported file: {notice.message}")), None
-            return Evidence(source=source, state="absent",
-                            detail=f"no {selector.slot.value} document in the bundle"), None
+            return Evidence(source, "absent", None,
+                            f"no {selector.slot.value} document in the bundle"), None
         doc, name = found
         source = f"{source} ({name})"
         extracted = doc.fields.get(selector.tag)
-        if extracted is None or extracted.state is ValueState.ABSENT:
-            return Evidence(source=source, state="absent",
-                            detail="tag not found in document"), None
-        if extracted.state is ValueState.UNREADABLE:
-            return Evidence(source=source, state="unreadable", rendered=extracted.raw,
-                            detail=f"unreadable value ({extracted.reason})"), None
+        if extracted is None or extracted.state is _ABSENT:
+            return Evidence(source, "absent", None, "tag not found in document"), None
+        if extracted.state is _UNREADABLE:
+            return Evidence(source, "unreadable", extracted.raw,
+                            f"unreadable value ({extracted.reason})"), None
+        value = extracted.value
         warning = None
-        if isinstance(extracted.value, PowerValue) and extracted.value.unit_assumed:
+        if isinstance(value, PowerValue) and value.unit_assumed:
             warning = "power value had no unit; watts assumed"
-        return Evidence(source=source, state="present", rendered=render_value(extracted.value),
-                        detail=warning), extracted.value
+        return Evidence(source, "present", render_value(value), warning), value
 
     def outcomes(self, settings: EngineSettings):
         """The outcome of each check of the plan, in its order."""
-        resolve = self.resolve
+        resolve, verdict = self.resolve, self._verdict
         for defn, lhs_at, rhs_at in self.plan.steps:
             lhs, lhs_value = resolve(lhs_at)
             rhs, rhs_value = resolve(rhs_at)
-            status, message = self._verdict(defn.comparator, lhs, lhs_value, rhs, rhs_value,
-                                            settings)
+            status, message = verdict(defn.comparator, lhs, lhs_value, rhs, rhs_value, settings)
             yield CheckOutcome(defn.check_id, defn.description, status, lhs, rhs, message)
 
     def _verdict(self, comp: Comparator, lhs: Evidence, lhs_value: object,
                  rhs: Evidence, rhs_value: object,
                  settings: EngineSettings) -> tuple[CheckStatus, str]:
         if comp.kind == "manual_always":
-            return CheckStatus.MANUAL_CHECK, "always requires manual review"
+            return _ALWAYS_MANUAL
 
         if comp.kind == "present_if_rhs_above":
             # Conditional presence: the rhs amount decides whether the lhs
             # document field must exist at all.
             if rhs.state == "unsupported":
-                return CheckStatus.UNSUPPORTED, "reference document unsupported"
+                return _UNSUPPORTED, "reference document unsupported"
             if rhs.state != "present":
-                return CheckStatus.MANUAL_CHECK, f"reference amount {rhs.state}"
+                return _MANUAL_CHECK, f"reference amount {rhs.state}"
             if not isinstance(rhs_value, Money):
-                return CheckStatus.MANUAL_CHECK, "reference value is not an amount"
+                return _MANUAL_CHECK, "reference value is not an amount"
             threshold = comp.threshold_cents or 0
             if rhs_value.amount_cents <= threshold:
-                return (CheckStatus.AUTO_VERIFIED,
-                        f"not required below {format_money(Money(threshold))}")
+                return _AUTO_VERIFIED, f"not required below {format_money(Money(threshold))}"
             if lhs.state == "unsupported":
-                return CheckStatus.UNSUPPORTED, "required document unsupported"
+                return _UNSUPPORTED, "required document unsupported"
             if lhs.state == "present":
-                return CheckStatus.AUTO_VERIFIED, "required document present"
-            return (CheckStatus.MANUAL_CHECK,
+                return _AUTO_VERIFIED, "required document present"
+            return (_MANUAL_CHECK,
                     f"required above {format_money(Money(threshold))} but {lhs.state}")
 
         # the usual case, two present values without a warning, skips these
         if lhs.detail or rhs.detail or lhs.state != "present" or rhs.state != "present":
             for side in (lhs, rhs):
                 if side.state == "unsupported":
-                    return (CheckStatus.UNSUPPORTED,
-                            "supporting document exists only as an unsupported file")
+                    return _UNSUPPORTED, "supporting document exists only as an unsupported file"
             for side, label in ((lhs, "left"), (rhs, "right")):
                 if side.state == "unreadable":
-                    return CheckStatus.MANUAL_CHECK, f"{label} value unreadable: {side.detail}"
+                    return _MANUAL_CHECK, f"{label} value unreadable: {side.detail}"
             for side, label in ((lhs, "left"), (rhs, "right")):
                 if side.state == "absent":
-                    return CheckStatus.MANUAL_CHECK, f"{label} value missing: {side.detail}"
+                    return _MANUAL_CHECK, f"{label} value missing: {side.detail}"
             for side in (lhs, rhs):
                 if side.detail:  # both are present: a detail warns about the value
-                    return CheckStatus.MANUAL_CHECK, side.detail
+                    return _MANUAL_CHECK, side.detail
 
         try:
             holds = _compare(comp, lhs_value, rhs_value, settings, self.text)
         except _TypeMismatch as exc:
-            return CheckStatus.MANUAL_CHECK, f"cannot compare: {exc}"
-        if holds:
-            return CheckStatus.AUTO_VERIFIED, "values consistent"
-        return CheckStatus.MANUAL_CHECK, "values inconsistent"
+            return _MANUAL_CHECK, f"cannot compare: {exc}"
+        return _CONSISTENT if holds else _INCONSISTENT
 
 
 def evaluate_check(defn: CheckDefinition, form: FormData,

@@ -83,6 +83,26 @@ class TestVerifyCommand:
         assert code == 1
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("option, value, named", [
+        ("--amount-tolerance-cents", "-5", "amount tolerance"),
+        ("--max-file-mb", "-1", "max file size"),
+        ("--max-file-mb", "0", "max file size"),
+        ("--max-file-mb", "nan", "max file size"),
+        ("--timeout", "-1", "timeout"),
+        ("--timeout", "0", "timeout"),
+        ("--timeout", "inf", "timeout"),
+    ])
+    def test_value_that_would_degrade_the_run_exits_1_before_processing(
+            self, tmp_path, capsys, option, value, named):
+        corpus = tmp_path / "corpus"
+        run(["gen-corpus", "--out", str(corpus), "--n", "3", "--seed", "5"])
+        out = tmp_path / "out"
+        code = run(["verify", "--corpus", str(corpus), "--out", str(out),
+                    "--backend", "remote", "--endpoint", "http://127.0.0.1:9", option, value])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unsafe_app_id_writes_nothing_outside_out(self, tmp_path):
         corpus = tmp_path / "corpus"
         out = tmp_path / "work" / "out"
@@ -148,6 +168,19 @@ class TestMetricsCommand:
         assert labels.read_bytes().startswith(b"\xef\xbb\xbf")
         assert run(["metrics", "--out", str(out), "--labels", str(labels)]) == 0
         assert json.loads((out / "metrics.json").read_text())["taxonomy"]["labeled_total"] == 1
+
+    @pytest.mark.parametrize("value", ["y", "t", "maybe", ""])
+    def test_real_error_outside_true_false_exits_1_naming_its_line(self, verified_run, capsys,
+                                                                     value):
+        _, out = verified_run
+        written = (out / "metrics.json").read_bytes()
+        labels = out / "odd_labels.csv"
+        labels.write_text("app_id,check_id,real_error\n"
+                          "app_00001,common.company_tax_id_matches_invoice, No \n"
+                          f"app_00001,common.declared_expense_matches_invoice,{value}\n")
+        assert run(["metrics", "--out", str(out), "--labels", str(labels)]) == 1
+        assert "label line 3" in capsys.readouterr().err
+        assert (out / "metrics.json").read_bytes() == written
 
     def test_a_check_labelled_twice_exits_1_naming_both_lines(self, verified_run, capsys):
         _, out = verified_run
@@ -236,6 +269,14 @@ class TestConfigFile:
         config.write_text("- backend\n")
         assert run(["gen-corpus", "--out", str(tmp_path / "c"), "--n", "1",
                     "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("mix", ["1:abc", "x:1", "1:2,", "9:1", "1:-1,3:2", "1:0", "1:nan"])
+    def test_malformed_typology_mix_exits_1_and_writes_nothing(self, tmp_path, capsys, mix):
+        out = tmp_path / "c"
+        assert run(["gen-corpus", "--out", str(out), "--n", "3", "--seed", "5",
+                    "--typology-mix", mix]) == 1
+        assert "--typology-mix" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-corpus", "verify"])
     def test_unknown_config_key_exits_1(self, tmp_path, capsys, command):

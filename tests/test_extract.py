@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import pickle
 import socket
 import threading
 import time
@@ -16,6 +17,7 @@ import pytest
 
 from claimcheck.backends import (
     BackendError,
+    BackendResponse,
     MockBackend,
     RemoteBackend,
     RemoteConfig,
@@ -37,7 +39,8 @@ from claimcheck.ingest import (
     TypologyId,
     expand_archives,
 )
-from claimcheck.normalize import FormData, Money
+from claimcheck.normalize import CanonicalName, DeclaredValue, FormData, Money
+from claimcheck.rules import CheckOutcome, CheckStatus, Evidence
 from claimcheck.stubserver import FixtureStubServer
 
 T4 = TypologyId.parse("4")
@@ -561,3 +564,44 @@ def test_extracted_value_constructors():
     assert ExtractedValue.absent().state is ValueState.ABSENT
     unreadable = ExtractedValue.unreadable("type_mismatch", "x")
     assert unreadable.reason == "type_mismatch"
+
+
+# the value objects built for nearly every tag, declared field and check
+VALUE_OBJECTS = [
+    pytest.param(lambda: ExtractedValue.present(Money(1), "0,01"), "raw", id="ExtractedValue"),
+    pytest.param(lambda: ExtractedValue.unreadable("type_mismatch", "x"), "reason",
+                 id="ExtractedValue-unreadable"),
+    pytest.param(lambda: Evidence("form:invoice_value", "present", "0,01 €"), "rendered",
+                 id="Evidence"),
+    pytest.param(lambda: CheckOutcome("common.x", "X matches", CheckStatus.MANUAL_CHECK,
+                                      Evidence("form:a", "absent", None, "form field not declared"),
+                                      Evidence("-", "present"), "left value missing"),
+                 "status", id="CheckOutcome"),
+    pytest.param(lambda: DeclaredValue("invoice_value", "money", "0,01", Money(1)), "warning",
+                 id="DeclaredValue"),
+    pytest.param(lambda: CanonicalName("MARIA SILVA", "Maria Silva"), "canonical",
+                 id="CanonicalName"),
+    pytest.param(lambda: BackendResponse({"total_value": "0,01"}, 0.25, 40), "elapsed_ms",
+                 id="BackendResponse"),
+]
+
+
+@pytest.mark.parametrize("build, field", VALUE_OBJECTS)
+def test_value_objects_refuse_assignment_compare_by_field_and_pickle(build, field):
+    value = build()
+    with pytest.raises(AttributeError):
+        setattr(value, field, "changed")
+    assert getattr(value, field) != "changed"
+    assert build() == value and build() is not value
+    assert value._replace(**{field: "changed"}) != value
+    copy = pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+    assert type(copy) is type(value) and copy == value
+
+
+def test_every_absent_tag_is_one_shared_value(tmp_path):
+    ref = invoice_ref(tmp_path, {"total_value": "1.000,00 €", "buyer_name": "None"})
+    extracted = extract(ref, schema_for(DocumentSlot.INVOICE, T1), MockBackend())
+    absent = [v for v in extracted.fields.values() if v.state is ValueState.ABSENT]
+    assert len(absent) == len(extracted.fields) - 1
+    assert all(v is ExtractedValue.absent() for v in absent)
+    assert ExtractedValue.absent() == ExtractedValue(ValueState.ABSENT)

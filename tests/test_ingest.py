@@ -169,7 +169,7 @@ class TestScanCorpus:
             "app_a/fatura.pdf", "app_a/fatura.pdf.fields.json", "app_a/form.xml",
             "app_a/fotos/foto_1.png", "app_a/fotos/raw/foto_2.png", "app_a/notes.docx",
             "app_a/recibo.pdf"]
-        assert [d.path.name for d in bundle.documents] == [
+        assert [Path(d.path).name for d in bundle.documents] == [
             "fatura.pdf", "foto_1.png", "foto_2.png", "recibo.pdf"]
         assert result.loose_files == ["labels.csv"]
 

@@ -290,7 +290,7 @@ def test_crashing_fetch_fails_only_its_app(small_corpus, tmp_path, monkeypatch, 
     real_fetch = backend.fetch
 
     def fetch(self, doc, schema):
-        if doc.path.parent.name == victim and doc.path.name == "fatura.pdf":
+        if Path(doc.path).parent.name == victim and Path(doc.path).name == "fatura.pdf":
             raise RuntimeError("extraction worker crashed")
         return real_fetch(self, doc, schema)
 
@@ -388,7 +388,7 @@ def test_manifest_files_match_a_corpus_rewalk(corpus_copy, tmp_path, monkeypatch
     real_fetch = MockBackend.fetch
 
     def fetch(self, doc, schema):
-        if doc.path.parent == apps[6] and doc.path.name == "fatura.pdf":
+        if Path(doc.path).parent == apps[6] and Path(doc.path).name == "fatura.pdf":
             raise RuntimeError("extraction worker crashed")
         return real_fetch(self, doc, schema)
 
@@ -954,3 +954,28 @@ def test_a_rerun_truncates_each_report_and_creates_files_with_the_umask(small_co
     written = [p for p in fresh.rglob("*") if p.is_file()]
     assert len(written) == 7 * 20 + 3
     assert {p.stat().st_mode & 0o777 for p in written} == {0o666 & ~0o027}
+
+
+def test_the_escape_memo_does_not_grow_with_the_applications(tmp_path, catalog):
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, GenOptions(n_apps=200, consistency=0.76, seed=0))
+    out = tmp_path / "out"
+    out.mkdir()
+    applications = pipeline._Applications(RunConfig(corpus_root=corpus, out_dir=out),
+                                          catalog, MockBackend())
+    sizes = {}
+    apps = ingest.scan_forms(corpus).applications
+    for done, (_, record, error, *_) in enumerate(pipeline._in_process(apps, applications, 2),
+                                                 start=1):
+        assert record is not None, error
+        sizes[done] = len(applications.escapes)
+    assert len(sizes) == 200
+    assert sizes[200] <= sizes[20]
+
+
+def test_a_full_escape_memo_escapes_without_keeping():
+    escapes = report_module.HtmlEscapes({"<seed>": "&lt;seed&gt;"})
+    texts = [f"<{n}> & '{n}'" for n in range(report_module.HtmlEscapes.MAX_ENTRIES + 5)]
+    assert [escapes[text] for text in texts] == [html.escape(text) for text in texts]
+    assert len(escapes) == report_module.HtmlEscapes.MAX_ENTRIES
+    assert escapes["<seed>"] == "&lt;seed&gt;"
