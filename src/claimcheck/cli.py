@@ -50,8 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="remote extraction URL (default: the config file's)")
     verify.add_argument("--api-key-env", type=str, default="CLAIMCHECK_API_KEY")
     verify.add_argument("--parallelism", type=int, default=16,
-                        help="extraction calls in flight; with the mock backend, "
-                             "the most worker processes (one per usable CPU)")
+                        help="extraction calls in flight; a backend that does not wait "
+                             "(mock) runs one call per worker process, at most one worker "
+                             "per usable CPU")
     verify.add_argument("--catalog", type=Path, default=None)
     verify.add_argument("--fuzzy-threshold", type=float, default=0.85)
     verify.add_argument("--amount-tolerance-cents", type=int, default=0)
@@ -156,6 +157,13 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
         typology_mix=_parse_typology_mix(args.typology_mix) or defaults.get("typology_mix"),
         catalog_path=args.catalog,
     )
+    # any other value would give another corpus than asked, not an error
+    if options.n_apps < 0:
+        raise ConfigError("--n must be >= 0")
+    for flag, share in (("--consistency", options.consistency),
+                        ("--unsupported-rate", options.unsupported_rate)):
+        if not 0.0 <= share <= 1.0:
+            raise ConfigError(f"{flag} must be in [0, 1]")
     summary = write_corpus(args.out, options)
     log_event("corpus_generated", apps=summary.n_apps, checks=summary.total_checks,
               inconsistent=summary.inconsistent_checks,

@@ -25,15 +25,6 @@ MAX_ARCHIVE_ENTRIES = 256
 FORM_FILENAME = "form.xml"
 SIDECAR_SUFFIX = ".fields.json"
 
-TYPOLOGY_NAMES = {
-    1: "window_replacement",
-    2: "thermal_insulation",
-    3: "heating_and_cooling",
-    4: "solar_panels",
-    5: "water_efficiency",
-}
-
-
 class FileKind(str, Enum):
     PDF = "pdf"
     ZIP = "zip"

@@ -3,7 +3,8 @@
 Every parser here is total: any input yields either a typed value or a
 ParseError carrying a machine-readable reason code. Nothing is silently
 coerced to a default, because a wrong default would surface downstream
-as a bogus auto-verification.
+as a bogus auto-verification. Digits are ASCII digits only: a non-ASCII
+digit or ``_``, which ``str.isdigit`` or ``int`` accept, is no digit.
 """
 
 from __future__ import annotations
@@ -62,6 +63,23 @@ class CanonicalName(NamedTuple):
 
 _CURRENCY_RE = re.compile(r"(?:€|\bEUR\b|\bEUROS?\b)", re.IGNORECASE)
 _MONEY_CHARS_RE = re.compile(r"^[0-9.,]+$")
+# No amount, rating or count is longer, and an int of more than 4300 digits
+# cannot be converted to or from text at all.
+_MAX_NUMBER_CHARS = 40
+
+
+def _too_long(s: str, text: str) -> None:
+    if len(s) > _MAX_NUMBER_CHARS:
+        raise ParseError("too_long", f"more than {_MAX_NUMBER_CHARS} characters: {text[:50]!r}")
+
+
+def _ungrouped(digits: str, sep: str, text: str) -> str:
+    """``digits`` without its grouping separators ``sep``: a grouping only
+    when a first group of digits is followed by groups of exactly three."""
+    first, *groups = digits.split(sep)
+    if not first or any(len(group) != 3 for group in groups):
+        raise ParseError("ambiguous", f"ambiguous grouping: {text!r}")
+    return digits.replace(sep, "")
 
 
 def parse_money(text: str, currency: str = "EUR") -> Money:
@@ -69,7 +87,9 @@ def parse_money(text: str, currency: str = "EUR") -> Money:
 
     Disambiguation rule: when both separators appear the last one is the
     decimal mark; a lone separator is decimal when followed by 1-2 digits
-    and a thousands group when followed by exactly 3.
+    and a thousands group when followed by exactly 3. A repeated separator,
+    or the one before a decimal mark, groups thousands only when every
+    group after the first has exactly 3 digits.
     """
     s = _CURRENCY_RE.sub("", text).strip()
     if s.startswith("-"):
@@ -77,34 +97,24 @@ def parse_money(text: str, currency: str = "EUR") -> Money:
     s = s.replace(" ", "").replace(" ", "")
     if not s or not _MONEY_CHARS_RE.match(s):
         raise ParseError("non_numeric", f"not a monetary amount: {text!r}")
+    _too_long(s, text)
 
-    has_dot = "." in s
-    has_comma = "," in s
-    if not has_dot and not has_comma:
-        return Money(int(s) * 100, currency)
-
-    if has_dot and has_comma:
+    if "." in s and "," in s:
         dec = "." if s.rindex(".") > s.rindex(",") else ","
-        grp = "," if dec == "." else "."
-        whole_frac = s.replace(grp, "")
-        if whole_frac.count(dec) != 1:
+        whole, _, frac = s.rpartition(dec)
+        if dec in whole:
             raise ParseError("ambiguous", f"ambiguous separators: {text!r}")
-        whole, frac = whole_frac.split(dec)
+        whole = _ungrouped(whole, "," if dec == "." else ".", text)
+    elif "." in s or "," in s:
+        sep = "." if "." in s else ","
+        whole, _, frac = s.rpartition(sep)
+        if sep in whole or len(frac) == 3:
+            return Money(int(_ungrouped(s, sep, text)) * 100, currency)
     else:
-        sep = "." if has_dot else ","
-        if s.count(sep) > 1:
-            # repeated separator can only be grouping: "1.234.567"
-            return Money(int(s.replace(sep, "")) * 100, currency)
-        whole, frac = s.split(sep)
-        if len(frac) == 3:
-            return Money(int(whole + frac) * 100, currency)
-        if len(frac) not in (1, 2):
-            raise ParseError("ambiguous", f"ambiguous separator: {text!r}")
-    if not whole:
-        whole = "0"
-    if len(frac) not in (1, 2) or not whole.isdigit() or not frac.isdigit():
+        return Money(int(s) * 100, currency)
+    if len(frac) not in (1, 2):
         raise ParseError("ambiguous", f"ambiguous amount: {text!r}")
-    cents = int(whole) * 100 + int(frac) * (10 if len(frac) == 1 else 1)
+    cents = int(whole or "0") * 100 + int(frac) * (10 if len(frac) == 1 else 1)
     return Money(cents, currency)
 
 
@@ -117,10 +127,10 @@ def format_money(money: Money) -> str:
 
 
 _DATE_PATTERNS = (
-    re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{4})$"),
-    re.compile(r"^(\d{1,2})-(\d{1,2})-(\d{4})$"),
+    re.compile(r"^([0-9]{1,2})/([0-9]{1,2})/([0-9]{4})$"),
+    re.compile(r"^([0-9]{1,2})-([0-9]{1,2})-([0-9]{4})$"),
 )
-_DATE_ISO = re.compile(r"^(\d{4})-(\d{1,2})-(\d{1,2})$")
+_DATE_ISO = re.compile(r"^([0-9]{4})-([0-9]{1,2})-([0-9]{1,2})$")
 
 
 def parse_date(text: str) -> dt.date:
@@ -152,7 +162,9 @@ def parse_power(text: str) -> PowerValue:
     A missing unit is never "fixed" by magnitude guessing: the number is
     taken as watts and flagged unit_assumed.
     """
-    m = _POWER_RE.match(text.strip())
+    s = text.strip()
+    _too_long(s, text)
+    m = _POWER_RE.match(s)
     if not m:
         raise ParseError("non_numeric", f"not a power rating: {text!r}")
     num, unit = m.groups()
@@ -176,7 +188,7 @@ def validate_tax_id(text: str) -> TaxId:
     are recorded in ``valid``/``reason``.
     """
     digits = _TAX_STRIP_RE.sub("", text.strip())
-    if not digits.isdigit():
+    if not (digits.isascii() and digits.isdigit()):
         return TaxId(digits, False, "non_numeric")
     if len(digits) != 9:
         return TaxId(digits, False, "wrong_length")
@@ -189,17 +201,16 @@ def validate_tax_id(text: str) -> TaxId:
     return TaxId(digits, True)
 
 
+_NUMBER_RE = re.compile(r"^[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)$")
+
+
 def parse_number(text: str) -> int | float:
     """Parse a plain number; comma accepted as decimal mark."""
     s = text.strip().replace(",", ".")
-    if not s:
-        raise ParseError("non_numeric", "empty number")
-    try:
-        if "." in s:
-            return float(s)
-        return int(s)
-    except ValueError:
-        raise ParseError("non_numeric", f"not a number: {text!r}") from None
+    if not _NUMBER_RE.match(s):
+        raise ParseError("non_numeric", f"not a number: {text!r}")
+    _too_long(s, text)
+    return float(s) if "." in s else int(s)
 
 
 # The parser of each value type a declared field and an extracted tag share.

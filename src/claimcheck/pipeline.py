@@ -15,7 +15,7 @@ import os
 import threading
 import time
 from collections import deque
-from contextlib import closing, nullcontext
+from contextlib import closing
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -36,16 +36,7 @@ from .ingest import (
     scan_application,
     scan_forms,
 )
-# compute_metrics, load_records_from_outputs and MetricsError stay importable
-# from this module
-from .metrics import (  # noqa: F401
-    AppRecord,
-    MetricsError,
-    RunTotals,
-    _write_totals,
-    compute_metrics,
-    load_records_from_outputs,
-)
+from .metrics import AppRecord, RunTotals, _write_totals
 from .report import SCHEMA_VERSION, HtmlEscapes, render_html, report_dict
 from .rules import EngineSettings, evaluate_application
 
@@ -125,29 +116,6 @@ def make_backend(config: RunConfig):
     ))
 
 
-def _extract_ahead(apps, load, extract_doc, run, window: int):
-    """Yield each application of ``apps`` in order with its bundle, built by
-    ``load`` only when the window reaches it, and for each of its documents
-    the call that returns it extracted by ``extract_doc(ref, schema)``, once
-    ``window`` documents of later applications are handed to ``run`` or none
-    are left. ``run(fn, *args)`` starts or defers ``fn(*args)`` and returns
-    that call. An application whose load raises is yielded with the
-    exception in place of its bundle and no document."""
-    ahead: deque[tuple[object, ApplicationBundle | Exception, list]] = deque()
-    for app in apps:
-        try:
-            bundle = load(app)
-        except Exception as exc:  # noqa: BLE001 (raised again by finish)
-            ahead.append((app, exc, []))
-        else:
-            ahead.append((app, bundle, [
-                run(extract_doc, ref, schema_for(ref.slot, bundle.typology))
-                for ref in bundle.documents]))
-        while sum(len(calls) for *_, calls in ahead) - len(ahead[0][2]) >= window:
-            yield ahead.popleft()
-    yield from ahead
-
-
 @dataclass
 class VerifyResult:
     exit_code: int
@@ -159,14 +127,18 @@ STAGES = ("scan", "extract", "rules", "render", "write")
 
 
 class _Applications:
-    """The work on one application, in whichever process runs it: walk and
-    expand it, extract its documents, evaluate it and write its directory,
-    counting the CPU seconds of each stage on the thread that ran it. The
-    escape of each string that recurs across applications is kept for
-    every application it renders."""
+    """The work on applications in one process: walk and expand each,
+    extract its documents on this runner's own backend, evaluate it and
+    write its directory, counting the CPU seconds of each stage on the
+    thread that ran it. With ``inflight`` above 1, extraction calls run on
+    that many threads, started up to ``2 * inflight`` documents ahead of
+    the application being finished; at 1, each runs when its application
+    is finished. The escape of each string that recurs across applications
+    is kept for every application it renders."""
 
-    def __init__(self, config: RunConfig, catalog: Catalog, backend):
-        self.config, self.catalog, self.backend = config, catalog, backend
+    def __init__(self, config: RunConfig, catalog: Catalog, inflight: int = 1):
+        self.config, self.catalog = config, catalog
+        self.out_dir = Path(config.out_dir)
         self.settings = EngineSettings(fuzzy_threshold=config.fuzzy_threshold,
                                        amount_tolerance_cents=config.amount_tolerance_cents)
         # each suffix's FileKind member, looked up by the scan of every file
@@ -175,12 +147,40 @@ class _Applications:
         self.escapes = HtmlEscapes(catalog.escaped_texts())
         self.cpu = dict.fromkeys(STAGES, 0.0)
         self._lock = threading.Lock()  # extraction threads count too
+        self.backend = make_backend(config)
+        self._threads = ThreadPoolExecutor(inflight) if inflight > 1 else None
+        self._window = 2 * inflight
+
+    def close(self) -> None:
+        # the threads finish before the backend's connections close
+        if self._threads is not None:
+            self._threads.shutdown()
+        self.backend.close()
 
     def spent(self, stage: str, start: float) -> float:
         now = time.thread_time()
         with self._lock:
             self.cpu[stage] += now - start
         return now
+
+    def results(self, apps):
+        """The result of each application of ``apps``, in order (see
+        ``finish``). An application is loaded, and its extraction calls
+        started, only once fewer than the window's documents of later
+        applications are ahead of the one being finished."""
+        ahead: deque[tuple[tuple[str, Path], ApplicationBundle | Exception, list]] = deque()
+        for app in apps:
+            try:
+                bundle = self.load(app)
+            except Exception as exc:  # noqa: BLE001 (raised again by finish)
+                ahead.append((app, exc, []))
+            else:
+                ahead.append((app, bundle, [self.call(ref, schema_for(ref.slot, bundle.typology))
+                                            for ref in bundle.documents]))
+            while sum(len(calls) for *_, calls in ahead) - len(ahead[0][2]) >= self._window:
+                yield self.finish(*ahead.popleft())
+        for loaded in ahead:
+            yield self.finish(*loaded)
 
     def load(self, app: tuple[str, Path]) -> ApplicationBundle:
         # the scan and the archive expansion give every document its slot
@@ -190,12 +190,16 @@ class _Applications:
         self.spent("scan", start)
         return bundle
 
-    def extract(self, ref, schema) -> ExtractedDocument:
-        return extract(ref, schema, self.backend)
+    def call(self, ref, schema):
+        """The call that returns the document ``ref`` extracted: started on a
+        thread now, or deferred until ``finish`` makes it."""
+        if self._threads is None:
+            return partial(extract, ref, schema, self.backend)
+        return self._threads.submit(self.extract_on_thread, ref, schema).result
 
     def extract_on_thread(self, ref, schema) -> ExtractedDocument:
-        """``extract``, counting its CPU seconds: for a call that runs on a
-        thread of its own, which ``finish`` does not time."""
+        """``extract``, counting its CPU seconds, which ``finish`` does not
+        see when the call runs on a thread of its own."""
         start = time.thread_time()
         extracted = extract(ref, schema, self.backend)
         self.spent("extract", start)
@@ -216,8 +220,7 @@ class _Applications:
                 start = time.thread_time()
                 extracted = [call() for call in calls]
                 self.spent("extract", start)
-                record = _process_application(bundle, extracted, self.catalog, self.settings,
-                                              Path(self.config.out_dir), self.spent, self.escapes)
+                record = self.process(bundle, extracted)
             outcome = (record, None, bundle.files, [n.path for n in bundle.unsupported])
         except Exception as exc:  # noqa: BLE001
             outcome = (None, str(exc), [], [])
@@ -225,19 +228,47 @@ class _Applications:
             cpu, self.cpu = self.cpu, dict.fromkeys(STAGES, 0.0)
         return (app, *outcome, cpu)
 
+    def process(self, bundle: ApplicationBundle, extracted: list[ExtractedDocument]) -> AppRecord:
+        spent = self.spent
+        start = time.thread_time()
+        outcomes_by_kind = evaluate_application(bundle, extracted,
+                                                self.catalog.for_typology(bundle.typology),
+                                                self.settings)
+        start = spent("rules", start)
 
-def _in_process(apps, applications: _Applications, window: int,
-                pool: ThreadPoolExecutor | None = None):
-    """The result of each application of ``apps``, in order, with each
-    extraction of its documents run when its application is finished or,
-    given a ``pool``, submitted to it ``window`` documents ahead."""
-    if pool is None:
-        run, extract_doc = partial, applications.extract
-    else:
-        run = lambda fn, *args: pool.submit(fn, *args).result  # noqa: E731
-        extract_doc = applications.extract_on_thread
-    for loaded in _extract_ahead(apps, applications.load, extract_doc, run, window):
-        yield applications.finish(*loaded)
+        app_out = self.out_dir / bundle.app_id
+        app_out.mkdir(parents=True, exist_ok=True)
+        prefix = f"{app_out}{os.sep}"
+        start = spent("write", start)
+        # a run folds no labels, so its record keeps only each outcome's status,
+        # which also keeps the result a worker hands back small
+        statuses: list[dict] = []
+        for kind in ReportKind:
+            data = report_dict(bundle.app_id, kind, outcomes_by_kind[kind], bundle.unsupported,
+                               self.catalog.version)
+            json_bytes, html_bytes = canonical_json_bytes(data), render_html(data, self.escapes)
+            start = spent("render", start)
+            _write_file(f"{prefix}{kind.value}.json", json_bytes)
+            _write_file(f"{prefix}{kind.value}.html", html_bytes)
+            start = spent("write", start)
+            statuses.extend(_STATUS_RECORDS[outcome["status"]] for outcome in data["outcomes"])
+
+        metas = [
+            {"path": doc.doc.display_path, "slot": doc.doc.slot.value,
+             "cost_eur": doc.meta.cost_eur, "elapsed_ms": doc.meta.elapsed_ms}
+            for doc in extracted
+        ]
+        extraction_bytes = canonical_json_bytes({
+            "schema_version": SCHEMA_VERSION,
+            "app_id": bundle.app_id,
+            "typology": str(bundle.typology),
+            "docs": metas,
+        })
+        start = spent("render", start)
+        _write_file(f"{prefix}extraction.json", extraction_bytes)
+        spent("write", start)
+        return AppRecord(app_id=bundle.app_id, typology=str(bundle.typology),
+                         outcomes=statuses, metas=metas)
 
 
 # A task hands a worker this many applications. The pool's machinery costs
@@ -249,11 +280,11 @@ _worker: _Applications | None = None  # set in each worker process by _start_wor
 
 def _start_worker(config: RunConfig, catalog: Catalog) -> None:
     global _worker
-    _worker = _Applications(config, catalog, make_backend(config))
+    _worker = _Applications(config, catalog)
 
 
 def _verify_in_worker(apps: list[tuple[str, Path]]) -> list[tuple]:
-    return list(_in_process(apps, _worker, 2))
+    return list(_worker.results(apps))
 
 
 def _forked(apps, pool: Executor, workers: int):
@@ -286,49 +317,6 @@ def _write_file(path: str, data: bytes) -> None:
 # The record of an outcome that a run keeps, one per status and shared by
 # every outcome, so a worker's results pickle each once. Nothing writes to them.
 _STATUS_RECORDS = {status.value: {"status": status.value} for status in CheckStatus}
-
-
-def _process_application(bundle: ApplicationBundle, extracted: list[ExtractedDocument],
-                         catalog: Catalog, settings: EngineSettings, out_dir: Path,
-                         spent, escapes: HtmlEscapes) -> AppRecord:
-    start = time.thread_time()
-    outcomes_by_kind = evaluate_application(bundle, extracted,
-                                            catalog.for_typology(bundle.typology), settings)
-    start = spent("rules", start)
-
-    app_out = out_dir / bundle.app_id
-    app_out.mkdir(parents=True, exist_ok=True)
-    prefix = f"{app_out}{os.sep}"
-    start = spent("write", start)
-    # a run folds no labels, so its record keeps only each outcome's status,
-    # which also keeps the result a worker hands back small
-    statuses: list[dict] = []
-    for kind in ReportKind:
-        data = report_dict(bundle.app_id, kind, outcomes_by_kind[kind], bundle.unsupported,
-                           catalog.version)
-        json_bytes, html_bytes = canonical_json_bytes(data), render_html(data, escapes)
-        start = spent("render", start)
-        _write_file(f"{prefix}{kind.value}.json", json_bytes)
-        _write_file(f"{prefix}{kind.value}.html", html_bytes)
-        start = spent("write", start)
-        statuses.extend(_STATUS_RECORDS[outcome["status"]] for outcome in data["outcomes"])
-
-    metas = [
-        {"path": doc.doc.display_path, "slot": doc.doc.slot.value,
-         "cost_eur": doc.meta.cost_eur, "elapsed_ms": doc.meta.elapsed_ms}
-        for doc in extracted
-    ]
-    extraction_bytes = canonical_json_bytes({
-        "schema_version": SCHEMA_VERSION,
-        "app_id": bundle.app_id,
-        "typology": str(bundle.typology),
-        "docs": metas,
-    })
-    start = spent("render", start)
-    _write_file(f"{prefix}extraction.json", extraction_bytes)
-    spent("write", start)
-    return AppRecord(app_id=bundle.app_id, typology=str(bundle.typology),
-                     outcomes=statuses, metas=metas)
 
 
 def build_manifest(config: RunConfig, catalog: Catalog, totals: RunTotals,
@@ -366,7 +354,6 @@ def build_manifest(config: RunConfig, catalog: Catalog, totals: RunTotals,
 def verify_corpus(config: RunConfig) -> VerifyResult:
     config.validate()
     catalog = load_catalog_file(config.catalog_path)
-    backend = make_backend(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -401,15 +388,12 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
         results = _forked(forms.applications, pool, workers)
     else:
         inflight = 1 if config.backend == "mock" else config.parallelism
-        # at 1, each extraction runs when its application is finished
-        threads = ThreadPoolExecutor(inflight) if inflight > 1 else None
-        results = _in_process(forms.applications, _Applications(config, catalog, backend),
-                              2 * inflight, threads)
-        pool = nullcontext() if threads is None else threads
+        runner = _Applications(config, catalog, inflight)
+        pool, results = closing(runner), runner.results(forms.applications)
     manual = CheckStatus.MANUAL_CHECK.value
-    # the pool's threads and processes finish before the backend's
-    # connections close, also when the fold raises
-    with closing(backend), pool:
+    # the worker processes, or the runner's threads and backend, end also
+    # when the fold raises
+    with pool:
         for (app_id, app_dir), record, error, visited, app_notices, cpu in results:
             for stage, seconds in cpu.items():
                 stage_cpu[stage] += seconds

@@ -1,10 +1,11 @@
-"""Guard against public API that only unit tests call.
+"""Guard against public API that only unit tests use.
 
-Every public function and method under ``src/claimcheck/`` must be named
-somewhere outside the unit tests: in a module under ``src/`` (its own
-included), in the acceptance module, in the independent oracle, or as the
-console entry point. Names are matched, not resolved, so a method counts
-as used when any attribute of that name is read.
+Every public function, method, class and module-level constant under
+``src/claimcheck/`` must be read somewhere outside the unit tests: in a
+module under ``src/`` (its own included), in the acceptance module, in the
+independent oracle, or as the console entry point. Names are matched, not
+resolved, so a method counts as used when any attribute of that name is
+read. Only reads count: assigning a name is no use of it.
 """
 
 import ast
@@ -17,15 +18,20 @@ REFERENCE_FILES = (ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "orac
 
 
 def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
-    """(qualified name, line) of each public module-level function and
-    each public method of a module-level class."""
+    """(qualified name, line) of each public module-level function, class
+    and constant, and each public method of a module-level class."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             found.append((node.name, node.lineno))
         elif isinstance(node, ast.ClassDef):
+            found.append((node.name, node.lineno))
             found.extend((f"{node.name}.{item.name}", item.lineno) for item in node.body
                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((target.id, node.lineno) for target in targets
+                         if isinstance(target, ast.Name))
     return [(name, line) for name, line in found
             if not name.rpartition(".")[2].startswith("_")]
 
@@ -33,12 +39,10 @@ def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
 def _referenced_names(tree: ast.AST) -> set[str]:
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
     return names
 
 

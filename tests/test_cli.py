@@ -278,6 +278,25 @@ class TestConfigFile:
         assert "--typology-mix" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "-1"), ("--consistency", "1.5"), ("--consistency", "-0.1"),
+        ("--consistency", "nan"), ("--unsupported-rate", "1.01"), ("--unsupported-rate", "-1"),
+    ])
+    def test_a_value_that_gives_another_corpus_exits_1_and_writes_nothing(
+            self, tmp_path, capsys, flag, value):
+        out = tmp_path / "c"
+        args = ["gen-corpus", "--out", str(out), "--n", "3", "--seed", "5"]
+        assert run([*args, flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_consistency_from_the_config_file_outside_0_1_exits_1(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("consistency: 1.5\n")
+        out = tmp_path / "c"
+        assert run(["gen-corpus", "--out", str(out), "--n", "3", "--config", str(config)]) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["gen-corpus", "verify"])
     def test_unknown_config_key_exits_1(self, tmp_path, capsys, command):
         config = tmp_path / "config.yaml"

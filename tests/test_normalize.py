@@ -12,6 +12,8 @@ from oracle_eval import _similarity
 from claimcheck.normalize import (
     Money,
     ParseError,
+    PowerValue,
+    TaxId,
     format_money,
     fuzzy_match,
     normalize_name,
@@ -22,6 +24,11 @@ from claimcheck.normalize import (
     parse_power,
     validate_tax_id,
 )
+
+# Characters a parser is likely to trip on: digits that str.isdigit or int
+# accept but are not ASCII, separators, signs, units and currency marks.
+TRICKY = "0123456789.,-+_ \u00a0/€EURkKwWe²٣٢٠١\uff11\u0663\u06f5\u0966"
+PARSERS = (parse_money, parse_date, parse_power, parse_number, validate_tax_id)
 
 
 def decimal_oracle(text: str) -> int:
@@ -278,3 +285,51 @@ class TestParseDeclared:
     def test_invalid_tax_id_warns(self):
         declared = parse_declared("applicant_tax_id", "tax_id", "123456780")
         assert declared.warning is not None
+
+
+class TestEveryParserIsTotal:
+    @pytest.mark.parametrize("parse", PARSERS, ids=lambda parse: parse.__name__)
+    @given(text=st.one_of(st.text(max_size=30), st.text(alphabet=TRICKY, max_size=30),
+                          st.text(alphabet="19.,", max_size=8)))
+    @settings(max_examples=400)
+    def test_any_text_is_a_value_or_a_parse_error(self, parse, text):
+        try:
+            value = parse(text)
+        except ParseError:
+            return
+        assert isinstance(value, {parse_money: Money, parse_date: dt.date,
+                                  parse_power: PowerValue, parse_number: (int, float),
+                                  validate_tax_id: TaxId}[parse])
+
+    @pytest.mark.parametrize("parse", PARSERS, ids=lambda parse: parse.__name__)
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_a_digit_that_is_not_ascii_is_no_digit(self, parse, data):
+        valid = {parse_money: "1.234,56 €", parse_date: "01/05/2022", parse_power: "3,68 kW",
+                 parse_number: "176", validate_tax_id: "413170071"}[parse]
+        digit = data.draw(st.characters(categories=["Nd"]).filter(lambda c: not c.isascii()))
+        at = data.draw(st.sampled_from([i for i, c in enumerate(valid) if c.isdigit()]))
+        text = valid[:at] + digit + valid[at + 1:]
+        if parse is validate_tax_id:
+            assert parse(text) == TaxId(text, False, "non_numeric")
+        else:
+            with pytest.raises(ParseError):
+                parse(text)
+
+    @pytest.mark.parametrize("text", ["..", ",,", "1..", ".,", "1.2.3", "1.234.56", ",234.5",
+                                      ".123.456", "1,2,345", "1.23,45", "1,234.5678"])
+    def test_money_groups_only_by_threes(self, text):
+        with pytest.raises(ParseError) as raised:
+            parse_money(text)
+        assert raised.value.reason == "ambiguous"
+
+    @pytest.mark.parametrize("text", ["1_000", "1_000,5", "1e3", "nan", "inf", "--1", "1.2.3"])
+    def test_a_number_is_ascii_digits_and_one_decimal_mark(self, text):
+        with pytest.raises(ParseError):
+            parse_number(text)
+
+    @pytest.mark.parametrize("parse", [parse_money, parse_power, parse_number])
+    def test_a_number_of_thousands_of_digits_is_too_long(self, parse):
+        with pytest.raises(ParseError) as raised:
+            parse("9" * 5000)
+        assert raised.value.reason == "too_long"

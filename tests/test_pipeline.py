@@ -824,6 +824,25 @@ def test_forked_run_submits_at_most_two_tasks_per_worker_ahead(small_corpus, tmp
     assert ahead == [min((k // 2 + 1 + 4) * 2, apps) for k in range(apps)]
 
 
+@forking
+def test_forked_run_builds_no_backend_in_its_parent(small_corpus, tmp_path, monkeypatch):
+    builders = tmp_path / "builders"  # a file, since workers cannot append to our lists
+    real_make_backend = pipeline.make_backend
+
+    def make_backend(config):
+        with builders.open("a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return real_make_backend(config)
+
+    monkeypatch.setattr(pipeline, "make_backend", make_backend)
+    out = tmp_path / "out"
+    assert main(["verify", "--corpus", str(small_corpus), "--out", str(out)]) == 0
+    pids = builders.read_text().split()
+    # one backend in each of the two workers, none in this process
+    assert len(pids) == len(set(pids)) == 2
+    assert str(os.getpid()) not in pids
+
+
 @pytest.mark.parametrize("parallelism", [1, pytest.param(2, marks=forking)])
 def test_directories_that_declare_one_id_fail_and_write_no_report(corpus_copy, tmp_path,
                                                                   parallelism):
@@ -961,12 +980,10 @@ def test_the_escape_memo_does_not_grow_with_the_applications(tmp_path, catalog):
     write_corpus(corpus, GenOptions(n_apps=200, consistency=0.76, seed=0))
     out = tmp_path / "out"
     out.mkdir()
-    applications = pipeline._Applications(RunConfig(corpus_root=corpus, out_dir=out),
-                                          catalog, MockBackend())
+    applications = pipeline._Applications(RunConfig(corpus_root=corpus, out_dir=out), catalog)
     sizes = {}
     apps = ingest.scan_forms(corpus).applications
-    for done, (_, record, error, *_) in enumerate(pipeline._in_process(apps, applications, 2),
-                                                 start=1):
+    for done, (_, record, error, *_) in enumerate(applications.results(apps), start=1):
         assert record is not None, error
         sizes[done] = len(applications.escapes)
     assert len(sizes) == 200
@@ -979,3 +996,47 @@ def test_a_full_escape_memo_escapes_without_keeping():
     assert [escapes[text] for text in texts] == [html.escape(text) for text in texts]
     assert len(escapes) == report_module.HtmlEscapes.MAX_ENTRIES
     assert escapes["<seed>"] == "&lt;seed&gt;"
+
+
+@pytest.mark.parametrize("file_name, tag, source, bad", [
+    ("form.xml", "invoice_value", "form:invoice_value", ".."),
+    ("fatura.pdf.fields.json", "total_value", "invoice:total_value", ".."),
+    ("form.xml", "applicant_tax_id", "form:applicant_tax_id", "41317007²"),
+])
+def test_a_malformed_value_sends_only_the_checks_that_read_it_to_a_human(
+        tmp_path, file_name, tag, source, bad):
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, GenOptions(n_apps=2, consistency=0.76, seed=5))
+    victim = sorted(p.name for p in corpus.iterdir() if p.is_dir())[0]
+
+    def statuses(run_name: str) -> dict[str, tuple[str, set[str]]]:
+        """Each check's status in the victim's reports, with the sources of
+        the values it read."""
+        out = tmp_path / run_name
+        assert main(["verify", "--corpus", str(corpus), "--out", str(out),
+                     "--parallelism", "1"]) == 0
+        found = {}
+        for path in (out / victim).glob("*.json"):
+            for outcome in json.loads(path.read_text()).get("outcomes", ()):
+                sources = {side["source"].partition(" ")[0]
+                           for side in (outcome["lhs"], outcome["rhs"]) if side}
+                found[outcome["check_id"]] = (outcome["status"], sources)
+        return found
+
+    clean = statuses("clean")
+    path = corpus / victim / file_name
+    if file_name == "form.xml":
+        text, count = re.subn(rf"(<{tag} [^>]*>)[^<]*(</{tag}>)", rf"\g<1>{bad}\g<2>",
+                              path.read_text(encoding="utf-8"))
+        assert count == 1
+        path.write_text(text, encoding="utf-8")
+    else:
+        fields = json.loads(path.read_text(encoding="utf-8"))
+        fields[tag] = bad
+        path.write_text(json.dumps(fields), encoding="utf-8")
+    malformed = statuses("malformed")
+    assert clean.keys() == malformed.keys()
+    moved = {check for check in clean if clean[check][0] != malformed[check][0]}
+    readers = {check for check, (_, sources) in clean.items() if source in sources}
+    assert moved and moved <= readers
+    assert {malformed[check][0] for check in readers} == {CheckStatus.MANUAL_CHECK.value}
