@@ -145,7 +145,7 @@ def _parse_typology_mix(spec: str | None) -> dict[int, float] | None:
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
-    from .gencorpus import GenOptions, write_corpus  # only this command needs it
+    from .gencorpus import MIN_DOCS_PER_APP, GenOptions, write_corpus  # only this command needs it
 
     defaults = _load_config_file(args.config)
     options = GenOptions(
@@ -160,6 +160,9 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
     # any other value would give another corpus than asked, not an error
     if options.n_apps < 0:
         raise ConfigError("--n must be >= 0")
+    if options.docs_per_app < MIN_DOCS_PER_APP:
+        raise ConfigError(f"--docs-per-app must be >= {MIN_DOCS_PER_APP}, the fixed documents "
+                          f"of a typology-4 application")
     for flag, share in (("--consistency", options.consistency),
                         ("--unsupported-rate", options.unsupported_rate)):
         if not 0.0 <= share <= 1.0:

@@ -612,6 +612,11 @@ def build_world(app_id: str, typology: TypologyId, catalog: Catalog,
     return world
 
 
+# an application's fixed documents are five, and a typology-4 one's prior
+# communication makes six; --docs-per-app tops them up with photos
+MIN_DOCS_PER_APP = 6
+
+
 @dataclass
 class GenOptions:
     n_apps: int

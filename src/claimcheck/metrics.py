@@ -99,9 +99,14 @@ class LabelError(ValueError):
 
 
 _AUTO_VERIFIED = CheckStatus.AUTO_VERIFIED.value
+_TAXONOMY_BUCKETS = ("correct", "minor_error", "false_positive", "false_negative",
+                     "reading_error")
+
+# one ground-truth label: (real_error, category or None, line in the label file)
+Label = tuple[bool, str | None, int]
 
 
-def _classify_labeled(outcome: dict, status: str, label: dict) -> str:
+def _classify_labeled(outcome: dict, status: str, label: Label) -> str:
     """Error-taxonomy bucket for one labeled verification field, whose
     outcome has ``status``.
 
@@ -111,10 +116,10 @@ def _classify_labeled(outcome: dict, status: str, label: dict) -> str:
     """
     if "unreadable" in (outcome["lhs"]["state"], outcome["rhs"]["state"]):
         return "reading_error"
-    real_error = bool(label.get("real_error"))
+    real_error, category, _ = label
     if status == _AUTO_VERIFIED:
         return "false_positive" if real_error else "correct"
-    if label.get("category") == "minor_error":
+    if category == "minor_error":
         return "minor_error"
     return "correct" if real_error else "false_negative"
 
@@ -146,9 +151,13 @@ class RunTotals:
 
     Sums run per application first, then across applications in the order
     they are added (app-id order), as ``cost_time.csv`` has always summed.
+    Each application's outcomes are classified against its own table of
+    ``read_labels_csv``; of a check that occurs twice, the last outcome
+    counts, and an application added twice is classified from its first
+    record.
     """
 
-    def __init__(self, labels: dict[tuple[str, str], dict] | None = None):
+    def __init__(self, labels: dict[str, dict[str, Label]] | None = None):
         self.total = MetricsBlock()
         self.per_typology: dict[str, MetricsBlock] = {}
         self.documents = 0
@@ -157,11 +166,15 @@ class RunTotals:
         self.buckets = {"eligibility": [0.0, 0.0], "common_core": [0.0, 0.0],
                         "typology": [0.0, 0.0]}
         self.typology_costs: dict[str, list[float]] = {}
-        self.labels = labels
-        self.labelled: dict[tuple[str, str], str] = {}  # label key -> taxonomy bucket
+        self.labels_read = None if labels is None else sum(map(len, labels.values()))
+        # the label tables of the applications not added yet
+        self.unfolded = None if labels is None else dict(labels)
+        self.taxonomy = dict.fromkeys(_TAXONOMY_BUCKETS, 0)
+        self.matched = 0  # labels whose check an added application has
+        self.unmatched: list[tuple[str, str]] = []  # (app_id, check_id) of the others
 
     @classmethod
-    def of(cls, records, labels: dict[tuple[str, str], dict] | None = None) -> "RunTotals":
+    def of(cls, records, labels: dict[str, dict[str, Label]] | None = None) -> "RunTotals":
         totals = cls(labels)
         for record in records:
             totals.add(record)
@@ -169,18 +182,15 @@ class RunTotals:
 
     def add(self, record: AppRecord) -> None:
         """Fold in one application: one pass over its outcomes counts their
-        statuses and classifies the labelled ones, and one over its
-        documents converts their costs."""
+        statuses, one classifies those its label table names, and one over
+        its documents converts their costs."""
         statuses = dict.fromkeys(self.total.status_counts, 0)
-        labels, labelled, app_id = self.labels, self.labelled, record.app_id
         for outcome in record.outcomes:
-            status = outcome["status"]
-            statuses[status] += 1
-            if labels is not None:
-                key = (app_id, outcome["check_id"])
-                label = labels.get(key)
-                if label is not None:
-                    labelled[key] = _classify_labeled(outcome, status, label)
+            statuses[outcome["status"]] += 1
+        if self.unfolded:
+            table = self.unfolded.pop(record.app_id, None)
+            if table is not None:
+                self._fold_labels(record, table)
         costs = record.document_costs()
         self.total.add(statuses, costs)
         block = self.per_typology.get(record.typology)
@@ -200,6 +210,34 @@ class RunTotals:
         typology[0] += app["typology"][0]
         typology[1] += app["typology"][1]
 
+    def _fold_labels(self, record: AppRecord, table: dict[str, Label]) -> None:
+        """Count the taxonomy buckets of the outcomes of ``record`` that
+        ``table`` labels, and note the labels none of them matched."""
+        buckets: dict[str, str] = {}  # check_id -> taxonomy bucket
+        for outcome in record.outcomes:
+            check_id = outcome["check_id"]
+            label = table.get(check_id)
+            if label is not None:
+                buckets[check_id] = _classify_labeled(outcome, outcome["status"], label)
+        taxonomy = self.taxonomy
+        for bucket in buckets.values():
+            taxonomy[bucket] += 1
+        self.matched += len(buckets)
+        if len(buckets) < len(table):
+            self.unmatched.extend((record.app_id, check_id) for check_id in table
+                                  if check_id not in buckets)
+
+    def _unknown_label_error(self) -> LabelError:
+        """The error for the first label, in (app_id, check_id) order, that
+        no added application's outcomes have."""
+        app_id, check_id = min([*self.unmatched,
+                                *((app, check) for app, table in self.unfolded.items()
+                                  for check in table)])
+        if app_id in self.unfolded:
+            return LabelError(f"label references application {app_id}, which has no reports "
+                              f"(for example, because verify failed it)")
+        return LabelError(f"label references unknown outcome: {app_id}/{check_id}")
+
     def metrics(self) -> dict:
         """The corpus metrics summary of ``metrics.json`` (per typology and total)."""
         summary = {
@@ -209,20 +247,14 @@ class RunTotals:
                 for tid in sorted(self.per_typology, key=_typology_sort_key)
             },
         }
-        if self.labels is not None:
-            unknown = sorted(set(self.labels) - set(self.labelled))
-            if unknown:
-                app_id, check_id = unknown[0]
-                raise LabelError(f"label references unknown outcome: {app_id}/{check_id}")
-            buckets = {"correct": 0, "minor_error": 0, "false_positive": 0,
-                       "false_negative": 0, "reading_error": 0}
-            for bucket in self.labelled.values():
-                buckets[bucket] += 1
-            labeled = sum(buckets.values())
+        if self.labels_read is not None:
+            if self.matched < self.labels_read:
+                raise self._unknown_label_error()
+            labeled = self.matched
             summary["taxonomy"] = {
-                **buckets,
+                **self.taxonomy,
                 "labeled_total": labeled,
-                "accuracy": (buckets["correct"] / labeled) if labeled else None,
+                "accuracy": (self.taxonomy["correct"] / labeled) if labeled else None,
             }
         return summary
 
@@ -268,10 +300,12 @@ def cost_time_summary(records: list[AppRecord]) -> CostTimeTable:
 _REAL_ERROR = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def read_labels_csv(text: str) -> dict[tuple[str, str], dict]:
-    """Parse `app_id,check_id,real_error[,category]` ground-truth labels.
-    A short row, a real_error that is none of true/false, 1/0 or yes/no,
-    or a second label for the same check, is a LabelError."""
+def read_labels_csv(text: str) -> dict[str, dict[str, Label]]:
+    """Parse `app_id,check_id,real_error[,category]` ground-truth labels
+    into one table per application: ``{app_id: {check_id: (real_error,
+    category or None, line)}}``. A short row, a real_error that is none of
+    true/false, 1/0 or yes/no, or a second label for the same check, is a
+    LabelError."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     # a column named twice is read from its last place, as csv.DictReader does
@@ -281,25 +315,31 @@ def read_labels_csv(text: str) -> dict[tuple[str, str], dict]:
     app_col, check_col, error_col = columns["app_id"], columns["check_id"], columns["real_error"]
     category_col = columns.get("category", -1)
     needed = max(app_col, check_col, error_col)
-    labels: dict[tuple[str, str], dict] = {}
-    lines: dict[tuple[str, str], int] = {}
+    labels: dict[str, dict[str, Label]] = {}
+    app_id, table = None, {}  # a label file lists an application's checks together
     for row in reader:
         if not row:  # a blank line
             continue
+        line = reader.line_num
         if len(row) <= needed:
-            raise LabelError(f"label line {reader.line_num} lacks a value for app_id, "
+            raise LabelError(f"label line {line} lacks a value for app_id, "
                              f"check_id or real_error")
-        key = (row[app_col], row[check_col])
-        if key in labels:
-            raise LabelError(f"label lines {lines[key]} and {reader.line_num} both label "
-                             f"{key[0]}/{key[1]}")
-        lines[key] = reader.line_num
+        if row[app_col] != app_id:
+            app_id = row[app_col]
+            table = labels.get(app_id)
+            if table is None:
+                table = labels[app_id] = {}
+        check_id = row[check_col]
+        earlier = table.get(check_id)
+        if earlier is not None:
+            raise LabelError(f"label lines {earlier[2]} and {line} both label "
+                             f"{app_id}/{check_id}")
         real_error = _REAL_ERROR.get(row[error_col].strip().lower())
         if real_error is None:
-            raise LabelError(f"label line {reader.line_num}: real_error {row[error_col]!r} is "
+            raise LabelError(f"label line {line}: real_error {row[error_col]!r} is "
                              f"none of true, false, 1, 0, yes, no")
         category = row[category_col].strip() if 0 <= category_col < len(row) else ""
-        labels[key] = {"real_error": real_error, "category": category or None}
+        table[check_id] = (real_error, category or None, line)
     return labels
 
 

@@ -150,6 +150,19 @@ class TestMetricsCommand:
         assert run(["metrics", "--out", str(out), "--labels", str(labels)]) == 1
         assert "ghost_app" in capsys.readouterr().err
 
+    def test_labels_of_an_application_verify_failed_name_the_application(self, tmp_path,
+                                                                          capsys):
+        corpus, out = tmp_path / "corpus", tmp_path / "out"
+        assert run(["gen-corpus", "--out", str(corpus), "--n", "4", "--seed", "3"]) == 0
+        (corpus / "app_00002" / "form.xml").write_text("not xml")
+        assert run(["verify", "--corpus", str(corpus), "--out", str(out)]) == 2
+        written = (out / "metrics.json").read_bytes()
+        capsys.readouterr()
+        assert run(["metrics", "--out", str(out), "--labels", str(corpus / "labels.csv")]) == 1
+        assert ("label references application app_00002, which has no reports (for example, "
+                "because verify failed it)") in capsys.readouterr().err
+        assert (out / "metrics.json").read_bytes() == written
+
     def test_missing_outputs_exit_1(self, tmp_path):
         assert run(["metrics", "--out", str(tmp_path / "nothing")]) == 1
 
@@ -281,6 +294,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("flag, value", [
         ("--n", "-1"), ("--consistency", "1.5"), ("--consistency", "-0.1"),
         ("--consistency", "nan"), ("--unsupported-rate", "1.01"), ("--unsupported-rate", "-1"),
+        ("--docs-per-app", "5"), ("--docs-per-app", "-3"),
     ])
     def test_a_value_that_gives_another_corpus_exits_1_and_writes_nothing(
             self, tmp_path, capsys, flag, value):

@@ -24,6 +24,7 @@ from claimcheck.normalize import (
     parse_power,
     validate_tax_id,
 )
+from claimcheck.rules import render_value
 
 # Characters a parser is likely to trip on: digits that str.isdigit or int
 # accept but are not ASCII, separators, signs, units and currency marks.
@@ -106,6 +107,11 @@ class TestParseDate:
     def test_total_order(self):
         assert parse_date("01/05/2022") < parse_date("2022-05-02")
 
+    @given(st.dates())
+    @settings(max_examples=300)
+    def test_a_rendered_date_reads_back(self, date):
+        assert parse_date(render_value(date)) == date
+
 
 class TestParsePower:
     def test_kw_with_comma(self):
@@ -133,6 +139,12 @@ class TestParsePower:
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_power("soon")
+
+    # a rendered power of up to 38 digits stays within the 40-character cap
+    @given(st.integers(min_value=0, max_value=10**38 - 1))
+    @settings(max_examples=300)
+    def test_a_rendered_power_reads_back_in_watts(self, watts):
+        assert parse_power(render_value(PowerValue(watts))) == PowerValue(watts)
 
 
 class TestTaxId:

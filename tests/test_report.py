@@ -5,6 +5,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimcheck.ingest import DocumentSlot, UnsupportedNotice
 from claimcheck.metrics import (
@@ -136,6 +138,11 @@ def record(app_id: str, typology: str, statuses: list[str],
     return AppRecord(app_id=app_id, typology=typology, outcomes=outcomes, metas=metas or [])
 
 
+def labels_of(*rows: str) -> dict:
+    """The label tables of a label file with ``rows`` under its header."""
+    return read_labels_csv("\n".join(["app_id,check_id,real_error,category", *rows]) + "\n")
+
+
 class TestAggregateMetrics:
     def test_count_conservation(self):
         records = [record("a", "1", ["auto_verified"] * 3 + ["manual_check"]),
@@ -160,11 +167,15 @@ class TestAggregateMetrics:
         assert RunTotals.of(with_manual).metrics()["total"]["suppression_rate"] < \
             RunTotals.of(base).metrics()["total"]["suppression_rate"]
 
-    def test_unknown_label_rejected(self):
+    @pytest.mark.parametrize("row, message", [
+        ("a,c9,false", "^label references unknown outcome: a/c9$"),
+        # an application with no reports is named as such, not by one of its checks
+        ("ghost,c0,false", "^label references application ghost, which has no reports "),
+    ])
+    def test_unknown_label_rejected(self, row, message):
         records = [record("a", "1", ["auto_verified"])]
-        labels = {("ghost", "c0"): {"real_error": False, "category": None}}
-        with pytest.raises(LabelError, match="ghost"):
-            RunTotals.of(records, labels).metrics()
+        with pytest.raises(LabelError, match=message):
+            RunTotals.of(records, labels_of("a,c0,false", row)).metrics()
 
     def test_taxonomy_buckets(self):
         outcomes = [
@@ -182,14 +193,8 @@ class TestAggregateMetrics:
              "lhs": {"state": "present"}, "rhs": {"state": "present"}},
         ]
         records = [AppRecord(app_id="a", typology="1", outcomes=outcomes)]
-        labels = {
-            ("a", "ok"): {"real_error": False, "category": None},
-            ("a", "fp"): {"real_error": True, "category": None},
-            ("a", "fn"): {"real_error": False, "category": None},
-            ("a", "minor"): {"real_error": True, "category": "minor_error"},
-            ("a", "read"): {"real_error": False, "category": None},
-            ("a", "caught"): {"real_error": True, "category": None},
-        }
+        labels = labels_of("a,ok,false", "a,fp,true", "a,fn,false", "a,minor,true,minor_error",
+                           "a,read,false", "a,caught,true")
         taxonomy = RunTotals.of(records, labels).metrics()["taxonomy"]
         assert taxonomy["correct"] == 2  # true auto + true catch
         assert taxonomy["false_positive"] == 1
@@ -204,11 +209,81 @@ class TestAggregateMetrics:
 
     def test_all_auto_no_real_errors(self):
         records = [record("a", "1", ["auto_verified"] * 4)]
-        labels = {("a", f"c{i}"): {"real_error": False, "category": None} for i in range(4)}
+        labels = labels_of(*(f"a,c{i},false" for i in range(4)))
         taxonomy = RunTotals.of(records, labels).metrics()["taxonomy"]
         assert taxonomy["false_positive"] == 0
         assert taxonomy["false_negative"] == 0
         assert taxonomy["accuracy"] == 1.0
+
+
+_APPS = ["a", "b", "c"]
+_CHECKS = ["c0", "c1", "c2"]
+_STATE = st.fixed_dictionaries({"state": st.sampled_from(["present", "absent", "unreadable"])})
+_OUTCOME = st.fixed_dictionaries({
+    "check_id": st.sampled_from(_CHECKS),
+    "status": st.sampled_from([status.value for status in CheckStatus]),
+    "lhs": _STATE,
+    "rhs": _STATE,
+})
+# (app_id, check_id, real_error, category) rows; "d" and "c9" occur in no run
+_LABEL_ROWS = st.lists(
+    st.tuples(st.sampled_from([*_APPS, "d"]), st.sampled_from([*_CHECKS, "c9"]),
+              st.booleans(), st.sampled_from(["", "minor_error", "typo"])),
+    unique_by=lambda row: row[:2], max_size=12)
+
+
+def _reference_taxonomy(records: list[AppRecord], rows: list[tuple]) -> dict | tuple:
+    """The taxonomy counted over (app_id, check_id) keys, the last outcome of
+    a repeated check winning; or the first unknown label, in sorted order."""
+    labels = {(app_id, check_id): (real_error, category)
+              for app_id, check_id, real_error, category in rows}
+    buckets: dict[tuple[str, str], str] = {}
+    for rec in records:
+        for outcome in rec.outcomes:
+            key = (rec.app_id, outcome["check_id"])
+            if key not in labels:
+                continue
+            real_error, category = labels[key]
+            if "unreadable" in (outcome["lhs"]["state"], outcome["rhs"]["state"]):
+                buckets[key] = "reading_error"
+            elif outcome["status"] == "auto_verified":
+                buckets[key] = "false_positive" if real_error else "correct"
+            elif category == "minor_error":
+                buckets[key] = "minor_error"
+            else:
+                buckets[key] = "correct" if real_error else "false_negative"
+    unknown = sorted(set(labels) - set(buckets))
+    if unknown:
+        return unknown[0]
+    return {bucket: list(buckets.values()).count(bucket)
+            for bucket in ("correct", "minor_error", "false_positive", "false_negative",
+                           "reading_error")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(apps=st.lists(st.sampled_from(_APPS), unique=True).map(sorted),
+       outcomes=st.lists(st.lists(_OUTCOME, max_size=6), min_size=len(_APPS),
+                         max_size=len(_APPS)),
+       rows=_LABEL_ROWS)
+def test_taxonomy_equals_the_per_check_reference(apps, outcomes, rows):
+    records = [AppRecord(app_id=app_id, typology="1", outcomes=app_outcomes)
+               for app_id, app_outcomes in zip(apps, outcomes)]
+    labels = labels_of(*(f"{app_id},{check_id},{str(real_error).lower()},{category}"
+                         for app_id, check_id, real_error, category in rows))
+    expected = _reference_taxonomy(records, rows)
+    totals = RunTotals.of(records, labels)
+    if isinstance(expected, tuple):
+        app_id, check_id = expected
+        with pytest.raises(LabelError) as error:
+            totals.metrics()
+        if app_id in apps:
+            assert str(error.value) == f"label references unknown outcome: {app_id}/{check_id}"
+        else:
+            assert str(error.value).startswith(f"label references application {app_id}, ")
+        return
+    taxonomy = totals.metrics()["taxonomy"]
+    assert {bucket: taxonomy[bucket] for bucket in expected} == expected
+    assert taxonomy["labeled_total"] == len(rows)
 
 
 class TestRunTotals:
@@ -229,7 +304,7 @@ class TestRunTotals:
                                           rhs=state)],
                            metas=[Item(slot="photo", cost_eur=0.05, elapsed_ms=37000)])
         refs = [weakref.ref(o) for o in (folded, *folded.outcomes, *folded.metas)]
-        totals = RunTotals({("a", "c0"): {"real_error": False, "category": None}})
+        totals = RunTotals(labels_of("a,c0,false"))
         totals.add(folded)
         del folded
         gc.collect()
@@ -269,9 +344,8 @@ class TestCostTime:
 
 def test_read_labels_csv():
     text = "app_id,check_id,real_error,category\na,c1,true,\na,c2,false,minor_error\n"
-    labels = read_labels_csv(text)
-    assert labels[("a", "c1")] == {"real_error": True, "category": None}
-    assert labels[("a", "c2")] == {"real_error": False, "category": "minor_error"}
+    assert read_labels_csv(text) == {"a": {"c1": (True, None, 2),
+                                           "c2": (False, "minor_error", 3)}}
 
 
 def test_read_labels_csv_requires_columns():
@@ -281,5 +355,5 @@ def test_read_labels_csv_requires_columns():
 
 def test_read_labels_csv_skips_blank_lines_and_reads_a_missing_category_as_none():
     text = "app_id,check_id,real_error,category\n\na,c1,YES\n\na,c2,0,minor_error\n"
-    assert read_labels_csv(text) == {("a", "c1"): {"real_error": True, "category": None},
-                                     ("a", "c2"): {"real_error": False, "category": "minor_error"}}
+    assert read_labels_csv(text) == {"a": {"c1": (True, None, 3),
+                                           "c2": (False, "minor_error", 5)}}
