@@ -35,6 +35,28 @@ class BackendResponse(NamedTuple):
     elapsed_ms: int = 0
 
 
+# The range of a document's cost and time: above it, a value is a reading
+# fault, not a charge or a wait.
+MAX_COST_EUR = 1000.0
+MAX_ELAPSED_MS = 86_400_000  # a day
+
+
+def response_meta(cost_eur: object, elapsed_ms: object) -> tuple[float, int]:
+    """``(float(cost_eur), int(elapsed_ms))``, each finite and in its range:
+    cost in [0, MAX_COST_EUR] euros, time in [0, MAX_ELAPSED_MS] ms. Raises
+    BackendError for anything else, so that document's tags are unreadable
+    and its application goes on."""
+    try:
+        cost, elapsed = float(cost_eur), int(elapsed_ms)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BackendError(f"malformed cost or time: {exc}") from None
+    if not 0.0 <= cost <= MAX_COST_EUR:  # NaN is in no range
+        raise BackendError(f"cost_eur {cost!r} is not in [0, {MAX_COST_EUR:g}]")
+    if not 0 <= elapsed <= MAX_ELAPSED_MS:
+        raise BackendError(f"elapsed_ms {elapsed!r} is not in [0, {MAX_ELAPSED_MS}]")
+    return cost, elapsed
+
+
 def _corrupt_digit(value: str) -> str:
     """Deterministically alter one digit (or append a marker) of a value."""
     for i, ch in enumerate(value):
@@ -63,8 +85,10 @@ def interpret_sidecar(sidecar: dict, schema: ExtractionSchema) -> BackendRespons
         elif mode == "corrupt":
             fields[tag] = _corrupt_digit(fields[tag])
     meta = sidecar.get("__meta__", {})
-    return BackendResponse(fields, float(meta.get("cost_eur", 0.0)),
-                           int(meta.get("elapsed_ms", 0)))
+    if not isinstance(meta, dict):
+        raise BackendError(f"sidecar __meta__ is a {type(meta).__name__}, not an object")
+    return BackendResponse(fields, *response_meta(meta.get("cost_eur", 0.0),
+                                                  meta.get("elapsed_ms", 0)))
 
 
 def load_sidecar(doc: DocumentRef) -> dict:

@@ -57,9 +57,10 @@ VALID_TYPOLOGIES = (
 
 # What json.dumps builds for each call, built once. The records it encodes
 # hold no cycles, so it does not look for them, which saves about 8% of the
-# encoding time.
+# encoding time. A NaN or infinity raises ValueError: no output holds a
+# token that is not JSON.
 _CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"),
-                              check_circular=False)
+                              check_circular=False, allow_nan=False)
 
 
 def canonical_json_bytes(payload: object) -> bytes:

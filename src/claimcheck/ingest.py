@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import zipfile
 from collections import Counter
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path, PurePath
 
@@ -133,7 +133,7 @@ class DocumentRef:
     slot: DocumentSlot = DocumentSlot.OTHER
     origin: str = "direct_upload"
     member: str | None = None  # the member's name inside the archive at ``path``
-    # the archive at ``path``, opened and checked by expand_archives
+    # the archive at ``path``, opened and checked by the scan
     archive: zipfile.ZipFile | None = field(default=None, compare=False, repr=False)
     # ``path`` relative to the corpus root, in POSIX form: the name outputs quote
     corpus_path: str = ""
@@ -358,29 +358,34 @@ def list_files(app_dir: Path) -> list[str]:
     return [rel for rel, _, _ in _walk_files(os.fspath(app_dir), app_dir.name)]
 
 
-def _form_bytes(app_dir: Path) -> bytes:
-    """The form of an application directory. Raises FormParseError."""
+def _form_bytes(app_dir: Path, cap_bytes: int) -> bytes:
+    """The form of an application directory, read no further than one byte
+    past ``cap_bytes``. Raises FormParseError, also when it is longer."""
     form_path = os.path.join(app_dir, FORM_FILENAME)
     if not os.path.isfile(form_path):
         raise FormParseError(f"{FORM_FILENAME} not found")
-    with open(form_path, "rb", buffering=0) as file:
-        return file.read()
+    with open(form_path, "rb", buffering=0) as file:  # one read of the size it needs
+        data = file.read(min(os.fstat(file.fileno()).st_size, cap_bytes) + 1)
+    if len(data) > cap_bytes:
+        raise FormParseError(f"{FORM_FILENAME} is above the {cap_bytes / 1e6:g} MB cap")
+    return data
 
 
-def scan_forms(root: Path) -> FormScan:
+def scan_forms(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB) -> FormScan:
     """The first phase of a scan: check the structure of the form of every
     application subdirectory, and visit no other file of one whose form
     passes; its values are parsed in the second phase.
 
-    An application whose form does not load, or declares an id that
-    another directory's form declares too, is recorded as a LoadFailure
-    with every file under its directory, and the scan moves on; only an
-    unreadable corpus root is an error. A symlink to a directory is not
-    followed: it is named in ``skipped_links``.
+    An application whose form does not load, is longer than ``max_file_mb``
+    or declares an id that another directory's form declares too, is
+    recorded as a LoadFailure with every file under its directory, and the
+    scan moves on; only an unreadable corpus root is an error. A symlink to
+    a directory is not followed: it is named in ``skipped_links``.
     """
     root = Path(root)
     if not root.is_dir():
         raise NotADirectoryError(f"corpus root not found: {root}")
+    cap_bytes = int(max_file_mb * 1_000_000)
     forms = FormScan(applications=[], failures=[])
     with os.scandir(root) as it:
         entries = sorted(it, key=lambda e: e.name)
@@ -388,7 +393,8 @@ def scan_forms(root: Path) -> FormScan:
         path = root / entry.name
         if entry.is_dir(follow_symlinks=False):
             try:
-                forms.applications.append((_form_structure(_form_bytes(path))[0], path))
+                forms.applications.append((_form_structure(_form_bytes(path, cap_bytes))[0],
+                                           path))
             except FormParseError as exc:
                 forms.failures.append(LoadFailure(app_id=entry.name, path=entry.name,
                                                   reason=str(exc), files=list_files(path)))
@@ -413,28 +419,45 @@ def scan_application(app_id: str, app_dir: Path, max_file_mb: float = DEFAULT_MA
     ``app_id`` from its directory, recording every file visited on it.
     ``extensions`` maps each lower-case suffix that is a document to its
     FileKind. Raises FormParseError, also when the form now names
-    another application."""
-    form_id, typology, form = parse_form_xml(_form_bytes(app_dir))
+    another application.
+
+    Each archive is expanded where the walk admits it: its members take its
+    place among the documents, stay in the archive and are read from it,
+    and its notices follow those of the loose files. Nesting is limited to
+    one level: a member that ``extensions`` makes an archive too becomes an
+    archive_depth_exceeded notice. An archive gives all its members or one
+    notice. Each archive is opened once, and the bundle's ``archives``
+    holds it open until the caller closes them; when the scan raises, every
+    archive it opened is closed."""
+    cap_bytes = int(max_file_mb * 1_000_000)
+    form_id, typology, form = parse_form_xml(_form_bytes(app_dir, cap_bytes))
     if form_id != app_id:
         raise FormParseError(f"{FORM_FILENAME} now names application {form_id!r}, not {app_id!r}")
 
-    cap_bytes = int(max_file_mb * 1_000_000)
     files: list[str] = []
     documents: list[DocumentRef] = []
     unsupported: list[UnsupportedNotice] = []
-    for rel, entry, folders in _walk_files(os.fspath(app_dir), app_dir.name):
-        files.append(rel)
-        name = entry.name
-        if (name == FORM_FILENAME and not folders) or name.endswith(SIDECAR_SUFFIX):
-            continue
-        slot = _slot_of(folders, name)
-        admitted = admit_file(rel, name, entry.stat().st_size, slot, extensions, cap_bytes)
-        if isinstance(admitted, UnsupportedNotice):
-            unsupported.append(admitted)
-        else:
-            documents.append(DocumentRef(entry.path, admitted, slot, corpus_path=rel))
-    return ApplicationBundle(app_id=app_id, typology=typology, form=form, documents=documents,
-                             unsupported=unsupported, files=files)
+    archive_notices: list[UnsupportedNotice] = []
+    with ExitStack() as archives:
+        for rel, entry, folders in _walk_files(os.fspath(app_dir), app_dir.name):
+            files.append(rel)
+            name = entry.name
+            if (name == FORM_FILENAME and not folders) or name.endswith(SIDECAR_SUFFIX):
+                continue
+            slot = _slot_of(folders, name)
+            admitted = admit_file(rel, name, entry.stat().st_size, slot, extensions, cap_bytes)
+            if isinstance(admitted, UnsupportedNotice):
+                unsupported.append(admitted)
+            elif admitted is FileKind.ZIP:
+                members, notices = _read_archive(entry.path, rel, name, slot, extensions,
+                                                 cap_bytes, archives)
+                documents.extend(members)
+                archive_notices.extend(notices)
+            else:
+                documents.append(DocumentRef(entry.path, admitted, slot, corpus_path=rel))
+        return ApplicationBundle(app_id=app_id, typology=typology, form=form,
+                                 documents=documents, unsupported=unsupported + archive_notices,
+                                 files=files, archives=archives.pop_all())
 
 
 def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
@@ -442,100 +465,72 @@ def scan_corpus(root: Path, max_file_mb: float = DEFAULT_MAX_FILE_MB,
     """One bundle per application subdirectory, ordered by app id: both
     phases of the scan, ``scan_forms`` and then ``scan_application`` on each
     application, at once. Every regular file of the corpus is recorded on
-    its bundle, its failure or in ``loose_files``. Raises FormParseError when
-    a form changes between the two phases.
+    its bundle, its failure or in ``loose_files``. Each bundle holds its
+    archives open: the caller closes each bundle's ``archives``. Raises
+    FormParseError when a form changes between the two phases.
     """
-    forms = scan_forms(root)
+    forms = scan_forms(root, max_file_mb)
     bundles = [scan_application(app_id, app_dir, max_file_mb, extensions)
                for app_id, app_dir in forms.applications]
     return ScanResult(bundles=bundles, failures=forms.failures, loose_files=forms.loose_files)
 
 
-def _read_archive(doc: DocumentRef, extensions: dict[str, FileKind], cap_bytes: int,
+def _read_archive(path: str, corpus_path: str, name: str, slot: DocumentSlot,
+                  extensions: dict[str, FileKind], cap_bytes: int,
                   archives: ExitStack) -> tuple[list[DocumentRef], list[UnsupportedNotice]]:
-    """The documents and notices of one archive's members, each admitted
-    member read once to its end and none written anywhere; one notice
-    instead when the archive lists more than MAX_ARCHIVE_ENTRIES entries
-    or cannot be read to its end. The archive is opened once, onto
-    ``archives``, and its documents are read through that handle."""
+    """The documents and notices of the members of the archive at ``path``,
+    whose corpus name is ``corpus_path``, file name ``name`` and slot
+    ``slot``: each admitted member read once to its end and none written
+    anywhere; one notice instead when the archive lists more than
+    MAX_ARCHIVE_ENTRIES entries or cannot be read to its end. The archive
+    is opened once, onto ``archives``, and its documents are read through
+    that handle."""
     documents: list[DocumentRef] = []
     notices: list[UnsupportedNotice] = []
     try:
-        archive = archives.enter_context(zipfile.ZipFile(doc.path))
+        archive = archives.enter_context(zipfile.ZipFile(path))
         entries = archive.infolist()
         if len(entries) > MAX_ARCHIVE_ENTRIES:
-            return [], [UnsupportedNotice(doc.corpus_path, "too_many_members", (
-                f"{doc.name} lists {len(entries)} entries, above the "
-                f"{MAX_ARCHIVE_ENTRIES} cap"), doc.slot)]
+            return [], [UnsupportedNotice(corpus_path, "too_many_members", (
+                f"{name} lists {len(entries)} entries, above the "
+                f"{MAX_ARCHIVE_ENTRIES} cap"), slot)]
         if len({entry.filename for entry in entries}) < len(entries):
             raise zipfile.BadZipFile("two entries share a name")  # a member is read by name
         for member in entries:
             member_path = PurePath(member.filename)
             member_name = member_path.name
-            display = f"{doc.corpus_path}!{member.filename}"
+            display = f"{corpus_path}!{member.filename}"
             if member.is_dir() or not member_name or member_name.startswith("."):
                 continue
-            slot = infer_slot(member_path)
-            if _suffix(member_name).lower() == ".zip":
+            member_slot = infer_slot(member_path)
+            if extensions.get(_suffix(member_name).lower()) is FileKind.ZIP:
                 notices.append(UnsupportedNotice(
                     path=display, reason="archive_depth_exceeded",
                     message=f"nested archive {member.filename} not expanded; review manually",
-                    slot=slot))
+                    slot=member_slot))
                 continue
             if member_name.endswith(SIDECAR_SUFFIX):
                 continue  # read by the mock backend with its document
-            admitted = admit_file(display, member_name, member.file_size, slot, extensions,
-                                  cap_bytes)
+            admitted = admit_file(display, member_name, member.file_size, member_slot,
+                                  extensions, cap_bytes)
             if isinstance(admitted, UnsupportedNotice):
                 notices.append(admitted)
                 continue
             with archive.open(member) as stream:  # checks its CRC at the end
                 while stream.read(1 << 20):
                     pass
-            documents.append(DocumentRef(path=doc.path, kind=admitted, slot=slot,
+            documents.append(DocumentRef(path=path, kind=admitted, slot=member_slot,
                                          origin="archive_member", member=member.filename,
-                                         archive=archive, corpus_path=doc.corpus_path))
+                                         archive=archive, corpus_path=corpus_path))
     except zipfile.BadZipFile:
         return [], [UnsupportedNotice(
-            path=doc.corpus_path, reason="corrupt_archive",
-            message=f"{doc.name} could not be read as a ZIP archive", slot=doc.slot)]
+            path=corpus_path, reason="corrupt_archive",
+            message=f"{name} could not be read as a ZIP archive", slot=slot)]
     return documents, notices
 
 
-def expand_archives(bundle: ApplicationBundle, max_file_mb: float = DEFAULT_MAX_FILE_MB,
-                    extensions: dict[str, FileKind] = SUPPORTED_EXTENSIONS) -> ApplicationBundle:
-    """A copy of ``bundle`` with each ZIP ref replaced by its members,
-    which stay in the archive and are read from it. Members are admitted by
-    the rule, and with the ``extensions``, that the scan applied to loose
-    files. Nesting is limited to one level: a ZIP inside a ZIP becomes an
-    archive_depth_exceeded notice. An archive gives all its members or one
-    notice.
-
-    Each archive is opened once, and the copy's ``archives`` holds it open
-    until the caller closes them; when expansion raises, every archive it
-    opened is closed.
-    """
-    cap_bytes = int(max_file_mb * 1_000_000)
-    documents: list[DocumentRef] = []
-    unsupported = list(bundle.unsupported)
-    with ExitStack() as archives:
-        for doc in bundle.documents:
-            if doc.kind is not FileKind.ZIP:
-                documents.append(doc)
-                continue
-            members, notices = _read_archive(doc, extensions, cap_bytes, archives)
-            documents.extend(members)
-            unsupported.extend(notices)
-        return replace(bundle, documents=documents, unsupported=unsupported,
-                       archives=archives.pop_all())
-
-
 def map_documents(bundle: ApplicationBundle) -> ApplicationBundle:
-    """Finalize slot assignment from each document's folders below the
-    application root; folders inside an archive name no upload directory."""
-    bundle.documents = [
-        replace(doc, slot=_slot_of(() if doc.member else tuple(doc.corpus_path.split("/")[1:-1]),
-                                   doc.name))
-        for doc in bundle.documents]
+    """``bundle`` as it is: the scan gives every document its final slot,
+    from its upload directory first, then its file name; folders inside an
+    archive name no upload directory."""
     return bundle
-

@@ -31,7 +31,6 @@ from .ingest import (
     ApplicationBundle,
     FileKind,
     LoadFailure,
-    expand_archives,
     list_files,
     scan_application,
     scan_forms,
@@ -183,10 +182,9 @@ class _Applications:
             yield self.finish(*loaded)
 
     def load(self, app: tuple[str, Path]) -> ApplicationBundle:
-        # the scan and the archive expansion give every document its slot
+        # the scan expands each archive and gives every document its slot
         start = time.thread_time()
-        bundle = expand_archives(scan_application(*app, self.config.max_file_mb, self.extensions),
-                                 self.config.max_file_mb, self.extensions)
+        bundle = scan_application(*app, self.config.max_file_mb, self.extensions)
         self.spent("scan", start)
         return bundle
 
@@ -358,7 +356,7 @@ def verify_corpus(config: RunConfig) -> VerifyResult:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     start = time.thread_time()
-    forms = scan_forms(Path(config.corpus_root))
+    forms = scan_forms(Path(config.corpus_root), config.max_file_mb)
     stage_cpu = dict.fromkeys(STAGES, 0.0)
     stage_cpu["scan"] = time.thread_time() - start
     for name in forms.skipped_links:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from urllib.parse import SplitResult, unquote, urlsplit
 
-from .backends import BackendError, BackendResponse
+from .backends import BackendError, BackendResponse, response_meta
 from .extract import ExtractionSchema
 from .ingest import DocumentRef
 
@@ -214,11 +214,8 @@ class RemoteBackend:
             try:
                 reply = json.loads(data)
                 fields = {str(k): str(v) for k, v in reply["fields"].items()}
-                return BackendResponse(
-                    fields=fields,
-                    cost_eur=float(reply.get("cost_eur", 0.0)),
-                    elapsed_ms=int(reply.get("elapsed_ms", 0)),
-                )
+                return BackendResponse(fields, *response_meta(reply.get("cost_eur", 0.0),
+                                                              reply.get("elapsed_ms", 0)))
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise BackendError(f"malformed extraction response: {exc}") from exc
         raise BackendError(f"extraction failed after {attempts} attempts: {last_error}")

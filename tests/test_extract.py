@@ -30,16 +30,16 @@ from claimcheck.extract import (
     extract,
     schema_for,
 )
-from claimcheck.gencorpus import doc_bytes
+from claimcheck.gencorpus import GenOptions, doc_bytes, write_corpus
 from claimcheck.ingest import (
-    ApplicationBundle,
     DocumentRef,
     DocumentSlot,
     FileKind,
     TypologyId,
-    expand_archives,
+    scan_application,
+    scan_forms,
 )
-from claimcheck.normalize import CanonicalName, DeclaredValue, FormData, Money
+from claimcheck.normalize import CanonicalName, DeclaredValue, Money
 from claimcheck.rules import CheckOutcome, CheckStatus, Evidence
 from claimcheck.stubserver import FixtureStubServer
 
@@ -436,16 +436,16 @@ class TestRemoteBackend:
                 writer.writestr("fatura.pdf", invoice)
                 writer.writestr("fatura.pdf.fields.json", sidecar)
 
-        archive = tmp_path / "anexos.zip"
-        invoice = doc_bytes("app_x", "fatura.pdf")
+        write_corpus(tmp_path, GenOptions(n_apps=1, seed=5))
+        [(app_id, app_dir)] = scan_forms(tmp_path).applications
+        archive = app_dir / "anexos.zip"
+        invoice = doc_bytes(app_id, "fatura.pdf")
         write_zip(archive, invoice, b'{"total_value": "150,00"}')
-        bundle = expand_archives(ApplicationBundle(
-            app_id="app_x", typology=T1, form=FormData(),
-            documents=[DocumentRef(path=archive, kind=FileKind.ZIP)]))
-        # the upload changes on disk after expansion admitted it
+        bundle = scan_application(app_id, app_dir)
+        # the upload changes on disk after the scan admitted it
         write_zip(tmp_path / "next.zip", b"another invoice", b'{"total_value": "999,00"}')
         os.replace(tmp_path / "next.zip", archive)
-        [ref] = bundle.documents
+        [ref] = [doc for doc in bundle.documents if doc.origin == "archive_member"]
         schema = schema_for(DocumentSlot.INVOICE, T1)
         _KeepAliveHandler.bodies = []
         with bundle.archives, serving(_KeepAliveHandler) as url, \
@@ -549,6 +549,12 @@ class TestRemoteBackend:
         response = interpret_sidecar({"receipt_number": "RC 9"}, schema)
         assert response.fields["receipt_number"] == "RC 9"
         assert response.fields["amount"] == "None"
+
+    @pytest.mark.parametrize("meta", [[1], "0.01", None])
+    def test_a_sidecar_meta_that_is_no_object_is_a_backend_error(self, meta):
+        schema = schema_for(DocumentSlot.RECEIPT, T1)
+        with pytest.raises(BackendError, match="__meta__ is a"):
+            interpret_sidecar({"receipt_number": "RC 9", "__meta__": meta}, schema)
 
     def test_connection_error_raises_backend_error(self, tmp_path):
         ref = invoice_ref(tmp_path, {})

@@ -9,13 +9,14 @@ from claimcheck.backends import MockBackend, RemoteBackend, RemoteConfig, load_s
 from claimcheck.extract import ExtractionSchema, TagSpec, ValueType
 from claimcheck.ingest import (
     MAX_ARCHIVE_ENTRIES,
+    SUPPORTED_EXTENSIONS,
     ApplicationBundle,
+    DocumentRef,
     DocumentSlot,
     FileKind,
     FormParseError,
     TypologyId,
     UnsupportedNotice,
-    expand_archives,
     infer_slot,
     map_documents,
     parse_form_xml,
@@ -58,21 +59,22 @@ def write_app(root: Path, app_id: str, files: dict[str, bytes] | None = None) ->
 
 
 @pytest.fixture()
-def expand():
-    """``expand_archives``, with the archives of every bundle it returns
-    closed at the end of the test."""
+def scan():
+    """``scan_corpus``, with the archives of every bundle it returns closed
+    at the end of the test."""
     with ExitStack() as stack:
-        def expand(bundle, *args):
-            expanded = expand_archives(bundle, *args)
-            stack.enter_context(expanded.archives)
-            return expanded
+        def scan(root, *args):
+            result = scan_corpus(root, *args)
+            for bundle in result.bundles:
+                stack.enter_context(bundle.archives)
+            return result
 
-        yield expand
+        yield scan
 
 
-def zip_bytes(members: dict[str, bytes]) -> bytes:
+def zip_bytes(members: dict[str, bytes], compression: int = zipfile.ZIP_STORED) -> bytes:
     buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w") as archive:
+    with zipfile.ZipFile(buffer, "w", compression) as archive:
         for name, data in members.items():
             archive.writestr(name, data)
     return buffer.getvalue()
@@ -94,10 +96,13 @@ class TestClassifyFile:
     def test_jpeg_alias(self, tmp_path):
         assert self.classify(tmp_path, "scan.JPEG") is FileKind.JPG
 
-    def test_zip_supported(self, tmp_path):
-        assert self.classify(tmp_path, "photos.zip") is FileKind.ZIP
+    def test_zip_expanded_where_found(self, tmp_path, scan):
+        write_app(tmp_path, "app_a", {"fotos/photos.ZIP": zip_bytes({"foto.png": b"x"})})
+        [doc] = scan(tmp_path).bundles[0].documents
+        assert (doc.display_path, doc.kind, doc.origin) == (
+            "app_a/fotos/photos.ZIP!foto.png", FileKind.PNG, "archive_member")
 
-    def test_docx_unsupported(self, tmp_path, expand):
+    def test_docx_unsupported(self, tmp_path, scan):
         notice = self.classify(tmp_path, "docs.docx")
         assert isinstance(notice, UnsupportedNotice)
         assert notice.path == "app_a/docs.docx"
@@ -105,7 +110,7 @@ class TestClassifyFile:
         assert notice.message
         # a ZIP member is admitted by the same rule, in the same words
         write_app(tmp_path, "app_b", {"anexos.zip": zip_bytes({"docs.docx": b"x"})})
-        bundle = expand(scan_corpus(tmp_path).bundles[1])
+        bundle = scan(tmp_path).bundles[1]
         member = bundle.unsupported[0]
         assert member.path == "app_b/anexos.zip!docs.docx"
         assert (member.reason, member.message) == (notice.reason, notice.message)
@@ -192,20 +197,20 @@ class TestScanCorpus:
 
 
 class TestExpandArchives:
-    def test_no_zip_is_identity(self, tmp_path, expand):
-        write_app(tmp_path, "app_a", {"fatura.pdf": b"x"})
+    def test_no_zip_opens_no_archive(self, tmp_path, opened_archives):
+        app_dir = write_app(tmp_path, "app_a", {"fatura.pdf": b"x"})
         bundle = scan_corpus(tmp_path).bundles[0]
-        before = list(bundle.documents)
-        after = expand(bundle)
-        assert after.documents == before
+        assert bundle.documents == [DocumentRef(
+            str(app_dir / "fatura.pdf"), FileKind.PDF, DocumentSlot.INVOICE,
+            corpus_path="app_a/fatura.pdf")]
+        assert opened_archives == []
 
-    def test_members_extracted_and_classified(self, tmp_path, expand):
+    def test_members_extracted_and_classified(self, tmp_path, scan):
         payload = zip_bytes({
             "foto1.png": b"a", "foto2.png": b"b", "foto3.png": b"c", "doc.docx": b"d",
         })
         write_app(tmp_path, "app_a", {"fotos.zip": payload})
-        bundle = scan_corpus(tmp_path).bundles[0]
-        bundle = expand(bundle)
+        bundle = scan(tmp_path).bundles[0]
         kinds = sorted(d.kind for d in bundle.documents)
         assert kinds == [FileKind.PNG, FileKind.PNG, FileKind.PNG]
         assert all(d.origin == "archive_member" for d in bundle.documents)
@@ -213,46 +218,52 @@ class TestExpandArchives:
         # conservation: 3 supported members, no zip left behind
         assert not any(d.kind is FileKind.ZIP for d in bundle.documents)
 
-    def test_nested_zip_flagged(self, tmp_path, expand):
-        inner = zip_bytes({"x.png": b"x"})
-        payload = zip_bytes({"outer.png": b"a", "inner.zip": inner})
+    def test_nested_zip_flagged(self, tmp_path, scan):
+        # a member is an archive by the kind the run gives its suffix, as a
+        # loose file is: here --allow-ext jar=zip; and it is one even above
+        # the size cap
+        inner = zip_bytes({"x.png": b"x" * 1_000_001})
+        payload = zip_bytes({"outer.png": b"a", "inner.jar": inner, "nested.zip": inner},
+                            zipfile.ZIP_DEFLATED)
         write_app(tmp_path, "app_a", {"docs.zip": payload})
-        bundle = expand(scan_corpus(tmp_path).bundles[0])
-        assert len(bundle.documents) == 1
-        assert [n.reason for n in bundle.unsupported] == ["archive_depth_exceeded"]
+        bundle = scan(tmp_path, 1, {**SUPPORTED_EXTENSIONS, ".jar": FileKind.ZIP}).bundles[0]
+        assert [d.display_path for d in bundle.documents] == ["app_a/docs.zip!outer.png"]
+        assert [(n.path, n.reason) for n in bundle.unsupported] == [
+            ("app_a/docs.zip!inner.jar", "archive_depth_exceeded"),
+            ("app_a/docs.zip!nested.zip", "archive_depth_exceeded")]
 
-    def test_corrupt_zip(self, tmp_path, expand):
+    def test_corrupt_zip(self, tmp_path, scan):
         write_app(tmp_path, "app_a", {"broken.zip": b"this is not a zip"})
-        bundle = expand(scan_corpus(tmp_path).bundles[0])
+        bundle = scan(tmp_path).bundles[0]
         assert bundle.documents == []
         assert [n.reason for n in bundle.unsupported] == ["corrupt_archive"]
 
-    def test_archive_unreadable_to_its_end_gives_only_its_notice(self, tmp_path, expand):
+    def test_archive_unreadable_to_its_end_gives_only_its_notice(self, tmp_path, scan):
         payload = bytearray(zip_bytes({"foto_01.png": b"first", "foto_02.png": b"second"}))
         at = payload.index(b"second")  # members are stored, so their bytes are verbatim
         payload[at:at + 6] = b"SECOND"  # the second member now fails its CRC check
         write_app(tmp_path, "app_a", {"fotos.zip": bytes(payload)})
-        bundle = expand(scan_corpus(tmp_path).bundles[0])
+        bundle = scan(tmp_path).bundles[0]
         assert bundle.documents == []
         assert [n.reason for n in bundle.unsupported] == ["corrupt_archive"]
         assert bundle.unsupported[0].message == "fotos.zip could not be read as a ZIP archive"
 
-    def test_entries_sharing_a_name_make_the_archive_corrupt(self, tmp_path, expand):
+    def test_entries_sharing_a_name_make_the_archive_corrupt(self, tmp_path, scan):
         buffer = io.BytesIO()
         with zipfile.ZipFile(buffer, "w") as archive, pytest.warns(UserWarning, match="Duplicate"):
             archive.writestr("fatura.pdf", b"first")
             archive.writestr("fatura.pdf", b"second")
         write_app(tmp_path, "app_a", {"anexos.zip": buffer.getvalue()})
-        bundle = expand(scan_corpus(tmp_path).bundles[0])
+        bundle = scan(tmp_path).bundles[0]
         assert bundle.documents == []
         assert [n.reason for n in bundle.unsupported] == ["corrupt_archive"]
 
     @pytest.mark.parametrize("extra", [0, 1])
-    def test_archive_entries_are_capped(self, tmp_path, extra, expand):
+    def test_archive_entries_are_capped(self, tmp_path, extra, scan):
         count = MAX_ARCHIVE_ENTRIES + extra
         write_app(tmp_path, "app_a", {
             "fotos.zip": zip_bytes({f"foto_{i:03d}.png": b"p" for i in range(count)})})
-        bundle = expand(scan_corpus(tmp_path).bundles[0])
+        bundle = scan(tmp_path).bundles[0]
         if not extra:
             assert len(bundle.documents) == count and bundle.unsupported == []
             return
@@ -261,28 +272,17 @@ class TestExpandArchives:
         assert (notice.path, notice.reason) == ("app_a/fotos.zip", "too_many_members")
         assert notice.message == f"fotos.zip lists {count} entries, above the 256 cap"
 
-    def test_input_bundle_is_left_unchanged(self, tmp_path, expand):
-        write_app(tmp_path, "app_a", {
-            "notes.docx": b"n", "fotos.zip": zip_bytes({"foto1.png": b"a", "doc.docx": b"d"})})
-        bundle = scan_corpus(tmp_path).bundles[0]
-        documents, unsupported = list(bundle.documents), list(bundle.unsupported)
-        expanded = expand(bundle)
-        assert [d.kind for d in bundle.documents] == [FileKind.ZIP]
-        assert bundle.documents == documents and bundle.unsupported == unsupported
-        assert [d.kind for d in expanded.documents] == [FileKind.PNG]
-        assert len(expanded.unsupported) == 2
-
-    def test_sidecars_read_in_place_but_not_listed(self, tmp_path, expand):
+    def test_sidecars_read_in_place_but_not_listed(self, tmp_path, scan):
         payload = zip_bytes({"fatura.pdf": b"x", "fatura.pdf.fields.json": b'{"n": 1}'})
         write_app(tmp_path, "app_a", {"docs.zip": payload})
         before = sorted(tmp_path.rglob("*"))
-        bundle = expand(scan_corpus(tmp_path).bundles[0])
+        bundle = scan(tmp_path).bundles[0]
         assert sorted(tmp_path.rglob("*")) == before
         assert [d.name for d in bundle.documents] == ["fatura.pdf"]
         assert bundle.documents[0].read_bytes() == b"x"
         assert load_sidecar(bundle.documents[0]) == {"n": 1}
 
-    def test_members_sharing_a_base_name_stay_apart(self, tmp_path, expand):
+    def test_members_sharing_a_base_name_stay_apart(self, tmp_path, scan):
         invoices = zip_bytes({
             "obra1/fatura.pdf": b"first", "obra1/fatura.pdf.fields.json": b'{"n": 1}',
             "obra2/fatura.pdf": b"second", "obra2/fatura.pdf.fields.json": b'{"n": 2}',
@@ -294,7 +294,7 @@ class TestExpandArchives:
             "b/docs.zip": zip_bytes({"foto.png": b"b"}),
         })
         before = sorted(tmp_path.rglob("*"))
-        bundle = expand(scan_corpus(tmp_path).bundles[0])
+        bundle = scan(tmp_path).bundles[0]
         assert sorted(tmp_path.rglob("*")) == before
         assert [d.display_path for d in bundle.documents] == [
             "app_a/a/docs.zip!foto.png",
@@ -324,11 +324,11 @@ class TestExpandArchives:
                                                                   opened_archives):
         app_dir = self.write_three_archives(tmp_path)
         schema = ExtractionSchema(DocumentSlot.OTHER, (TagSpec("n", ValueType.NUMBER),))
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        bundle = scan_corpus(tmp_path).bundles[0]
         with bundle.archives:
             answers = [MockBackend().fetch(d, schema).fields["n"] for d in bundle.documents]
         assert answers == ["None", "1", "2", "3", "None"]
-        # expansion opens each archive, and every later read goes through that handle
+        # the scan opens each archive, and every later read goes through that handle
         assert [Path(a.filename).relative_to(app_dir) for a in opened_archives] == [
             Path("a/docs.zip"), Path("anexos.zip"), Path("b/docs.zip")]
         assert all(archive.fp is None for archive in opened_archives)
@@ -337,7 +337,7 @@ class TestExpandArchives:
                                                                     opened_archives):
         app_dir = self.write_three_archives(tmp_path)
         schema = ExtractionSchema(DocumentSlot.OTHER, (TagSpec("n", ValueType.NUMBER),))
-        bundle = expand_archives(scan_corpus(tmp_path).bundles[0])
+        bundle = scan_corpus(tmp_path).bundles[0]
         with FixtureStubServer(tmp_path) as stub, bundle.archives, \
                 closing(RemoteBackend(RemoteConfig(endpoint=stub.url))) as remote:
             for doc in bundle.documents:
@@ -431,13 +431,18 @@ class TestTypologyId:
             TypologyId.parse("2.9")
 
 
-def test_scan_expand_and_map_end_to_end(tmp_path, expand):
+def test_scan_expand_and_map_end_to_end(tmp_path, scan):
     write_app(tmp_path, "app_a", {
         "fatura.pdf": b"x",
         "fotos.zip": zip_bytes({"foto1.png": b"a", "leia-me.txt": b"b"}),
+        "notas.docx": b"n",
+        "recibo.pdf": b"r",
     })
-    bundle = map_documents(expand(scan_corpus(tmp_path).bundles[0]))
+    bundle = map_documents(scan(tmp_path).bundles[0])
     assert isinstance(bundle, ApplicationBundle)
-    slots = sorted(d.slot.value for d in bundle.documents)
-    assert slots == ["invoice", "photo"]
-    assert [n.reason for n in bundle.unsupported] == ["unsupported_extension"]
+    # members take their archive's place; its notices follow the loose files'
+    assert [(d.display_path, d.slot.value) for d in bundle.documents] == [
+        ("app_a/fatura.pdf", "invoice"), ("app_a/fotos.zip!foto1.png", "photo"),
+        ("app_a/recibo.pdf", "receipt")]
+    assert [n.path for n in bundle.unsupported] == [
+        "app_a/notas.docx", "app_a/fotos.zip!leia-me.txt"]

@@ -1,7 +1,9 @@
+import base64
 import gc
 import html
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -22,7 +24,7 @@ from claimcheck.gencorpus import GenOptions, write_corpus
 from claimcheck.pipeline import ConfigError, RunConfig, verify_corpus
 from claimcheck.report import canonical_json_bytes, render_html, report_dict
 from claimcheck.rules import CheckStatus
-from claimcheck.stubserver import FixtureStubServer
+from claimcheck.stubserver import FixtureStubServer, embedded_relpath
 
 
 def zip_app_photos(app_dir: Path) -> None:
@@ -1040,3 +1042,95 @@ def test_a_malformed_value_sends_only_the_checks_that_read_it_to_a_human(
     readers = {check for check, (_, sources) in clean.items() if source in sources}
     assert moved and moved <= readers
     assert {malformed[check][0] for check in readers} == {CheckStatus.MANUAL_CHECK.value}
+
+
+class _ReplyStub(FixtureStubServer):
+    """Fixture stub whose reply for the document at ``relpath`` carries
+    ``meta`` in place of its sidecar's cost and time."""
+
+    def __init__(self, corpus_root: Path, relpath: str, meta: dict):
+        super().__init__(corpus_root)
+        self.relpath, self.meta = relpath, meta
+
+    def _answer(self, request: dict) -> dict:
+        answer = super()._answer(request)
+        if embedded_relpath(base64.b64decode(request["content_b64"])) == self.relpath:
+            answer.update(self.meta)  # json.dumps writes a NaN or infinity as a bare token
+        return answer
+
+
+def strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("backend, name, bad", [
+    ("mock", "cost_eur", "abc"), ("mock", "cost_eur", math.nan), ("mock", "cost_eur", -5),
+    ("mock", "cost_eur", [1]), ("mock", "elapsed_ms", math.inf), ("mock", "elapsed_ms", "1.5"),
+    ("remote", "cost_eur", math.nan), ("remote", "cost_eur", -5), ("remote", "cost_eur", 1e308),
+    ("remote", "elapsed_ms", math.inf), ("remote", "elapsed_ms", -1),
+    ("remote", "elapsed_ms", 1e12),
+])
+def test_a_bad_cost_or_time_makes_only_its_document_unreadable(tmp_path, backend, name, bad):
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, GenOptions(n_apps=2, consistency=0.76, seed=5))
+    victim, other = sorted(p.name for p in corpus.iterdir() if p.is_dir())
+    relpath = f"{victim}/fatura.pdf"
+
+    def run(run_name: str, meta: dict) -> Path:
+        out = tmp_path / run_name
+        args = ["verify", "--corpus", str(corpus), "--out", str(out), "--parallelism", "1"]
+        if backend == "mock":
+            sidecar = corpus / (relpath + ".fields.json")
+            fields = json.loads(sidecar.read_text(encoding="utf-8"))
+            fields["__meta__"].update(meta)
+            sidecar.write_text(json.dumps(fields), encoding="utf-8")
+            assert main(args) == 0
+        else:
+            with _ReplyStub(corpus, relpath, meta) as stub:
+                assert main([*args, "--backend", "remote", "--endpoint", stub.url]) == 0
+        return out
+
+    clean, bad_run = run("clean", {}), run("bad", {name: bad})
+    for path in bad_run.rglob("*.json"):
+        strict_json(path.read_text(encoding="utf-8"))
+    assert output_tree(clean / other) == output_tree(bad_run / other)
+    # the document is read as one whose extraction failed ...
+    before, after = app_metas(clean, victim), app_metas(bad_run, victim)
+    moved = [(b, a) for b, a in zip(before, after) if b != a]
+    assert [(b["path"], a["cost_eur"], a["elapsed_ms"]) for b, a in moved] == [(relpath, 0.0, 0)]
+    # ... so only the values read from it became unreadable (backend_error)
+    unreadable = 0
+    for report in ("eligibility.json", "common_core.json", "typology.json"):
+        outcomes = [json.loads((out / victim / report).read_text())["outcomes"]
+                    for out in (clean, bad_run)]
+        for was, now in zip(*outcomes):
+            sides = [side for side in ("lhs", "rhs") if was[side] != now[side]]
+            if not sides:
+                assert was == now
+            for side in sides:
+                assert now[side]["source"].endswith("(fatura.pdf)")
+                assert (now[side]["state"], now[side]["detail"]) == (
+                    "unreadable", "unreadable value (backend_error)")
+                unreadable += 1
+    assert unreadable
+
+
+def test_a_form_above_the_size_cap_fails_its_application(tmp_path):
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, GenOptions(n_apps=2, consistency=0.76, seed=5))
+    victim, other = sorted(p.name for p in corpus.iterdir() if p.is_dir())
+    form = corpus / victim / "form.xml"
+    # still well-formed: the padding is a comment
+    form.write_text(form.read_text(encoding="utf-8") + f"<!-- {'x' * 2_000_000} -->\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["verify", "--corpus", str(corpus), "--out", str(out),
+                 "--max-file-mb", "1"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"] == [
+        {"app_id": victim, "path": victim, "reason": "form.xml is above the 1 MB cap"}]
+    assert manifest["files"]["failed"] == ingest.list_files(corpus / victim)
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [other]
