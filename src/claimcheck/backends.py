@@ -65,28 +65,41 @@ def _corrupt_digit(value: str) -> str:
     return value + "X"
 
 
-def interpret_sidecar(sidecar: dict, schema: ExtractionSchema) -> BackendResponse:
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _checked(value: object, kind: type, what: str):
+    """``value`` if it is a ``kind``; otherwise a BackendError naming
+    ``what``, so only that document's tags become unreadable."""
+    if not isinstance(value, kind):
+        raise BackendError(f"{what} is a {type(value).__name__}, not {_JSON_TYPES[kind]}")
+    return value
+
+
+def interpret_sidecar(sidecar: object, schema: ExtractionSchema) -> BackendResponse:
     """Resolve a sidecar dict to a response, applying any fault entries.
 
     Fault modes: ``drop`` removes a tag from the response, ``corrupt``
-    alters one digit of its value, ``fail`` aborts the whole call.
+    alters one digit of a present value, ``fail`` aborts the whole call. A
+    sidecar, ``__faults__`` list, fault entry, fault tag or ``__meta__``
+    of another JSON type is a BackendError.
     """
+    sidecar = _checked(sidecar, dict, "sidecar")
     fields = {name: NONE_SENTINEL if (raw := sidecar.get(name)) is None else str(raw)
               for name in schema.tag_names()}
-    for fault in sidecar.get("__faults__", []):
-        mode = fault.get("mode")
-        tag = fault.get("tag")
+    for fault in _checked(sidecar.get("__faults__", []), list, "sidecar __faults__"):
+        mode = _checked(fault, dict, "sidecar fault").get("mode")
         if mode == "fail":
             raise BackendError("injected backend failure")
+        tag = _checked(fault.get("tag", ""), str, "sidecar fault tag")
         if tag not in fields:
             continue
         if mode == "drop":
             del fields[tag]
-        elif mode == "corrupt":
+        elif mode == "corrupt" and fields[tag] != NONE_SENTINEL:
+            # an absent tag has no value to misread: it stays absent
             fields[tag] = _corrupt_digit(fields[tag])
-    meta = sidecar.get("__meta__", {})
-    if not isinstance(meta, dict):
-        raise BackendError(f"sidecar __meta__ is a {type(meta).__name__}, not an object")
+    meta = _checked(sidecar.get("__meta__", {}), dict, "sidecar __meta__")
     return BackendResponse(fields, *response_meta(meta.get("cost_eur", 0.0),
                                                   meta.get("elapsed_ms", 0)))
 

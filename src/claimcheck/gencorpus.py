@@ -20,10 +20,11 @@ import random
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .backends import DOC_MARKER, MockBackend
 from .catalog import Catalog, load_catalog_file
-from .extract import ExtractedDocument, extract, schema_for
+from .extract import NONE_SENTINEL, ExtractedDocument, ValueType, extract, schema_for
 from .ingest import (
     DEFAULT_MAX_FILE_MB,
     SIDECAR_SUFFIX,
@@ -36,6 +37,7 @@ from .ingest import (
     infer_slot,
     parse_form_xml,
 )
+from .metrics import DEFAULT_BUCKET, slot_bucket
 from .normalize import Money, format_money
 
 PROGRAM_START = dt.date(2022, 5, 1)
@@ -46,16 +48,16 @@ PROGRAM_START = dt.date(2022, 5, 1)
 # rescaled to fill the rest.
 DEFAULT_TYPOLOGY_MIX = {1: 22.93, 2: 1.14, 3: 48.06, 4: 27.44, 5: 0.43}
 
-# Per-application extraction accounting pinned per typology:
-# (cost in euro cents, elapsed seconds) attributed to the typology
-# report; eligibility and common-core attributions are shared.
+# Per-application extraction accounting pinned per report bucket
+# (metrics.slot_bucket): (cost in euro cents, elapsed seconds), spread
+# over the bucket's documents. The typology bucket's pair depends on the
+# typology; the eligibility and common-core pairs are shared.
 TYPOLOGY_COSTS = {
     "1": (5, 37), "2.1.1": (6, 61), "2.1.2": (2, 34), "2.2.1": (2, 24),
     "2.2.2": (9, 108), "3.1": (2, 41), "3.2": (10, 87), "3.3": (9, 23),
     "4": (4, 39), "5.1": (3, 25), "5.2": (21, 173),
 }
-ELIGIBILITY_COST = (1, 13)
-COMMON_COST = (2, 29)
+BUCKET_COSTS = {"eligibility": (1, 13), "common_core": (2, 29)}
 
 INTERVENTION_LABELS = {
     1: "substituicao de janelas",
@@ -147,6 +149,9 @@ class AppWorld:
                 return spec
         raise KeyError(slot)
 
+    def tags(self, slot: str) -> dict[str, object]:
+        return self.doc(slot).tags
+
 
 def make_tax_id(rng: random.Random, avoid: set[str] = frozenset()) -> str:
     while True:
@@ -162,75 +167,168 @@ def make_tax_id(rng: random.Random, avoid: set[str] = frozenset()) -> str:
 
 @dataclass(frozen=True)
 class FaultUnit:
-    """One targeted inconsistency: fires as a whole, flips exactly
-    ``checks`` (intersected with the typology's applicable set)."""
+    """One targeted inconsistency: ``edit(world, alts)`` rewrites one or
+    two values of a baseline world, so that the unit fires as a whole and
+    flips exactly ``checks`` (intersected with the typology's applicable
+    set)."""
 
     name: str
     checks: tuple[str, ...]
+    edit: Callable[[AppWorld, dict], None]
     conflicts: tuple[str, ...] = ()
 
 
+def _sentinel_dates_old(world: AppWorld, alts: dict) -> None:
+    world.tags("invoice")["invoice_date"] = PROGRAM_START - dt.timedelta(days=40)
+    world.tags("receipt")["receipt_date"] = PROGRAM_START - dt.timedelta(days=20)
+
+
+def _battery_high(world: AppWorld, alts: dict) -> None:
+    boosted = round(1.45 * world.form["declared_battery_power"])
+    world.form["declared_battery_power"] = boosted
+    world.tags("equipment_datasheet")["battery_power"] = boosted
+
+
+def _seller_is_owner(world: AppWorld, alts: dict) -> None:
+    world.tags("invoice")["seller_tax_id"] = world.form["applicant_tax_id"]
+    world.form["company_tax_id"] = world.form["applicant_tax_id"]
+
+
 FAULT_UNITS: tuple[FaultUnit, ...] = (
-    FaultUnit("owner_name_alt", ("elig.owner_is_applicant",)),
-    FaultUnit("intervention_label_alt", ("elig.expense_matches_intervention",)),
-    FaultUnit("panels_missing", ("elig.panels_in_invoice", "typ.panel_model_matches")),
-    FaultUnit("inverters_missing", ("elig.inverters_in_invoice", "typ.inverter_model_matches")),
-    FaultUnit("batteries_missing", ("elig.batteries_in_invoice", "typ.battery_model_matches")),
-    FaultUnit("equipment_type_alt", ("elig.equipment_type_matches",)),
-    FaultUnit("registry_date_old", ("elig.registry_issue_date_valid",)),
-    FaultUnit("certificate_missing", ("elig.certificate_required_above_5000",)),
-    FaultUnit("form_address_alt", ("elig.address_matches_registry",)),
-    FaultUnit("building_use_alt", ("elig.building_use_eligible",)),
-    FaultUnit("property_type_alt", ("elig.property_type_eligible", "common.property_type_matches")),
+    FaultUnit("owner_name_alt", ("elig.owner_is_applicant",),
+              lambda world, alts: world.tags("property_registry").update(
+                  owner_name=alts["name"])),
+    FaultUnit("intervention_label_alt", ("elig.expense_matches_intervention",),
+              lambda world, alts: world.tags("invoice").update(intervention_type=alts["label"])),
+    FaultUnit("panels_missing", ("elig.panels_in_invoice", "typ.panel_model_matches"),
+              lambda world, alts: world.tags("invoice").update(panel_model=None)),
+    FaultUnit("inverters_missing", ("elig.inverters_in_invoice", "typ.inverter_model_matches"),
+              lambda world, alts: world.tags("invoice").update(inverter_model=None)),
+    FaultUnit("batteries_missing", ("elig.batteries_in_invoice", "typ.battery_model_matches"),
+              lambda world, alts: world.tags("invoice").update(battery_model=None)),
+    FaultUnit("equipment_type_alt", ("elig.equipment_type_matches",),
+              lambda world, alts: world.tags("equipment_datasheet").update(
+                  equipment_type=alts["label"])),
+    FaultUnit("registry_date_old", ("elig.registry_issue_date_valid",),
+              lambda world, alts: world.tags("property_registry").update(
+                  issue_date=PROGRAM_START - dt.timedelta(days=45))),
+    FaultUnit("certificate_missing", ("elig.certificate_required_above_5000",),
+              lambda world, alts: world.tags("energy_certificate").update(
+                  certificate_number=None)),
+    FaultUnit("form_address_alt", ("elig.address_matches_registry",),
+              lambda world, alts: world.form.update(property_address=alts["address"])),
+    FaultUnit("building_use_alt", ("elig.building_use_eligible",),
+              lambda world, alts: world.tags("property_registry").update(building_use="comercio")),
+    FaultUnit("property_type_alt", ("elig.property_type_eligible", "common.property_type_matches"),
+              lambda world, alts: world.tags("property_registry").update(property_type="rustico")),
     FaultUnit("sentinel_dates_old",
               ("elig.invoice_date_not_before_program", "elig.receipt_date_not_before_program"),
+              _sentinel_dates_old,
               conflicts=("receipt_before_invoice", "receipt_after_submission")),
     FaultUnit("receipt_before_invoice", ("common.receipt_after_invoice",),
+              lambda world, alts: world.tags("receipt").update(
+                  receipt_date=world.tags("invoice")["invoice_date"] - dt.timedelta(days=10)),
               conflicts=("sentinel_dates_old", "receipt_after_submission")),
     FaultUnit("receipt_after_submission", ("common.receipt_before_submission",),
+              lambda world, alts: world.tags("receipt").update(
+                  receipt_date=world.form["submission_date"] + dt.timedelta(days=7)),
               conflicts=("sentinel_dates_old", "receipt_before_invoice")),
-    FaultUnit("classe_plus_missing", ("elig.windows_class_registry_valid",)),
-    FaultUnit("windows_class_low", ("elig.windows_class_a_plus",)),
+    FaultUnit("classe_plus_missing", ("elig.windows_class_registry_valid",),
+              lambda world, alts: world.tags("equipment_datasheet").update(classe_plus_id=None)),
+    FaultUnit("windows_class_low", ("elig.windows_class_a_plus",),
+              lambda world, alts: world.tags("equipment_datasheet").update(equipment_class="B")),
     FaultUnit("battery_low", ("elig.battery_power_min", "typ.battery_power_matches"),
+              lambda world, alts: world.form.update(
+                  declared_battery_power=round(0.6 * world.form["declared_battery_power"])),
               conflicts=("battery_high",)),
     FaultUnit("battery_high", ("elig.battery_power_max", "typ.battery_power_recommended_range"),
+              _battery_high,
               conflicts=("battery_low", "generator_power_off")),
-    FaultUnit("equipment_class_low", ("elig.equipment_class_eligible",)),
-    FaultUnit("multiple_owners", ("elig.single_owner",)),
-    FaultUnit("seller_is_owner", ("elig.no_owner_seller_conflict",)),
-    FaultUnit("buyer_tax_alt", ("elig.invoice_issued_to_applicant", "common.tax_id_matches_invoice")),
-    FaultUnit("mcp_missing", ("common.prior_communication_present",)),
-    FaultUnit("buyer_name_alt", ("common.name_matches_invoice",)),
-    FaultUnit("registry_owner_tax_alt", ("common.tax_id_matches_registry",)),
-    FaultUnit("pc_tax_alt", ("common.tax_id_matches_prior_comm",)),
-    FaultUnit("form_article_alt", ("common.property_article_matches",)),
-    FaultUnit("form_area_alt", ("common.gross_area_matches",)),
-    FaultUnit("license_year_recent", ("common.license_year_valid",)),
+    FaultUnit("equipment_class_low", ("elig.equipment_class_eligible",),
+              lambda world, alts: world.tags("equipment_datasheet").update(equipment_class="B")),
+    FaultUnit("multiple_owners", ("elig.single_owner",),
+              lambda world, alts: world.tags("property_registry").update(owners_count=2)),
+    FaultUnit("seller_is_owner", ("elig.no_owner_seller_conflict",), _seller_is_owner),
+    FaultUnit("buyer_tax_alt", ("elig.invoice_issued_to_applicant", "common.tax_id_matches_invoice"),
+              lambda world, alts: world.tags("invoice").update(buyer_tax_id=alts["tax"][0])),
+    FaultUnit("mcp_missing", ("common.prior_communication_present",),
+              lambda world, alts: world.tags("prior_communication").update(mcp_type=None)),
+    FaultUnit("buyer_name_alt", ("common.name_matches_invoice",),
+              lambda world, alts: world.tags("invoice").update(buyer_name=alts["name2"])),
+    FaultUnit("registry_owner_tax_alt", ("common.tax_id_matches_registry",),
+              lambda world, alts: world.tags("property_registry").update(
+                  owner_tax_id=alts["tax"][1])),
+    FaultUnit("pc_tax_alt", ("common.tax_id_matches_prior_comm",),
+              lambda world, alts: world.tags("prior_communication").update(
+                  NIF_NIPC_mcp=alts["tax"][2])),
+    FaultUnit("form_article_alt", ("common.property_article_matches",),
+              lambda world, alts: world.form.update(
+                  property_article=str(int(world.form["property_article"]) + 7))),
+    FaultUnit("form_area_alt", ("common.gross_area_matches",),
+              lambda world, alts: world.form.update(gross_area=world.form["gross_area"] + 25)),
+    FaultUnit("license_year_recent", ("common.license_year_valid",),
+              lambda world, alts: world.form.update(habitation_license_year=2023)),
     FaultUnit("invoice_address_alt",
-              ("common.invoice_address_matches_registry", "common.invoice_address_matches_prior_comm")),
-    FaultUnit("form_invoice_number_alt", ("common.invoice_number_matches",)),
-    FaultUnit("receipt_number_missing", ("common.receipt_number_found",)),
-    FaultUnit("form_value_off", ("common.declared_expense_matches_invoice",)),
-    FaultUnit("receipt_amount_off", ("common.invoice_receipt_amounts_match",)),
-    FaultUnit("company_tax_alt", ("common.company_tax_id_matches_invoice",)),
-    FaultUnit("energy_source_alt", ("typ.energy_source_matches",)),
-    FaultUnit("inverter_power_off", ("typ.inverter_power_matches",)),
+              ("common.invoice_address_matches_registry", "common.invoice_address_matches_prior_comm"),
+              lambda world, alts: world.tags("invoice").update(buyer_address=alts["address2"])),
+    FaultUnit("form_invoice_number_alt", ("common.invoice_number_matches",),
+              lambda world, alts: world.form.update(
+                  invoice_number=world.form["invoice_number"] + "9")),
+    FaultUnit("receipt_number_missing", ("common.receipt_number_found",),
+              lambda world, alts: world.tags("receipt").update(receipt_number=None)),
+    FaultUnit("form_value_off", ("common.declared_expense_matches_invoice",),
+              lambda world, alts: world.form.update(
+                  invoice_value=Money(world.form["invoice_value"].amount_cents + 1234))),
+    FaultUnit("receipt_amount_off", ("common.invoice_receipt_amounts_match",),
+              lambda world, alts: world.tags("receipt").update(
+                  amount=Money(world.tags("receipt")["amount"].amount_cents + 777))),
+    FaultUnit("company_tax_alt", ("common.company_tax_id_matches_invoice",),
+              lambda world, alts: world.form.update(company_tax_id=alts["tax"][3])),
+    FaultUnit("energy_source_alt", ("typ.energy_source_matches",),
+              lambda world, alts: world.tags("prior_communication").update(
+                  energy_source_mcp="eolica")),
+    FaultUnit("inverter_power_off", ("typ.inverter_power_matches",),
+              lambda world, alts: world.form.update(
+                  declared_inverter_power=round(1.2 * world.form["declared_inverter_power"]))),
     FaultUnit("generator_power_off", ("typ.generator_power_matches",),
+              lambda world, alts: world.form.update(
+                  declared_peak_power=round(1.15 * world.form["declared_peak_power"])),
               conflicts=("battery_high",)),
-    FaultUnit("pc_start_old", ("typ.prior_comm_start_date",)),
+    FaultUnit("pc_start_old", ("typ.prior_comm_start_date",),
+              lambda world, alts: world.tags("prior_communication").update(
+                  date_start_mcp=PROGRAM_START - dt.timedelta(days=30))),
     FaultUnit("pc_submission_late",
               ("typ.prior_comm_submitted_before_application",
-               "typ.exemption_submitted_before_application")),
-    FaultUnit("panel_count_off", ("typ.panel_count_matches",)),
-    FaultUnit("ce_panels_no", ("typ.panels_ce_marked",)),
-    FaultUnit("ce_inverters_no", ("typ.inverters_ce_marked",)),
-    FaultUnit("battery_count_off", ("typ.battery_count_matches",)),
-    FaultUnit("ce_batteries_no", ("typ.batteries_ce_marked",)),
-    FaultUnit("windows_details_alt", ("typ.windows_details_match",)),
-    FaultUnit("equipment_model_alt", ("typ.equipment_model_matches",)),
-    FaultUnit("unit_count_off", ("typ.unit_count_matches",)),
-    FaultUnit("equipment_power_off", ("typ.equipment_power_matches",)),
-    FaultUnit("equipment_ce_missing", ("typ.equipment_ce_marked",)),
+               "typ.exemption_submitted_before_application"),
+              lambda world, alts: world.tags("prior_communication").update(
+                  date_submission_mcp=world.form["submission_date"] + dt.timedelta(days=5))),
+    FaultUnit("panel_count_off", ("typ.panel_count_matches",),
+              lambda world, alts: world.tags("invoice").update(
+                  panel_count=world.tags("invoice")["panel_count"] + 2)),
+    FaultUnit("ce_panels_no", ("typ.panels_ce_marked",),
+              lambda world, alts: world.tags("equipment_datasheet").update(ce_mark_panels="no")),
+    FaultUnit("ce_inverters_no", ("typ.inverters_ce_marked",),
+              lambda world, alts: world.tags("equipment_datasheet").update(
+                  ce_mark_inverters="no")),
+    FaultUnit("battery_count_off", ("typ.battery_count_matches",),
+              lambda world, alts: world.tags("invoice").update(
+                  battery_count=world.tags("invoice")["battery_count"] + 1)),
+    FaultUnit("ce_batteries_no", ("typ.batteries_ce_marked",),
+              lambda world, alts: world.tags("equipment_datasheet").update(
+                  ce_mark_batteries="no")),
+    FaultUnit("windows_details_alt", ("typ.windows_details_match",),
+              lambda world, alts: world.form.update(windows_details=alts["windows_details"])),
+    FaultUnit("equipment_model_alt", ("typ.equipment_model_matches",),
+              lambda world, alts: world.tags("invoice").update(equipment_model=alts["model"])),
+    FaultUnit("unit_count_off", ("typ.unit_count_matches",),
+              lambda world, alts: world.tags("invoice").update(
+                  unit_count=world.tags("invoice")["unit_count"] + 1)),
+    FaultUnit("equipment_power_off", ("typ.equipment_power_matches",),
+              lambda world, alts: world.form.update(
+                  declared_equipment_power=round(1.25 * world.form["declared_equipment_power"]))),
+    FaultUnit("equipment_ce_missing", ("typ.equipment_ce_marked",),
+              lambda world, alts: world.tags("equipment_datasheet").update(
+                  ce_mark_equipment="no")),
 )
 
 # Application order matters for units touching the same value; keep the
@@ -243,6 +341,13 @@ def _distribute(total: int, n: int) -> list[int]:
         return []
     share, extra = divmod(total, n)
     return [share + (1 if i < extra else 0) for i in range(n)]
+
+
+def _schema_tags(slot: str, typology: TypologyId,
+                 values: dict[str, object]) -> dict[str, object]:
+    """Every tag the slot's extraction schema asks for, in schema order:
+    its value in ``values``, or None (absent) where ``values`` gives none."""
+    return {**dict.fromkeys(schema_for(slot, typology).tag_names()), **values}
 
 
 def _build_baseline(app_id: str, typology: TypologyId, rng: random.Random,
@@ -295,7 +400,7 @@ def _build_baseline(app_id: str, typology: TypologyId, rng: random.Random,
     }
 
     seller = _COMPANIES[rng.randrange(len(_COMPANIES))]
-    invoice_tags: dict[str, object] = {
+    invoice_tags = _schema_tags("invoice", typology, {
         "invoice_number": invoice_number,
         "invoice_date": invoice_date,
         "total_value": invoice_value,
@@ -306,21 +411,14 @@ def _build_baseline(app_id: str, typology: TypologyId, rng: random.Random,
         "buyer_address": address,
         "line_items_text": f"{label} - fornecimento e instalacao",
         "intervention_type": label,
-        "equipment_model": None,
-        "unit_count": None,
-        "panel_model": None,
-        "panel_count": None,
-        "inverter_model": None,
-        "battery_model": None,
-        "battery_count": None,
-    }
-    receipt_tags: dict[str, object] = {
+    })
+    receipt_tags = _schema_tags("receipt", typology, {
         "receipt_number": f"RC {receipt_date.year}/{rng.randrange(100, 9999)}",
         "receipt_date": receipt_date,
         "amount": invoice_value,
         "payer_tax_id": applicant_tax,
-    }
-    registry_tags: dict[str, object] = {
+    })
+    registry_tags = _schema_tags("property_registry", typology, {
         "owner_name": applicant,
         "owner_tax_id": applicant_tax,
         "property_address": address,
@@ -330,28 +428,13 @@ def _build_baseline(app_id: str, typology: TypologyId, rng: random.Random,
         "property_type": "urbano",
         "building_use": "habitacao",
         "owners_count": 1,
-    }
-    certificate_tags: dict[str, object] = {
+    })
+    certificate_tags = _schema_tags("energy_certificate", typology, {
         "certificate_number": f"CE-{rng.randrange(10000, 99999)}",
         "energy_class": "A+",
         "issue_date": PROGRAM_START + dt.timedelta(days=rng.randrange(0, 200)),
-    }
-    datasheet_tags: dict[str, object] = {
-        "equipment_type": label,
-        "equipment_model": None,
-        "equipment_class": None,
-        "nominal_power": None,
-        "classe_plus_id": None,
-        "windows_details": None,
-        "panel_model": None,
-        "inverter_model": None,
-        "battery_model": None,
-        "battery_power": None,
-        "ce_mark_panels": None,
-        "ce_mark_inverters": None,
-        "ce_mark_batteries": None,
-        "ce_mark_equipment": None,
-    }
+    })
+    datasheet_tags = _schema_tags("equipment_datasheet", typology, {"equipment_type": label})
 
     docs = [
         DocSpec("invoice", "fatura.pdf", invoice_tags),
@@ -394,7 +477,7 @@ def _build_baseline(app_id: str, typology: TypologyId, rng: random.Random,
             "ce_mark_inverters": "yes",
             "ce_mark_batteries": "yes",
         })
-        mcp_tags: dict[str, object] = {
+        mcp_tags = _schema_tags("prior_communication", typology, {
             "mcp_type": rng.choice(("1", "2", "3", "5")),
             "ID_energy_producer": f"EP-{rng.randrange(10000, 99999)}",
             "NIF_NIPC_mcp": applicant_tax,
@@ -404,7 +487,7 @@ def _build_baseline(app_id: str, typology: TypologyId, rng: random.Random,
             "nominal_power_mcp": inverter,
             "date_start_mcp": PROGRAM_START + dt.timedelta(days=rng.randrange(0, 100)),
             "date_submission_mcp": submission - dt.timedelta(days=rng.randrange(10, 60)),
-        }
+        })
         docs.append(DocSpec("prior_communication", "mcp_dgeg.pdf", mcp_tags))
     else:
         models = _EQUIPMENT_MODELS[major]
@@ -441,131 +524,16 @@ def _build_baseline(app_id: str, typology: TypologyId, rng: random.Random,
 
 
 def _allocate_costs(docs: list[DocSpec], typology_id: str) -> None:
-    elig_docs = [d for d in docs if d.slot in ("property_registry", "energy_certificate")]
-    common_docs = [d for d in docs if d.slot in ("invoice", "receipt")]
-    typ_docs = [d for d in docs if d not in elig_docs and d not in common_docs]
-    for group, (cost_cents, seconds) in (
-        (elig_docs, ELIGIBILITY_COST),
-        (common_docs, COMMON_COST),
-        (typ_docs, TYPOLOGY_COSTS[typology_id]),
-    ):
+    costs = {**BUCKET_COSTS, DEFAULT_BUCKET: TYPOLOGY_COSTS[typology_id]}
+    groups: dict[str, list[DocSpec]] = {bucket: [] for bucket in costs}
+    for doc in docs:
+        groups[slot_bucket(doc.slot)].append(doc)
+    for bucket, (cost_cents, seconds) in costs.items():
+        group = groups[bucket]
         for doc, cents in zip(group, _distribute(cost_cents, len(group))):
             doc.cost_cents = cents
         for doc, ms in zip(group, _distribute(seconds * 1000, len(group))):
             doc.elapsed_ms = ms
-
-
-def _apply_fault(name: str, world: AppWorld, alts: dict) -> None:
-    form = world.form
-    invoice = world.doc("invoice").tags
-    receipt = world.doc("receipt").tags
-    registry = world.doc("property_registry").tags
-    if name == "owner_name_alt":
-        registry["owner_name"] = alts["name"]
-    elif name == "intervention_label_alt":
-        invoice["intervention_type"] = alts["label"]
-    elif name == "panels_missing":
-        invoice["panel_model"] = None
-    elif name == "inverters_missing":
-        invoice["inverter_model"] = None
-    elif name == "batteries_missing":
-        invoice["battery_model"] = None
-    elif name == "equipment_type_alt":
-        world.doc("equipment_datasheet").tags["equipment_type"] = alts["label"]
-    elif name == "registry_date_old":
-        registry["issue_date"] = PROGRAM_START - dt.timedelta(days=45)
-    elif name == "certificate_missing":
-        world.doc("energy_certificate").tags["certificate_number"] = None
-    elif name == "form_address_alt":
-        form["property_address"] = alts["address"]
-    elif name == "building_use_alt":
-        registry["building_use"] = "comercio"
-    elif name == "property_type_alt":
-        registry["property_type"] = "rustico"
-    elif name == "sentinel_dates_old":
-        invoice["invoice_date"] = PROGRAM_START - dt.timedelta(days=40)
-        receipt["receipt_date"] = PROGRAM_START - dt.timedelta(days=20)
-    elif name == "receipt_before_invoice":
-        receipt["receipt_date"] = invoice["invoice_date"] - dt.timedelta(days=10)
-    elif name == "receipt_after_submission":
-        receipt["receipt_date"] = form["submission_date"] + dt.timedelta(days=7)
-    elif name == "classe_plus_missing":
-        world.doc("equipment_datasheet").tags["classe_plus_id"] = None
-    elif name in ("windows_class_low", "equipment_class_low"):
-        world.doc("equipment_datasheet").tags["equipment_class"] = "B"
-    elif name == "battery_low":
-        form["declared_battery_power"] = round(0.6 * form["declared_battery_power"])
-    elif name == "battery_high":
-        boosted = round(1.45 * form["declared_battery_power"])
-        form["declared_battery_power"] = boosted
-        world.doc("equipment_datasheet").tags["battery_power"] = boosted
-    elif name == "multiple_owners":
-        registry["owners_count"] = 2
-    elif name == "seller_is_owner":
-        invoice["seller_tax_id"] = form["applicant_tax_id"]
-        form["company_tax_id"] = form["applicant_tax_id"]
-    elif name == "buyer_tax_alt":
-        invoice["buyer_tax_id"] = alts["tax"][0]
-    elif name == "mcp_missing":
-        world.doc("prior_communication").tags["mcp_type"] = None
-    elif name == "buyer_name_alt":
-        invoice["buyer_name"] = alts["name2"]
-    elif name == "registry_owner_tax_alt":
-        registry["owner_tax_id"] = alts["tax"][1]
-    elif name == "pc_tax_alt":
-        world.doc("prior_communication").tags["NIF_NIPC_mcp"] = alts["tax"][2]
-    elif name == "form_article_alt":
-        form["property_article"] = str(int(form["property_article"]) + 7)
-    elif name == "form_area_alt":
-        form["gross_area"] = form["gross_area"] + 25
-    elif name == "license_year_recent":
-        form["habitation_license_year"] = 2023
-    elif name == "invoice_address_alt":
-        invoice["buyer_address"] = alts["address2"]
-    elif name == "form_invoice_number_alt":
-        form["invoice_number"] = form["invoice_number"] + "9"
-    elif name == "receipt_number_missing":
-        receipt["receipt_number"] = None
-    elif name == "form_value_off":
-        form["invoice_value"] = Money(form["invoice_value"].amount_cents + 1234)
-    elif name == "receipt_amount_off":
-        receipt["amount"] = Money(receipt["amount"].amount_cents + 777)
-    elif name == "company_tax_alt":
-        form["company_tax_id"] = alts["tax"][3]
-    elif name == "energy_source_alt":
-        world.doc("prior_communication").tags["energy_source_mcp"] = "eolica"
-    elif name == "inverter_power_off":
-        form["declared_inverter_power"] = round(1.2 * form["declared_inverter_power"])
-    elif name == "generator_power_off":
-        form["declared_peak_power"] = round(1.15 * form["declared_peak_power"])
-    elif name == "pc_start_old":
-        world.doc("prior_communication").tags["date_start_mcp"] = \
-            PROGRAM_START - dt.timedelta(days=30)
-    elif name == "pc_submission_late":
-        world.doc("prior_communication").tags["date_submission_mcp"] = \
-            form["submission_date"] + dt.timedelta(days=5)
-    elif name == "panel_count_off":
-        invoice["panel_count"] = invoice["panel_count"] + 2
-    elif name == "ce_panels_no":
-        world.doc("equipment_datasheet").tags["ce_mark_panels"] = "no"
-    elif name == "ce_inverters_no":
-        world.doc("equipment_datasheet").tags["ce_mark_inverters"] = "no"
-    elif name == "battery_count_off":
-        invoice["battery_count"] = invoice["battery_count"] + 1
-    elif name == "ce_batteries_no":
-        world.doc("equipment_datasheet").tags["ce_mark_batteries"] = "no"
-    elif name == "windows_details_alt":
-        form["windows_details"] = alts["windows_details"]
-    elif name == "equipment_model_alt":
-        world.doc("invoice").tags["equipment_model"] = alts["model"]
-    elif name == "unit_count_off":
-        invoice["unit_count"] = invoice["unit_count"] + 1
-    elif name == "equipment_power_off":
-        form["declared_equipment_power"] = round(1.25 * form["declared_equipment_power"])
-    elif name == "equipment_ce_missing":
-        world.doc("equipment_datasheet").tags["ce_mark_equipment"] = "no"
-    else:
-        raise ValueError(f"unknown fault unit {name!r}")
 
 
 def _plan_units(applicable_ids: set[str], target: int, rng: random.Random) -> list[FaultUnit]:
@@ -605,7 +573,7 @@ def build_world(app_id: str, typology: TypologyId, catalog: Catalog,
     units = _plan_units(applicable, inconsistent_quota, rng)
     flipped: set[str] = set()
     for unit in units:
-        _apply_fault(unit.name, world, alts)
+        unit.edit(world, alts)
         flipped.update(set(unit.checks) & applicable)
         world.fired_units.append(unit.name)
     world.labels = {check_id: (check_id in flipped) for check_id in sorted(applicable)}
@@ -702,24 +670,21 @@ def form_xml_bytes(world: AppWorld) -> bytes:
     return ET.tostring(root, encoding="utf-8", xml_declaration=True)
 
 
-def sidecar_dict(doc: DocSpec) -> dict:
+def sidecar_dict(doc: DocSpec, typology: TypologyId) -> dict:
+    """The fixture sidecar of ``doc``: the text of every tag its slot's
+    extraction schema asks for, "None" for an absent one, and its cost and
+    time."""
     sidecar: dict[str, object] = {}
-    for name, value in doc.tags.items():
-        if name.startswith("__"):
-            continue
-        sidecar[name] = "None" if value is None else _serialize_tag(name, value)
+    for spec in schema_for(doc.slot, typology).tags:
+        value = doc.tags[spec.name]
+        if value is None:
+            sidecar[spec.name] = NONE_SENTINEL
+        elif spec.value_type is ValueType.POWER:
+            sidecar[spec.name] = f"{value} W"
+        else:
+            sidecar[spec.name] = _serialize_value(value)
     sidecar["__meta__"] = {"cost_eur": doc.cost_cents / 100.0, "elapsed_ms": doc.elapsed_ms}
     return sidecar
-
-
-def _serialize_tag(name: str, value: object) -> str:
-    if isinstance(value, Money):
-        return format_money(value)
-    if isinstance(value, dt.date):
-        return f"{value.day:02d}/{value.month:02d}/{value.year}"
-    if name in ("generator_power_mcp", "nominal_power_mcp", "battery_power", "nominal_power"):
-        return f"{value} W"
-    return str(value)
 
 
 def doc_bytes(app_id: str, filename: str) -> bytes:
@@ -763,7 +728,7 @@ def write_corpus(root: Path, options: GenOptions,
                 unsupported_count += 1
                 converted.append(name)
                 continue
-            sidecar = sidecar_dict(doc)
+            sidecar = sidecar_dict(doc, world.typology)
             (app_dir / (name + SIDECAR_SUFFIX)).write_text(
                 json.dumps(sidecar, ensure_ascii=False, sort_keys=True, indent=1),
                 encoding="utf-8")
@@ -821,7 +786,7 @@ def world_bundle_and_docs(world: AppWorld) -> tuple[ApplicationBundle, list[Extr
             continue
         refs.append(DocumentRef(path=str(virtual), kind=admitted, slot=slot,
                                 corpus_path=str(virtual)))
-        store[str(virtual)] = sidecar_dict(doc)
+        store[str(virtual)] = sidecar_dict(doc, typology)
     bundle = ApplicationBundle(app_id=app_id, typology=typology, form=form,
                                documents=refs, unsupported=notices)
     backend = MockBackend(store=store)

@@ -161,6 +161,14 @@ class TestFaultModes:
         assert value.state is ValueState.PRESENT
         assert value.value != Money(15000)
 
+    def test_corrupt_leaves_an_absent_tag_absent(self, tmp_path):
+        ref = invoice_ref(tmp_path, {
+            "total_value": "None",
+            "__faults__": [{"mode": "corrupt", "tag": "total_value"}],
+        })
+        result = extract(ref, schema_for(DocumentSlot.INVOICE, T1), MockBackend())
+        assert result.fields["total_value"].state is ValueState.ABSENT
+
     def test_fail_marks_all_unreadable(self, tmp_path):
         ref = invoice_ref(tmp_path, {"__faults__": [{"mode": "fail"}]})
         result = extract(ref, schema_for(DocumentSlot.INVOICE, T1), MockBackend())

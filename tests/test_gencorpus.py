@@ -8,13 +8,14 @@ from claimcheck.gencorpus import (
     DEFAULT_TYPOLOGY_MIX,
     FAULT_UNITS,
     GenOptions,
+    _build_baseline,
     build_world,
     make_tax_id,
     plan_worlds,
     world_bundle_and_docs,
     write_corpus,
 )
-from claimcheck.ingest import TypologyId, scan_corpus
+from claimcheck.ingest import VALID_TYPOLOGIES, TypologyId, scan_corpus
 from claimcheck.normalize import validate_tax_id
 from claimcheck.rules import CheckStatus, evaluate_application
 
@@ -83,6 +84,25 @@ class TestFaultTargeting:
                 flagged = statuses[check_id] is not CheckStatus.AUTO_VERIFIED
                 assert flagged == real_error, (seed, check_id, statuses[check_id])
 
+    def test_each_unit_alone_flips_exactly_its_applicable_checks(self, catalog):
+        tried = set()
+        for unit in FAULT_UNITS:
+            for tid in VALID_TYPOLOGIES:
+                typology = TypologyId.parse(tid)
+                applicable = {c.check_id for c in catalog.for_typology(typology)}
+                if not set(unit.checks) & applicable:
+                    continue
+                world, alts = _build_baseline("app_1", typology,
+                                              random.Random(f"{unit.name}:{tid}"), 11)
+                unit.edit(world, alts)
+                bundle, docs = world_bundle_and_docs(world)
+                outcomes = evaluate_application(bundle, docs, catalog.checks)
+                flagged = {o.check_id for batch in outcomes.values() for o in batch
+                           if o.status is not CheckStatus.AUTO_VERIFIED}
+                assert flagged == set(unit.checks) & applicable, (unit.name, tid)
+                tried.add(unit.name)
+        assert tried == {unit.name for unit in FAULT_UNITS}
+
     def test_every_check_covered_by_some_unit(self, catalog):
         covered = {check for unit in FAULT_UNITS for check in unit.checks}
         assert {c.check_id for c in catalog.checks} <= covered
@@ -128,6 +148,37 @@ class TestWrittenCorpus:
         docx = list(tmp_path.rglob("*.docx"))
         assert len(docx) == 11
         assert not any(p.with_name(p.name + ".fields.json").exists() for p in docx)
+
+
+# SHA-256 of each corpus's {relative path: SHA-256 of the file} map. The
+# benchmark's and the acceptance criteria's corpora are generated too, so a
+# generator change that moves any byte of these, labels and manifest
+# included, fails here; a new opt-in unit must leave them as they are.
+PINNED_CORPORA = {
+    "major_1": "a73d6fd8dd792dfab7cab923016562bdaff91800ce631ab23bb25734ea34d555",
+    "major_2": "e081e43780906a800a7fe83ee4f29b226bd69ff1c791d2f6b30eb28f11c5922b",
+    "major_3": "25c585fb5a8a98bc66651c5eab7dde80142ed13ca0a8e2c801caa94559905893",
+    "major_4": "272a73ce6b6b293ffe7abdf1e72a76b2bd7a98dd5ac50c537976dc5cf85b64a5",
+    "major_5": "e009dc8b36a6cc20910a50d16e2b7542f92a6b79f38da38a1a7d5f7d31c3eb94",
+    "unsupported": "75ae0188cc3c207ca4af25dd5dc3ea29298f4ede4d571c556813a9ec479f7d28",
+}
+
+
+def test_generated_corpora_are_pinned_and_fire_every_unit(tmp_path):
+    options = {f"major_{major}": GenOptions(n_apps=12, seed=7, consistency=0.3,
+                                             typology_mix={major: 1.0})
+               for major in range(1, 6)}
+    options["unsupported"] = GenOptions(n_apps=12, seed=7, consistency=0.3,
+                                        unsupported_rate=0.1)
+    digests, fired = {}, set()
+    for name, option in options.items():
+        write_corpus(tmp_path / name, option)
+        tree = json.dumps(tree_hashes(tmp_path / name), sort_keys=True)
+        digests[name] = hashlib.sha256(tree.encode()).hexdigest()
+        manifest = json.loads((tmp_path / name / "corpus_manifest.json").read_text())
+        fired.update(unit for app in manifest["apps"] for unit in app["fired_units"])
+    assert digests == PINNED_CORPORA
+    assert fired == {unit.name for unit in FAULT_UNITS}
 
 
 def test_make_tax_id_always_valid():

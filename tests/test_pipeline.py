@@ -1066,12 +1066,26 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+def with_bad_value(sidecar: dict, name: str, bad: object) -> object:
+    """``sidecar`` with ``bad`` in place of the whole sidecar (``name`` is
+    "sidecar"), of its ``__faults__`` list, or of its ``__meta__`` value
+    ``name``."""
+    if name == "sidecar":
+        return bad
+    if name == "__faults__":
+        return {**sidecar, "__faults__": bad}
+    return {**sidecar, "__meta__": {**sidecar["__meta__"], name: bad}}
+
+
 @pytest.mark.parametrize("backend, name, bad", [
     ("mock", "cost_eur", "abc"), ("mock", "cost_eur", math.nan), ("mock", "cost_eur", -5),
     ("mock", "cost_eur", [1]), ("mock", "elapsed_ms", math.inf), ("mock", "elapsed_ms", "1.5"),
     ("remote", "cost_eur", math.nan), ("remote", "cost_eur", -5), ("remote", "cost_eur", 1e308),
     ("remote", "elapsed_ms", math.inf), ("remote", "elapsed_ms", -1),
     ("remote", "elapsed_ms", 1e12),
+    # a sidecar of the wrong shape is read as a failed extraction too
+    ("mock", "sidecar", []), ("mock", "__faults__", "drop"), ("mock", "__faults__", [1]),
+    ("mock", "__faults__", [{"mode": "drop", "tag": ["total_value"]}]),
 ])
 def test_a_bad_cost_or_time_makes_only_its_document_unreadable(tmp_path, backend, name, bad):
     corpus = tmp_path / "corpus"
@@ -1079,17 +1093,18 @@ def test_a_bad_cost_or_time_makes_only_its_document_unreadable(tmp_path, backend
     victim, other = sorted(p.name for p in corpus.iterdir() if p.is_dir())
     relpath = f"{victim}/fatura.pdf"
 
-    def run(run_name: str, meta: dict) -> Path:
+    def run(run_name: str, values: dict) -> Path:
         out = tmp_path / run_name
         args = ["verify", "--corpus", str(corpus), "--out", str(out), "--parallelism", "1"]
         if backend == "mock":
             sidecar = corpus / (relpath + ".fields.json")
             fields = json.loads(sidecar.read_text(encoding="utf-8"))
-            fields["__meta__"].update(meta)
+            for value_name, value in values.items():
+                fields = with_bad_value(fields, value_name, value)
             sidecar.write_text(json.dumps(fields), encoding="utf-8")
             assert main(args) == 0
         else:
-            with _ReplyStub(corpus, relpath, meta) as stub:
+            with _ReplyStub(corpus, relpath, values) as stub:
                 assert main([*args, "--backend", "remote", "--endpoint", stub.url]) == 0
         return out
 

@@ -11,6 +11,9 @@ status with the run on the untransformed corpus.
   every status unchanged.
 - R2, unrelated files: an unsupported file in slot ``other``, or a loose
   file at the corpus root, leaves every status unchanged.
+- R4, service faults: ``__faults__`` entries (``drop``, ``corrupt``,
+  ``fail``) in sidecars turn no status into ``auto_verified``, and no check
+  that reads a ``fail``ed document is ``auto_verified``.
 
 In every run, no check labelled ``real_error=true`` is ``auto_verified``.
 """
@@ -18,6 +21,7 @@ In every run, no check labelled ``real_error=true`` is ``auto_verified``.
 import csv
 import json
 import random
+import re
 import shutil
 import zipfile
 from pathlib import Path
@@ -37,30 +41,41 @@ SLOT_FOLDERS = {"invoice": "fatura", "receipt": "recibo", "property_registry": "
                 "equipment_datasheet": "datasheet", "photo": "fotos"}
 
 
-def verify(corpus: Path, out: Path, labels: Path) -> dict[tuple[str, str], str]:
-    """The status of each ``(app_id, check_id)`` of a run on ``corpus``,
+def verify(corpus: Path, out: Path, labels: Path) -> dict[tuple[str, str], dict]:
+    """The outcome of each ``(app_id, check_id)`` of a run on ``corpus``,
     after checking that no check ``labels`` marks a real error was
     auto-verified."""
     assert main(["verify", "--corpus", str(corpus), "--out", str(out),
                  "--parallelism", "1"]) == 0
-    statuses: dict[tuple[str, str], str] = {}
+    outcomes: dict[tuple[str, str], dict] = {}
     for app_out in sorted(p for p in out.iterdir() if p.is_dir()):
         for name in REPORTS:
             for outcome in json.loads((app_out / name).read_text(encoding="utf-8"))["outcomes"]:
                 key = (app_out.name, outcome["check_id"])
-                assert key not in statuses
-                statuses[key] = outcome["status"]
+                assert key not in outcomes
+                outcomes[key] = outcome
     with open(labels, newline="", encoding="utf-8") as rows:
         real_errors = [(row["app_id"], row["check_id"]) for row in csv.DictReader(rows)
                        if row["real_error"] == "true"]
     assert real_errors
-    assert [key for key in real_errors if statuses[key] == "auto_verified"] == []
-    return statuses
+    assert [key for key in real_errors if outcomes[key]["status"] == "auto_verified"] == []
+    return outcomes
+
+
+def statuses(outcomes: dict[tuple[str, str], dict]) -> dict[tuple[str, str], str]:
+    return {key: outcome["status"] for key, outcome in outcomes.items()}
+
+
+def documents_read(outcome: dict) -> set[str]:
+    """The file names of the documents an outcome's two sides were read
+    from: a side's source reads ``slot:tag (file name)``."""
+    return {match.group(1) for side in ("lhs", "rhs")
+            if (match := re.search(r" \((.+)\)$", outcome[side]["source"]))}
 
 
 @pytest.fixture(scope="module")
 def base(tmp_path_factory) -> tuple[Path, Path, dict, dict[str, dict[str, str]]]:
-    """The untransformed corpus, its labels, its statuses, and each
+    """The untransformed corpus, its labels, its outcomes, and each
     application's documents with their slots, by file name. The corpus
     holds application directories only: its generator's files at the root
     are moved out or removed."""
@@ -72,22 +87,28 @@ def base(tmp_path_factory) -> tuple[Path, Path, dict, dict[str, dict[str, str]]]
         if path.is_file():
             path.unlink()
     out = root / "out"
-    statuses = verify(corpus, out, labels)
+    outcomes = verify(corpus, out, labels)
     slots = {}
     for app_out in sorted(p for p in out.iterdir() if p.is_dir()):
         docs = json.loads((app_out / "extraction.json").read_text(encoding="utf-8"))["docs"]
         slots[app_out.name] = {Path(doc["path"]).name: doc["slot"] for doc in docs}
-    return corpus, labels, statuses, slots
+    return corpus, labels, outcomes, slots
 
 
-def transformed(base, tmp_path: Path, transform) -> None:
-    """Apply ``transform(corpus, slots)`` to a copy of the base corpus and
-    check that a run on it gives the base run's statuses."""
-    corpus, labels, statuses, slots = base
+def run_transformed(base, tmp_path: Path, transform) -> dict[tuple[str, str], dict]:
+    """The outcomes of a run on a copy of the base corpus to which
+    ``transform(corpus, slots)`` was applied."""
+    corpus, labels, _, slots = base
     copy = tmp_path / "corpus"
     shutil.copytree(corpus, copy)
     transform(copy, slots)
-    assert verify(copy, tmp_path / "out", labels) == statuses
+    return verify(copy, tmp_path / "out", labels)
+
+
+def transformed(base, tmp_path: Path, transform) -> None:
+    """Check that a run on the transformed base corpus gives the base
+    run's statuses."""
+    assert statuses(run_transformed(base, tmp_path, transform)) == statuses(base[2])
 
 
 def move(app_dir: Path, name: str, target: str) -> None:
@@ -148,3 +169,34 @@ def test_r2_a_loose_file_at_the_corpus_root(base, tmp_path):
         (corpus / "leia-me.txt").write_text("corpus de teste\n", encoding="utf-8")
 
     transformed(base, tmp_path, add_loose_file)
+
+
+def test_r4_service_faults_never_add_automation(base, tmp_path):
+    failed = set()  # (app_id, file name) of each document whose fetch fails
+
+    def inject_faults(corpus, slots):
+        rng = random.Random(SEED)
+        for app_id, docs in slots.items():
+            for name in rng.sample(sorted(docs), k=3):
+                path = corpus / app_id / (name + SIDECAR)
+                sidecar = json.loads(path.read_text(encoding="utf-8"))
+                tags = sorted(tag for tag in sidecar if not tag.startswith("__"))
+                # a photo's sidecar holds no tag: only its fetch can fail
+                mode = rng.choice(("drop", "corrupt", "fail") if tags else ("fail",))
+                if mode == "fail":
+                    sidecar["__faults__"] = [{"mode": mode}]
+                    failed.add((app_id, name))
+                else:
+                    sidecar["__faults__"] = [{"mode": mode, "tag": rng.choice(tags)}]
+                path.write_text(json.dumps(sidecar), encoding="utf-8")
+
+    outcomes = base[2]
+    faulted = run_transformed(base, tmp_path, inject_faults)
+    assert faulted.keys() == outcomes.keys()
+    assert statuses(faulted) != statuses(outcomes)
+    assert [key for key, outcome in faulted.items() if outcome["status"] == "auto_verified"
+            and outcomes[key]["status"] != "auto_verified"] == []
+    readers = [key for key, outcome in outcomes.items()
+               if any((key[0], name) in failed for name in documents_read(outcome))]
+    assert readers
+    assert [key for key in readers if faulted[key]["status"] == "auto_verified"] == []
