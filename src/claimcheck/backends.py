@@ -13,11 +13,12 @@ still looked up here: the module loads on first use of either.
 from __future__ import annotations
 
 import json
+import os
 import zipfile
 from typing import NamedTuple
 
 from .extract import ExtractionSchema, NONE_SENTINEL
-from .ingest import SIDECAR_SUFFIX, DocumentRef
+from .ingest import DEFAULT_MAX_FILE_MB, SIDECAR_SUFFIX, DocumentRef
 
 # Generated document files start with this marker followed by their
 # corpus-relative path, so a stub server can resolve the right sidecar
@@ -104,12 +105,21 @@ def interpret_sidecar(sidecar: object, schema: ExtractionSchema) -> BackendRespo
                                                   meta.get("elapsed_ms", 0)))
 
 
-def load_sidecar(doc: DocumentRef) -> dict:
+def load_sidecar(doc: DocumentRef, cap_bytes: int) -> dict:
     """The fixture of ``doc``: ``<file>.fields.json`` beside a file, or
     ``<member>.fields.json`` in the archive that holds a member; {} when
-    there is none."""
+    there is none. One longer than ``cap_bytes`` is a BackendError, found
+    without reading more than one byte past the cap."""
     try:
-        return json.loads(doc.read_bytes(SIDECAR_SUFFIX).decode("utf-8"))
+        if doc.member is None:  # by string and unbuffered: one read of the size it needs
+            with open(f"{doc.path}{SIDECAR_SUFFIX}", "rb", buffering=0) as file:
+                data = file.read(min(os.fstat(file.fileno()).st_size, cap_bytes) + 1)
+        else:  # a member its header gives as longer than the cap is not read
+            info = doc.archive.getinfo(doc.member + SIDECAR_SUFFIX)
+            data = doc.archive.read(info) if info.file_size <= cap_bytes else None
+        if data is None or len(data) > cap_bytes:
+            raise BackendError(f"fixture sidecar is above the {cap_bytes / 1e6:g} MB cap")
+        return json.loads(data.decode("utf-8"))
     except (FileNotFoundError, KeyError):
         return {}
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
@@ -120,13 +130,16 @@ class MockBackend:
     """Answers from each document's fixture sidecar.
 
     ``store`` bypasses the filesystem: a mapping from document path (str)
-    to sidecar dicts, used by in-memory corpus tests.
+    to sidecar dicts, used by in-memory corpus tests. A sidecar longer
+    than ``max_file_mb`` is not read: that document's tags are unreadable.
     """
 
     backend_id = "mock"
 
-    def __init__(self, store: dict[str, dict] | None = None):
+    def __init__(self, store: dict[str, dict] | None = None,
+                 max_file_mb: float = DEFAULT_MAX_FILE_MB):
         self._store = store
+        self._cap_bytes = int(max_file_mb * 1_000_000)
 
     def close(self) -> None:
         """Nothing to release: the mock opens no connection."""
@@ -135,7 +148,7 @@ class MockBackend:
         if self._store is not None:
             sidecar = self._store.get(str(doc.path), {})
         else:
-            sidecar = load_sidecar(doc)
+            sidecar = load_sidecar(doc, self._cap_bytes)
         return interpret_sidecar(sidecar, schema)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import datetime as dt
-import html
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -18,7 +17,6 @@ from .ingest import (
     TypologyId,
 )
 from .rules import (
-    STATUS_LABELS,
     CheckDefinition,
     CheckPlan,
     Comparator,
@@ -43,7 +41,6 @@ class Catalog:
     # one plan per typology asked for: at most one per valid typology
     _by_typology: dict[str, CheckPlan] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _escaped: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def for_typology(self, typology: TypologyId) -> CheckPlan:
         """The checks that apply to ``typology``, in catalog order, planned
@@ -54,15 +51,6 @@ class Catalog:
             plan = self._by_typology[tid] = CheckPlan(
                 (c for c in self.checks if c.applicable(tid)), tid)
         return plan
-
-    def escaped_texts(self) -> dict[str, str]:
-        """The HTML escape of each check description and status label: the
-        strings its reports show whatever the application. Built on first
-        use."""
-        if not self._escaped:
-            self._escaped.update((text, html.escape(text)) for text in (
-                *STATUS_LABELS.values(), *(check.description for check in self.checks)))
-        return self._escaped
 
 
 KNOWN_FORM_FIELDS = frozenset(COMMON_MANDATORY_FIELDS) | frozenset(

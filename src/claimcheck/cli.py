@@ -211,24 +211,49 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _text_pair(record: object) -> tuple:
+    """``(id, candidate, reference, candidate_vec, reference_vec)`` of one
+    line of a pairs file; a ValueError says what is wrong with it."""
+    if not isinstance(record, dict):
+        raise ValueError("a line must be a JSON object")
+    for key in ("id", "candidate", "reference"):
+        if key not in record:
+            raise ValueError(f"no {key!r}")
+    for key in ("candidate", "reference"):
+        if not isinstance(record[key], str):
+            raise ValueError(f"{key!r} must be a string")
+    vectors = [record.get("candidate_vec"), record.get("reference_vec")]
+    for key, vector in zip(("candidate_vec", "reference_vec"), vectors):
+        if vector is not None and not (isinstance(vector, list) and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+                for x in vector)):
+            raise ValueError(f"{key!r} must be a list of finite numbers")
+    return str(record["id"]), record["candidate"], record["reference"], *vectors
+
+
 def cmd_eval_text(args: argparse.Namespace) -> int:
     from .textmetrics import score_pair, summarize, tokenize  # only this command needs it
 
     if not args.pairs.is_file():
         print(f"pairs file not found: {args.pairs}", file=sys.stderr)
         return 1
+    try:
+        lines = args.pairs.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        print(f"pairs file {args.pairs} is not UTF-8: {exc}", file=sys.stderr)
+        return 1
     scores = []
     token_pairs = []
-    for line in args.pairs.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
             continue
-        record = json.loads(line)
-        scores.append(score_pair(
-            str(record["id"]), record["candidate"], record["reference"],
-            record.get("candidate_vec"), record.get("reference_vec"),
-        ))
-        token_pairs.append((tokenize(record["candidate"]), tokenize(record["reference"])))
+        try:
+            pair_id, candidate, reference, *vectors = _text_pair(json.loads(line))
+            scores.append(score_pair(pair_id, candidate, reference, *vectors))
+        except ValueError as exc:  # a JSON, shape or vector error in this line
+            print(f"malformed pairs file {args.pairs} line {number}: {exc}", file=sys.stderr)
+            return 1
+        token_pairs.append((tokenize(candidate), tokenize(reference)))
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     with args.out.open("w", newline="", encoding="utf-8") as handle:

@@ -131,7 +131,6 @@ class DocumentRef:
     path: str
     kind: FileKind
     slot: DocumentSlot = DocumentSlot.OTHER
-    origin: str = "direct_upload"
     member: str | None = None  # the member's name inside the archive at ``path``
     # the archive at ``path``, opened and checked by the scan
     archive: zipfile.ZipFile | None = field(default=None, compare=False, repr=False)
@@ -146,14 +145,12 @@ class DocumentRef:
     def name(self) -> str:
         return os.path.basename(self.path) if self.member is None else PurePath(self.member).name
 
-    def read_bytes(self, suffix: str = "") -> bytes:
-        """Its bytes; with ``suffix``, those of the file or member whose name
-        adds it. Raises FileNotFoundError, or KeyError in an archive, when
-        there is none."""
+    def read_bytes(self) -> bytes:
+        """Its bytes, read whole."""
         if self.member is None:  # by string and unbuffered: read whole, at once
-            with open(f"{self.path}{suffix}", "rb", buffering=0) as file:
+            with open(self.path, "rb", buffering=0) as file:
                 return file.read()
-        return self.archive.read(self.member + suffix)
+        return self.archive.read(self.member)
 
 
 @dataclass
@@ -520,8 +517,8 @@ def _read_archive(path: str, corpus_path: str, name: str, slot: DocumentSlot,
                 while stream.read(1 << 20):
                     pass
             documents.append(DocumentRef(path=path, kind=admitted, slot=member_slot,
-                                         origin="archive_member", member=member.filename,
-                                         archive=archive, corpus_path=corpus_path))
+                                         member=member.filename, archive=archive,
+                                         corpus_path=corpus_path))
     except zipfile.BadZipFile:
         return [], [UnsupportedNotice(
             path=corpus_path, reason="corrupt_archive",

@@ -36,7 +36,7 @@ from .ingest import (
     scan_forms,
 )
 from .metrics import AppRecord, RunTotals, _write_totals
-from .report import SCHEMA_VERSION, HtmlEscapes, render_html, report_dict
+from .report import SCHEMA_VERSION, render_html, report_dict
 from .rules import EngineSettings, evaluate_application
 
 
@@ -104,7 +104,7 @@ class RunConfig:
 
 def make_backend(config: RunConfig):
     if config.backend == "mock":
-        return MockBackend()
+        return MockBackend(max_file_mb=config.max_file_mb)
     from .remote import RemoteBackend, RemoteConfig  # only a remote run needs it
 
     return RemoteBackend(RemoteConfig(
@@ -132,8 +132,7 @@ class _Applications:
     thread that ran it. With ``inflight`` above 1, extraction calls run on
     that many threads, started up to ``2 * inflight`` documents ahead of
     the application being finished; at 1, each runs when its application
-    is finished. The escape of each string that recurs across applications
-    is kept for every application it renders."""
+    is finished."""
 
     def __init__(self, config: RunConfig, catalog: Catalog, inflight: int = 1):
         self.config, self.catalog = config, catalog
@@ -143,7 +142,6 @@ class _Applications:
         # each suffix's FileKind member, looked up by the scan of every file
         self.extensions = {**SUPPORTED_EXTENSIONS,
                            **{ext: FileKind(kind) for ext, kind in config.allow_ext.items()}}
-        self.escapes = HtmlEscapes(catalog.escaped_texts())
         self.cpu = dict.fromkeys(STAGES, 0.0)
         self._lock = threading.Lock()  # extraction threads count too
         self.backend = make_backend(config)
@@ -244,7 +242,7 @@ class _Applications:
         for kind in ReportKind:
             data = report_dict(bundle.app_id, kind, outcomes_by_kind[kind], bundle.unsupported,
                                self.catalog.version)
-            json_bytes, html_bytes = canonical_json_bytes(data), render_html(data, self.escapes)
+            json_bytes, html_bytes = canonical_json_bytes(data), render_html(data)
             start = spent("render", start)
             _write_file(f"{prefix}{kind.value}.json", json_bytes)
             _write_file(f"{prefix}{kind.value}.html", html_bytes)

@@ -12,7 +12,7 @@ import html
 
 from .base import CheckStatus, ReportKind, canonical_json_bytes
 from .ingest import UnsupportedNotice
-from .rules import STATUS_LABELS, CheckOutcome, Evidence
+from .rules import CheckOutcome, Evidence
 
 # The version of the layout of every report JSON, extraction.json and
 # manifest.json, each of which records it as "schema_version"; a change to
@@ -23,11 +23,11 @@ SCHEMA_VERSION = 2
 class HtmlEscapes(dict):
     """The HTML escape of each string looked up that recurs across
     applications: descriptions, labels, sources, states, details and
-    messages. A process keeps one for each catalog it renders with,
-    starting from a copy of the escapes given, such as
-    ``Catalog.escaped_texts``. It keeps at most MAX_ENTRIES strings, so
-    its size does not grow with the applications: once it is full, a
-    string it lacks is escaped and not kept."""
+    messages. An escape depends only on its string, so a process keeps
+    one memo for every catalog and application it renders. It keeps at
+    most MAX_ENTRIES strings, so its size does not grow with the
+    applications: once it is full, a string it lacks is escaped and not
+    kept."""
 
     MAX_ENTRIES = 4096
 
@@ -36,6 +36,10 @@ class HtmlEscapes(dict):
         if len(self) < self.MAX_ENTRIES:
             self[text] = escaped
         return escaped
+
+
+# the one memo of this process: a forked worker has its own copy
+_ESCAPES = HtmlEscapes()
 
 
 def _escape_value(text: str) -> str:
@@ -54,6 +58,13 @@ def _side(evidence: Evidence) -> dict:
         "detail": evidence.detail,
     }
 
+
+# the label each status shows on a report
+STATUS_LABELS = {
+    CheckStatus.AUTO_VERIFIED: "No Verification Needed",
+    CheckStatus.MANUAL_CHECK: "Manual Check",
+    CheckStatus.UNSUPPORTED: "Unsupported Document",
+}
 
 # what a report records of each status: its value and its label
 _STATUS_FIELDS = {status: (status.value, label) for status, label in STATUS_LABELS.items()}
@@ -125,14 +136,13 @@ _ROW_CLASSES = {
 }
 
 
-def render_html(report: dict, escape: HtmlEscapes | None = None) -> bytes:
+def render_html(report: dict) -> bytes:
     """Self-contained reviewer page of a ``report_dict``; manual checks
-    highlighted in red. The pages of every application rendered with one
-    catalog may share ``escape``; what an application's own data gives,
-    rendered values, its id and its notices' paths and messages, is
-    escaped anew."""
-    if escape is None:
-        escape = HtmlEscapes()
+    highlighted in red. Strings that recur across applications are
+    escaped through the process's memo; what an application's own data
+    gives, rendered values, its id and its notices' paths and messages,
+    is escaped anew."""
+    escape = _ESCAPES
 
     def cell(side: dict) -> str:
         rendered = side["rendered"]

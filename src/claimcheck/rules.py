@@ -30,13 +30,6 @@ from .normalize import (
 )
 
 
-STATUS_LABELS = {
-    CheckStatus.AUTO_VERIFIED: "No Verification Needed",
-    CheckStatus.MANUAL_CHECK: "Manual Check",
-    CheckStatus.UNSUPPORTED: "Unsupported Document",
-}
-
-
 @dataclass(frozen=True)
 class Selector:
     """Where an operand comes from: form field, document tag, constant

@@ -253,6 +253,33 @@ class TestEvalTextCommand:
         assert run(["eval-text", "--pairs", str(tmp_path / "nope.jsonl"),
                     "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("bad", [
+        "{not json",
+        json.dumps({"id": "p2", "candidate": "a b"}),
+        json.dumps({"id": "p2", "candidate": 7, "reference": "a b"}),
+        json.dumps({"id": "p2", "candidate": "a b", "reference": "a b",
+                    "candidate_vec": [0.0, 0.0], "reference_vec": [1.0, 0.0]}),
+        json.dumps({"id": "p2", "candidate": "a b", "reference": "a b",
+                    "candidate_vec": [1.0, 1.0], "reference_vec": [float("nan"), 1.0]}),
+    ], ids=["not json", "no reference", "number candidate", "zero candidate_vec",
+            "nan in reference_vec"])
+    def test_malformed_pairs_line_exits_1_and_writes_no_csv(self, tmp_path, capsys, bad):
+        pairs = tmp_path / "pairs.jsonl"
+        good = json.dumps({"id": "p1", "candidate": "the cat", "reference": "the cat"})
+        pairs.write_text(f"{good}\n\n{bad}\n{good}\n")
+        out_csv = tmp_path / "scores.csv"
+        assert run(["eval-text", "--pairs", str(pairs), "--out", str(out_csv)]) == 1
+        assert f"malformed pairs file {pairs} line 3: " in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_pairs_file_not_utf8_exits_1_and_writes_no_csv(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_bytes(b'{"id": "p1", "candidate": "\xff", "reference": "a"}\n')
+        out_csv = tmp_path / "scores.csv"
+        assert run(["eval-text", "--pairs", str(pairs), "--out", str(out_csv)]) == 1
+        assert f"pairs file {pairs} is not UTF-8" in capsys.readouterr().err
+        assert not out_csv.exists()
+
 
 class TestConfigFile:
     def test_config_file_defaults(self, tmp_path):

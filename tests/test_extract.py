@@ -432,7 +432,7 @@ class TestRemoteBackend:
         with zipfile.ZipFile(archive) as handle, serving(_KeepAliveHandler) as url, \
                 closing(RemoteBackend(RemoteConfig(endpoint=url))) as remote:
             ref = DocumentRef(path=archive, kind=FileKind.PDF, slot=DocumentSlot.INVOICE,
-                              origin="archive_member", member="obra/fatura.pdf", archive=handle)
+                              member="obra/fatura.pdf", archive=handle)
             remote.fetch(ref, schema_for(ref.slot, T1))
         [body] = _KeepAliveHandler.bodies
         posted = base64.b64decode(json.loads(body)["content_b64"])
@@ -453,7 +453,7 @@ class TestRemoteBackend:
         # the upload changes on disk after the scan admitted it
         write_zip(tmp_path / "next.zip", b"another invoice", b'{"total_value": "999,00"}')
         os.replace(tmp_path / "next.zip", archive)
-        [ref] = [doc for doc in bundle.documents if doc.origin == "archive_member"]
+        [ref] = [doc for doc in bundle.documents if doc.member is not None]
         schema = schema_for(DocumentSlot.INVOICE, T1)
         _KeepAliveHandler.bodies = []
         with bundle.archives, serving(_KeepAliveHandler) as url, \

@@ -24,6 +24,8 @@ from claimcheck.ingest import (
 )
 from claimcheck.stubserver import FixtureStubServer
 
+CAP_BYTES = 25_000_000  # the sidecar cap of the default --max-file-mb
+
 MINIMAL_FORM = """<?xml version='1.0' encoding='utf-8'?>
 <application id="{app_id}" typology="1">
  <declared>
@@ -99,8 +101,8 @@ class TestClassifyFile:
     def test_zip_expanded_where_found(self, tmp_path, scan):
         write_app(tmp_path, "app_a", {"fotos/photos.ZIP": zip_bytes({"foto.png": b"x"})})
         [doc] = scan(tmp_path).bundles[0].documents
-        assert (doc.display_path, doc.kind, doc.origin) == (
-            "app_a/fotos/photos.ZIP!foto.png", FileKind.PNG, "archive_member")
+        assert (doc.display_path, doc.kind, doc.member) == (
+            "app_a/fotos/photos.ZIP!foto.png", FileKind.PNG, "foto.png")
 
     def test_docx_unsupported(self, tmp_path, scan):
         notice = self.classify(tmp_path, "docs.docx")
@@ -213,7 +215,7 @@ class TestExpandArchives:
         bundle = scan(tmp_path).bundles[0]
         kinds = sorted(d.kind for d in bundle.documents)
         assert kinds == [FileKind.PNG, FileKind.PNG, FileKind.PNG]
-        assert all(d.origin == "archive_member" for d in bundle.documents)
+        assert all(d.member is not None for d in bundle.documents)
         assert [n.reason for n in bundle.unsupported] == ["unsupported_extension"]
         # conservation: 3 supported members, no zip left behind
         assert not any(d.kind is FileKind.ZIP for d in bundle.documents)
@@ -280,7 +282,7 @@ class TestExpandArchives:
         assert sorted(tmp_path.rglob("*")) == before
         assert [d.name for d in bundle.documents] == ["fatura.pdf"]
         assert bundle.documents[0].read_bytes() == b"x"
-        assert load_sidecar(bundle.documents[0]) == {"n": 1}
+        assert load_sidecar(bundle.documents[0], CAP_BYTES) == {"n": 1}
 
     def test_members_sharing_a_base_name_stay_apart(self, tmp_path, scan):
         invoices = zip_bytes({
@@ -307,7 +309,8 @@ class TestExpandArchives:
             "foto.png", "fatura.pdf", "fatura.pdf", "recibo.pdf", "foto.png"]
         assert [d.read_bytes() for d in bundle.documents] == [
             b"a", b"first", b"second", b"up", b"b"]
-        assert [load_sidecar(d) for d in bundle.documents] == [{}, {"n": 1}, {"n": 2}, {}, {}]
+        assert [load_sidecar(d, CAP_BYTES) for d in bundle.documents] == [
+            {}, {"n": 1}, {"n": 2}, {}, {}]
 
     @staticmethod
     def write_three_archives(root: Path) -> Path:

@@ -23,7 +23,7 @@ from claimcheck.cli import main
 from claimcheck.gencorpus import GenOptions, write_corpus
 from claimcheck.pipeline import ConfigError, RunConfig, verify_corpus
 from claimcheck.report import canonical_json_bytes, render_html, report_dict
-from claimcheck.rules import CheckStatus
+from claimcheck.rules import CheckStatus, ReportKind
 from claimcheck.stubserver import FixtureStubServer, embedded_relpath
 
 
@@ -197,18 +197,41 @@ def test_metrics_folds_each_application_directory_with_extraction_json(tmp_path)
     assert (out / "cost_time.csv").read_text().splitlines()[-1] == "Total,0.38,2.00"
 
 
-def test_garbage_sidecar_contained_as_backend_error(corpus_copy, tmp_path):
+@pytest.mark.parametrize("case", ["garbage", "oversize", "oversize zipped"])
+def test_unreadable_sidecar_contained_as_backend_error(corpus_copy, tmp_path, case):
     app_dir = sorted(p for p in corpus_copy.iterdir() if p.is_dir())[0]
     sidecar = app_dir / "fatura.pdf.fields.json"
-    sidecar.write_text("{ not json")
+    if case == "garbage":
+        sidecar.write_text("{ not json")
+    else:
+        # the fixture is whole and well formed, but longer than the 1 MB cap
+        fields = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**fields, "__pad__": "x" * 2_000_000}))
+    if case == "oversize zipped":
+        invoice = app_dir / "fatura.pdf"
+        (app_dir / "faturas.zip").write_bytes(zip_members(
+            {invoice.name: invoice.read_bytes(), sidecar.name: sidecar.read_bytes()},
+            zipfile.ZIP_DEFLATED))
+        invoice.unlink()
+        sidecar.unlink()
     out = tmp_path / "out"
-    result = verify_corpus(RunConfig(corpus_root=corpus_copy, out_dir=out))
-    assert result.exit_code == 0  # contained: unreadable values, app still processed
+    assert main(["verify", "--corpus", str(corpus_copy), "--out", str(out),
+                 "--max-file-mb", "1"]) == 0  # contained: unreadable values, app processed
+    sides = [side for kind in ReportKind
+             for o in json.loads((out / app_dir.name / f"{kind.value}.json").read_text())[
+                 "outcomes"]
+             for side in (o["lhs"], o["rhs"])]
+    invoice_sides = [side for side in sides if side["source"].startswith("invoice:")]
+    assert invoice_sides
+    assert {(side["state"], side["detail"]) for side in invoice_sides} == {
+        ("unreadable", "unreadable value (backend_error)")}
+    # only that document's tags are unreadable
+    assert any(side["state"] == "present" for side in sides
+               if side["source"].split(":")[0] not in ("invoice", "form"))
     report = json.loads((out / app_dir.name / "common_core.json").read_text())
-    invoice_outcomes = [o for o in report["outcomes"]
-                        if o["check_id"] == "common.declared_expense_matches_invoice"]
-    assert invoice_outcomes[0]["status"] == "manual_check"
-    assert invoice_outcomes[0]["rhs"]["state"] == "unreadable"
+    [invoice_outcome] = [o for o in report["outcomes"]
+                         if o["check_id"] == "common.declared_expense_matches_invoice"]
+    assert invoice_outcome["status"] == "manual_check"
 
 
 def test_app_level_crash_contained(corpus_copy, tmp_path):
@@ -355,9 +378,9 @@ def rewalked_files(root: Path, out: Path, manifest: dict) -> dict[str, list[str]
     return files
 
 
-def zip_members(members: dict[str, bytes]) -> bytes:
+def zip_members(members: dict[str, bytes], compression: int = zipfile.ZIP_STORED) -> bytes:
     buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w") as archive:
+    with zipfile.ZipFile(buffer, "w", compression) as archive:
         for name, data in members.items():
             archive.writestr(name, data)
     return buffer.getvalue()
@@ -664,10 +687,10 @@ def test_each_archive_is_closed_once_its_application_is_done(tmp_path, monkeypat
     (apps[3] / "anexos.zip").write_bytes(zip_members({"foto_9.png": b"p"}))
     break_photo(apps[3] / "fotos.zip", "unsupported_method")
 
-    def render(data, escape=None):
+    def render(data):
         if data["app_id"] == apps[2].name:
             raise RuntimeError("render crashed")
-        return render_html(data, escape)
+        return render_html(data)
 
     open_when_done = {}
     real_log = pipeline.log_event
@@ -780,10 +803,10 @@ def test_render_raising_in_a_worker_fails_only_its_application(small_corpus, tmp
     victim = sorted(p.name for p in small_corpus.iterdir() if p.is_dir())[2]
     parent = os.getpid()
 
-    def render_in_worker(data, escape=None):
+    def render_in_worker(data):
         if data["app_id"] == victim and os.getpid() != parent:
             raise RuntimeError("render crashed in a worker")
-        return render_html(data, escape)
+        return render_html(data)
 
     monkeypatch.setattr(pipeline, "render_html", render_in_worker)
     out = tmp_path / "out"
@@ -977,7 +1000,9 @@ def test_a_rerun_truncates_each_report_and_creates_files_with_the_umask(small_co
     assert {p.stat().st_mode & 0o777 for p in written} == {0o666 & ~0o027}
 
 
-def test_the_escape_memo_does_not_grow_with_the_applications(tmp_path, catalog):
+def test_the_escape_memo_does_not_grow_with_the_applications(tmp_path, catalog, monkeypatch):
+    # the memo is the process's, so start from an empty one
+    monkeypatch.setattr(report_module, "_ESCAPES", report_module.HtmlEscapes())
     corpus = tmp_path / "corpus"
     write_corpus(corpus, GenOptions(n_apps=200, consistency=0.76, seed=0))
     out = tmp_path / "out"
@@ -987,7 +1012,7 @@ def test_the_escape_memo_does_not_grow_with_the_applications(tmp_path, catalog):
     apps = ingest.scan_forms(corpus).applications
     for done, (_, record, error, *_) in enumerate(applications.results(apps), start=1):
         assert record is not None, error
-        sizes[done] = len(applications.escapes)
+        sizes[done] = len(report_module._ESCAPES)
     assert len(sizes) == 200
     assert sizes[200] <= sizes[20]
 

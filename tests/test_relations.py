@@ -14,12 +14,19 @@ status with the run on the untransformed corpus.
 - R4, service faults: ``__faults__`` entries (``drop``, ``corrupt``,
   ``fail``) in sidecars turn no status into ``auto_verified``, and no check
   that reads a ``fail``ed document is ``auto_verified``.
+- R5, malformed values: replacing one form or sidecar value, or one
+  ``__meta__`` cost or time, of each application with a malformed string
+  or a JSON value of another type leaves every application processed and
+  every ``*.json`` strict JSON, turns no status into ``auto_verified``,
+  and changes only the checks that read the value (for ``__meta__``, its
+  document).
 
 In every run, no check labelled ``real_error=true`` is ``auto_verified``.
 """
 
 import csv
 import json
+import math
 import random
 import re
 import shutil
@@ -35,6 +42,12 @@ N_APPS = 48
 SEED = 29
 SIDECAR = ".fields.json"
 REPORTS = ("eligibility.json", "common_core.json", "typology.json")
+# malformed strings of the kinds the value parsers refuse: repeated or
+# misplaced separators, non-ASCII digits, exponents, words, nothing at all
+MALFORMED_TEXT = ("..", "41317007²", "1.2.3", ",,", "1..", "٣٢٠", "1_000", "1e3", "nan", "€", "")
+# JSON values of other types than the string a sidecar tag holds
+OTHER_TYPES = (41317007, 0.5, [1], {"value": "1"}, True)
+MALFORMED_META = ("abc", [1], math.nan, -5, 1e308)
 # an upload folder for each slot, named as applicants name them
 SLOT_FOLDERS = {"invoice": "fatura", "receipt": "recibo", "property_registry": "certidao",
                 "prior_communication": "mcp", "energy_certificate": "certificado",
@@ -200,3 +213,63 @@ def test_r4_service_faults_never_add_automation(base, tmp_path):
                if any((key[0], name) in failed for name in documents_read(outcome))]
     assert readers
     assert [key for key in readers if faulted[key]["status"] == "auto_verified"] == []
+
+
+def strict_json(path: Path):
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+def test_r5_a_malformed_value_changes_only_the_checks_that_read_it(base, tmp_path):
+    # app_id -> whether an outcome side's source names the replaced value
+    # (for __meta__, any value of its document)
+    reads = {}
+
+    def replace_values(corpus, slots):
+        rng = random.Random(SEED)
+        for number, (app_id, docs) in enumerate(slots.items()):
+            app_dir = corpus / app_id
+            where = ("form", "sidecar", "__meta__")[number % 3]
+            if where == "form":
+                form = app_dir / "form.xml"
+                text = form.read_text(encoding="utf-8")
+                field = rng.choice(sorted(re.findall(r'<(\w+) type="\w+">', text)))
+                text, count = re.subn(rf"(<{field} [^>]*>)[^<]*(</{field}>)",
+                                      rf"\g<1>{rng.choice(MALFORMED_TEXT)}\g<2>", text)
+                assert count == 1
+                form.write_text(text, encoding="utf-8")
+                reads[app_id] = lambda source, field=field: source == f"form:{field}"
+                continue
+            # a photo's sidecar holds no tag; a "None" tag is absent, not a value
+            sidecars = {name: json.loads((app_dir / (name + SIDECAR)).read_text(encoding="utf-8"))
+                        for name in sorted(docs)}
+            name, sidecar = rng.choice([
+                (name, sidecar) for name, sidecar in sidecars.items()
+                if any(not tag.startswith("__") and value != "None"
+                       for tag, value in sidecar.items())])
+            if where == "sidecar":
+                tag = rng.choice(sorted(tag for tag, value in sidecar.items()
+                                        if not tag.startswith("__") and value != "None"))
+                sidecar[tag] = rng.choice(MALFORMED_TEXT + OTHER_TYPES)
+                reads[app_id] = lambda source, end=f":{tag} ({name})": source.endswith(end)
+            else:
+                sidecar["__meta__"][rng.choice(("cost_eur", "elapsed_ms"))] = rng.choice(
+                    MALFORMED_META)
+                reads[app_id] = lambda source, end=f" ({name})": source.endswith(end)
+            # a NaN is written as a bare token, which the sidecar reader accepts
+            (app_dir / (name + SIDECAR)).write_text(json.dumps(sidecar), encoding="utf-8")
+
+    outcomes = base[2]
+    malformed = run_transformed(base, tmp_path, replace_values)
+    for path in sorted((tmp_path / "out").rglob("*.json")):
+        strict_json(path)
+    assert malformed.keys() == outcomes.keys()
+    moved = {key for key, outcome in malformed.items()
+             if outcome["status"] != outcomes[key]["status"]}
+    assert moved
+    assert [key for key in moved if malformed[key]["status"] == "auto_verified"] == []
+    readers = {key for key, outcome in outcomes.items()
+               if any(reads[key[0]](outcome[side]["source"]) for side in ("lhs", "rhs"))}
+    assert sorted(moved - readers) == []

@@ -17,7 +17,7 @@ from claimcheck.metrics import (
     read_labels_csv,
     slot_bucket,
 )
-from claimcheck.report import HtmlEscapes, canonical_json_bytes, render_html, report_dict
+from claimcheck.report import canonical_json_bytes, render_html, report_dict
 from claimcheck.rules import CheckOutcome, CheckStatus, Evidence, ReportKind
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -112,12 +112,28 @@ class TestRenderHtml:
             report["unsupported"][0][field.removeprefix("notice ")] = value
         else:
             report[field] = value
-        # the pages of one application share one escape memo
-        escapes = HtmlEscapes()
+        # the second render finds the escapes the first kept in the memo
         for _ in range(2):
-            page = render_html(report, escapes).decode()
+            page = render_html(report).decode()
             assert page.count(html.escape(value)) == 1 + (field == "app_id")  # title and h1
             assert value not in page and "<script>" not in page
+
+    def test_bytes_do_not_depend_on_the_memo(self, monkeypatch):
+        from claimcheck import report as report_module
+
+        report = sample_report([outcome("elig.<x>", CheckStatus.MANUAL_CHECK),
+                                outcome("elig.&y", CheckStatus.UNSUPPORTED)])
+        report["outcomes"][0]["message"] = "values 'differ' & <need> a look"
+        pages = []
+        full = report_module.HtmlEscapes()
+        for n in range(full.MAX_ENTRIES):
+            full[f"<unrelated {n}>"]
+        assert len(full) == full.MAX_ENTRIES
+        for memo in (report_module.HtmlEscapes(), full):
+            monkeypatch.setattr(report_module, "_ESCAPES", memo)
+            pages.append(render_html(report))
+        assert pages[0] == pages[1]
+        assert len(full) == full.MAX_ENTRIES
 
     def test_golden_html(self):
         golden_path = GOLDEN_DIR / "eligibility.html"
